@@ -28,6 +28,7 @@ from .faultlab import (
 from .gcode import (
     GCodeError,
     ToolpathParams,
+    count_records,
     emit_text,
     path_length,
     plan_toolpath,
@@ -197,7 +198,6 @@ def _toolpath_params(args) -> ToolpathParams:
     try:
         return ToolpathParams(
             feed_rate=args.feed_rate,
-            travel_rate=args.travel_rate,
             extrusion_per_mm=args.extrusion_per_mm,
         )
     except ValueError as exc:
@@ -228,7 +228,7 @@ def _cmd_simulate(args) -> int:
     prog = plan_toolpath(layers, _toolpath_params(args))
     text = emit_text(prog)
     enveloped = not args.no_envelope
-    payload = wrap(text, len(prog.commands), with_ecc=args.ecc) if enveloped else text
+    payload = wrap(text, count_records(text), with_ecc=args.ecc) if enveloped else text
 
     channel = _parse_channel(args.channel)
     mode = TransferMode.RELIABLE_ORDERED if args.mode == "reliable" else TransferMode.BEST_EFFORT
@@ -288,7 +288,6 @@ def _campaign_config(doc: dict) -> tuple[PipelineConfig, list[FaultSpec] | None,
         tp_doc = doc.get("toolpath", {})
         toolpath = ToolpathParams(
             feed_rate=float(tp_doc.get("feed_rate", 1800.0)),
-            travel_rate=float(tp_doc.get("travel_rate", 3000.0)),
             extrusion_per_mm=float(tp_doc.get("extrusion_per_mm", 0.05)),
         )
         ch_doc = doc.get("channel", {})
@@ -399,7 +398,6 @@ def _cmd_report(args) -> int:
 
 def _add_toolpath_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--feed-rate", type=float, default=1800.0, help="extrusion feed, mm/min")
-    p.add_argument("--travel-rate", type=float, default=3000.0, help="travel feed, mm/min")
     p.add_argument("--extrusion-per-mm", type=float, default=0.05,
                    help="filament mm per toolpath mm")
 

@@ -4,12 +4,22 @@ Six commands only: G0 (rapid), G1 (linear+extrude), G21, G90, G28, M2.
 Positioning and extrusion are absolute; numbers are emitted with exactly
 5 decimal places, and the planner quantizes to the same grid so emitted
 programs reparse to equal values.
+
+Text is read by one line rule: the bytes are decoded as UTF-8 and split
+where `str.splitlines` splits, so VT, FF, FS, GS, RS, NEL, LS and PS end a
+line as LF, CR and CRLF do.  `;` starts a comment that runs to the end of
+its line.  A record is a line that still holds code once its comment and
+surrounding whitespace are removed; each record is one command.  `scan`
+applies the line rule and parses each line, and `fold` applies the layer
+rule; `parse_text`, `count_records` and `path_length` are views over the
+two.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .slicer import LayerPlan, contour_perimeter
@@ -76,11 +86,10 @@ class GCodeProgram:
 @dataclass(frozen=True)
 class ToolpathParams:
     feed_rate: float = 1800.0       # mm/min for extruding moves
-    travel_rate: float = 3000.0     # mm/min, carried in the plan config only
     extrusion_per_mm: float = 0.05  # filament mm per toolpath mm
 
     def __post_init__(self) -> None:
-        for name in ("feed_rate", "travel_rate", "extrusion_per_mm"):
+        for name in ("feed_rate", "extrusion_per_mm"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be > 0")
 
@@ -172,161 +181,136 @@ def emit_text(prog: GCodeProgram) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _parse_number(token: str, line_no: int) -> float:
-    body = token[1:]
-    try:
-        value = float(body)
-    except ValueError:
-        raise GCodeError(f"malformed number {body!r} in word {token!r}", line_no) from None
-    if not math.isfinite(value):
-        raise GCodeError(f"non-finite number {body!r} in word {token!r}", line_no)
-    return value
+_PLAIN_COMMANDS = {word: kind() for kind, word in _PLAIN_WORDS.items()}
+_MOVE_KINDS = {"G0": RapidMove, "G1": LinearMove}
 
 
-_MOVE_LETTERS = {"G0": ("X", "Y", "Z"), "G1": ("X", "Y", "Z", "E", "F")}
+def _words(line: str) -> list[str]:
+    # a line is a record when this is non-empty
+    return line.split(";", 1)[0].split()
 
 
 def _parse_line(line: str, line_no: int) -> Command | None:
-    code = line.split(";", 1)[0].strip()
-    if not code:
+    tokens = _words(line)
+    if not tokens:
         return None
-    tokens = code.split()
-    head = tokens[0].upper()
+    word = tokens[0]
+    head = word.upper()
     if len(head) < 2 or head[0] not in "GM":
-        raise GCodeError(f"unknown word {tokens[0]!r}", line_no)
+        raise GCodeError(f"unknown word {word!r}", line_no)
     try:
         number = int(head[1:])
     except ValueError:
-        raise GCodeError(f"malformed number {head[1:]!r} in word {tokens[0]!r}", line_no) from None
+        raise GCodeError(f"malformed number {head[1:]!r} in word {word!r}", line_no) from None
     head = f"{head[0]}{number}"
 
-    if head in ("G21", "G90", "G28", "M2"):
+    if head in _PLAIN_COMMANDS:
         if len(tokens) > 1:
             raise GCodeError(f"{head} takes no arguments", line_no)
-        return {
-            "G21": UseMillimeters(),
-            "G90": AbsolutePositioning(),
-            "G28": Home(),
-            "M2": ProgramEnd(),
-        }[head]
-    if head not in _MOVE_LETTERS:
-        raise GCodeError(f"unknown G/M code {tokens[0]!r}", line_no)
+        return _PLAIN_COMMANDS[head]
+    if head not in _MOVE_KINDS:
+        raise GCodeError(f"unknown G/M code {word!r}", line_no)
 
-    allowed = _MOVE_LETTERS[head]
+    kind = _MOVE_KINDS[head]
+    allowed = _FIELD_ORDER[kind]
     fields: dict[str, float] = {}
     for token in tokens[1:]:
-        letter = token[0].upper()
-        if letter not in allowed:
+        name = token[0].lower()
+        if name not in allowed:
             raise GCodeError(f"unknown word {token!r} for {head}", line_no)
-        if letter.lower() in fields:
-            raise GCodeError(f"duplicate word {letter} on one line", line_no)
-        fields[letter.lower()] = _parse_number(token, line_no)
-    if head == "G0":
-        return RapidMove(**fields)
-    return LinearMove(**fields)
+        if name in fields:
+            raise GCodeError(f"duplicate word {name.upper()} on one line", line_no)
+        body = token[1:]
+        try:
+            value = float(body)
+        except ValueError:
+            raise GCodeError(f"malformed number {body!r} in word {token!r}", line_no) from None
+        if not math.isfinite(value):
+            raise GCodeError(f"non-finite number {body!r} in word {token!r}", line_no)
+        fields[name] = value
+    return kind(**fields)
 
 
-def parse_text(data: bytes) -> GCodeProgram:
-    """Parse dialect text: one command per line, ';' comments ignored."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise GCodeError(f"not valid UTF-8 text: {exc}") from None
-    cmds = []
-    for i, raw in enumerate(text.splitlines()):
-        cmd = _parse_line(raw, i + 1)
-        if cmd is not None:
-            cmds.append(cmd)
-    return GCodeProgram(tuple(cmds))
+def _lines(data: bytes) -> Iterator[tuple[int, int, str]]:
+    """The dialect's one line rule: (start_byte, end_byte, line) per line.
 
-
-@dataclass(frozen=True)
-class PathLength:
-    travel_mm: float
-    extruded_mm: float
-
-
-def path_length(prog: GCodeProgram) -> PathLength:
-    """Euclidean travel (G0) and extruded (G1) distances from the origin."""
-    x = y = z = 0.0
-    travel = extruded = 0.0
-    for c in prog.commands:
-        if isinstance(c, Home):
-            x = y = z = 0.0
-        elif isinstance(c, (RapidMove, LinearMove)):
-            nx = c.x if c.x is not None else x
-            ny = c.y if c.y is not None else y
-            nz = c.z if c.z is not None else z
-            d = math.sqrt((nx - x) ** 2 + (ny - y) ** 2 + (nz - z) ** 2)
-            if isinstance(c, RapidMove):
-                travel += d
-            else:
-                extruded += d
-            x, y, z = nx, ny, nz
-    return PathLength(travel_mm=travel, extruded_mm=extruded)
-
-
-@dataclass(frozen=True)
-class ProgramLayer:
-    index: int
-    z: float
-    extruded_mm: float
-
-
-def program_layers(prog: GCodeProgram) -> list[ProgramLayer]:
-    """Split a program into print layers.
-
-    A move command that changes the current z starts a new layer; extruding
-    distance before the first z change (the planner emits none) is ignored.
+    Bytes that are not UTF-8 are kept as surrogate escapes, so offsets stay
+    exact on damaged text.
     """
-    x = y = z = 0.0
-    layers: list[ProgramLayer] = []
-    current: list[float] | None = None  # [z, extruded]
-    for c in prog.commands:
-        if isinstance(c, Home):
-            x = y = z = 0.0
-        elif isinstance(c, (RapidMove, LinearMove)):
-            nx = c.x if c.x is not None else x
-            ny = c.y if c.y is not None else y
-            nz = c.z if c.z is not None else z
-            if nz != z:
-                if current is not None:
-                    layers.append(ProgramLayer(len(layers), current[0], current[1]))
-                current = [nz, 0.0]
-            if isinstance(c, LinearMove) and current is not None:
-                current[1] += math.sqrt((nx - x) ** 2 + (ny - y) ** 2 + (nz - z) ** 2)
-            x, y, z = nx, ny, nz
-    if current is not None:
-        layers.append(ProgramLayer(len(layers), current[0], current[1]))
-    return layers
+    text = data.decode("utf-8", "surrogateescape")
+    ascii_text = text.isascii()
+    start = 0
+    for line in text.splitlines(keepends=True):
+        end = start + (len(line) if ascii_text else len(line.encode("utf-8", "surrogateescape")))
+        yield start, end, line
+        start = end
+
+
+Line = tuple[int, int, Command | GCodeError | None]
+
+
+def scan(data: bytes) -> Iterator[Line]:
+    """Yield (start_byte, end_byte, item) for each line of dialect text.
+
+    `item` is the line's command, the GCodeError that rejects the line, or
+    None for a blank or comment-only line.  Text that is not valid UTF-8
+    first yields one zero-width error at offset 0 (line None), so a strict
+    reader rejects it before any line.
+    """
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            yield 0, 0, GCodeError(f"not valid UTF-8 text: {exc}")
+    for line_no, (start, end, line) in enumerate(_lines(data), 1):
+        try:
+            item = _parse_line(line, line_no)
+        except GCodeError as err:
+            item = err
+        yield start, end, item
 
 
 @dataclass(frozen=True)
-class ScannedLayer:
+class Layer:
     index: int
     z: float
     extruded_mm: float
-    start_offset: int  # byte offset of the layer's first command line
+    start_offset: int  # byte offset of the line that changes z
     end_offset: int    # byte offset just past the layer's last move line
 
 
-def scan_text_layers(text: bytes) -> list[ScannedLayer]:
-    """Tolerant byte-offset layer scan of dialect text.
+@dataclass(frozen=True)
+class Reading:
+    commands: tuple[Command, ...]
+    layers: tuple[Layer, ...]
+    travel_mm: float           # Euclidean G0 distance from the origin
+    extruded_mm: float         # Euclidean G1 distance from the origin
+    error: GCodeError | None   # the first bad line of a strict fold
 
-    Unparseable lines are skipped; parseable move lines drive the same
-    z-change layer rule as program_layers.  Used by the printer simulator to
-    attribute stream damage and partial deliveries to layers.
+
+def fold(lines: Iterable[Line], tolerant: bool = False) -> Reading:
+    """Fold scanned lines into commands, print layers and path totals.
+
+    A move command that changes the current z starts a new layer; extruding
+    distance before the first z change (the planner emits none) counts in
+    the path totals but in no layer.  A strict fold stops at the first bad
+    line, keeping what came before it; a tolerant fold skips bad lines.
     """
     x = y = z = 0.0
-    layers: list[ScannedLayer] = []
+    travel = extruded = 0.0
+    commands: list[Command] = []
+    layers: list[Layer] = []
     current: list | None = None  # [z, extruded, start_offset, end_offset]
-    offset = 0
-    for raw in text.splitlines(keepends=True):
-        stripped = raw.decode("utf-8", errors="replace").rstrip("\r\n")
-        try:
-            cmd = _parse_line(stripped, 0)
-        except GCodeError:
-            cmd = None
+    error = None
+    for start, end, cmd in lines:
+        if cmd is None:
+            continue
+        if isinstance(cmd, GCodeError):
+            if tolerant:
+                continue
+            error = cmd
+            break
+        commands.append(cmd)
         if isinstance(cmd, Home):
             x = y = z = 0.0
         elif isinstance(cmd, (RapidMove, LinearMove)):
@@ -335,31 +319,49 @@ def scan_text_layers(text: bytes) -> list[ScannedLayer]:
             nz = cmd.z if cmd.z is not None else z
             if nz != z:
                 if current is not None:
-                    layers.append(ScannedLayer(len(layers), *current))
-                current = [nz, 0.0, offset, offset + len(raw)]
+                    layers.append(Layer(len(layers), *current))
+                current = [nz, 0.0, start, end]
+            d = math.sqrt((nx - x) ** 2 + (ny - y) ** 2 + (nz - z) ** 2)
+            if isinstance(cmd, RapidMove):
+                travel += d
+            else:
+                extruded += d
+                if current is not None:
+                    current[1] += d
             if current is not None:
-                current[3] = offset + len(raw)
-                if isinstance(cmd, LinearMove):
-                    current[1] += math.sqrt((nx - x) ** 2 + (ny - y) ** 2 + (nz - z) ** 2)
+                current[3] = end
             x, y, z = nx, ny, nz
-        offset += len(raw)
     if current is not None:
-        layers.append(ScannedLayer(len(layers), *current))
-    return layers
+        layers.append(Layer(len(layers), *current))
+    return Reading(tuple(commands), tuple(layers), travel, extruded, error)
+
+
+def parse_text(data: bytes) -> GCodeProgram:
+    """Parse dialect text strictly; raise GCodeError for the first bad line."""
+    reading = fold(scan(data))
+    if reading.error is not None:
+        raise reading.error
+    return GCodeProgram(reading.commands)
+
+
+def path_length(prog: GCodeProgram) -> Reading:
+    """Euclidean travel (G0) and extruded (G1) distances from the origin.
+
+    They are the `travel_mm` and `extruded_mm` of the program's fold.
+    """
+    return fold((0, 0, c) for c in prog.commands)
 
 
 def count_records(text: bytes) -> int:
-    """Command-bearing line count: lines that are not blank or comment-only.
+    """Record count: lines that hold code, whether or not it parses.
+
+    Each such line is one item of `scan` that is not None.
 
     For well-formed dialect text this equals the parsed command count; it is
     the record definition used when wrapping toolpaths in an integrity
     envelope, so the printer can cross-check the declared count.
     """
-    count = 0
-    for raw in text.decode("utf-8", errors="replace").splitlines():
-        if raw.split(";", 1)[0].strip():
-            count += 1
-    return count
+    return sum(1 for _, _, line in _lines(text) if _words(line))
 
 
 def intended_perimeters(layers: list[LayerPlan]) -> list[float]:

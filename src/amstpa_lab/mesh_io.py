@@ -76,9 +76,6 @@ class Facet:
         """Right-hand-rule normal of (v0, v1, v2), unnormalized."""
         return (self.v1 - self.v0).cross(self.v2 - self.v0)
 
-    def area(self) -> float:
-        return 0.5 * self.computed_normal().norm()
-
 
 @dataclass(frozen=True)
 class TriangleMesh:

@@ -23,12 +23,11 @@ from . import integrity
 from .gcode import (
     GCodeError,
     GCodeProgram,
-    ScannedLayer,
+    Layer,
     check_program,
+    fold,
     intended_perimeters,
-    parse_text,
-    program_layers,
-    scan_text_layers,
+    scan,
 )
 from .netsim import ChannelDownError, ChannelParams, TransferMode, transfer
 from .slicer import LayerPlan
@@ -98,15 +97,8 @@ class JobOutcome:
 
 
 @dataclass(frozen=True)
-class LayerRecord:
-    index: int
-    z: float
-    extruded_mm: float
-
-
-@dataclass(frozen=True)
 class PrintTrace:
-    layers: tuple[LayerRecord, ...] = field(default_factory=tuple)
+    layers: tuple[Layer, ...] = field(default_factory=tuple)
     time_ms: float = 0.0
     integrity_corrected_bits: int = 0
 
@@ -121,64 +113,45 @@ def _first_diff(a: bytes, b: bytes) -> int | None:
     return None
 
 
-def _layer_starts(scanned: list[ScannedLayer], total_len: int) -> list[tuple[int, int]]:
-    """Inclusive byte ranges per layer; prologue/trailer attach to first/last."""
-    ranges = []
-    for i, lay in enumerate(scanned):
-        start = 0 if i == 0 else lay.start_offset
-        end = scanned[i + 1].start_offset if i + 1 < len(scanned) else total_len
-        ranges.append((start, end))
-    return ranges
+def _reference_layers(reference: bytes, enveloped: bool) -> tuple[tuple[Layer, ...], int]:
+    """Layers of the pristine payload, read tolerantly, and its byte length."""
+    payload = reference
+    if enveloped:
+        header_size = integrity.HEADER_SIZE
+        try:
+            payload_len = integrity.read_header(reference).payload_len
+            payload = reference[header_size : header_size + payload_len]
+        except ValueError:
+            payload = reference[header_size:]
+    return fold(scan(payload), tolerant=True).layers, len(payload)
 
 
-def _layer_containing(scanned: list[ScannedLayer], total_len: int, offset: int) -> int:
-    for i, (start, end) in enumerate(_layer_starts(scanned, total_len)):
-        if start <= offset < end:
-            return i
-    return max(0, len(scanned) - 1)
-
-
-def _layers_completed(scanned: list[ScannedLayer], prefix_len: int) -> int:
-    # a layer counts as printed once its last move line has fully arrived
-    return sum(1 for lay in scanned if lay.end_offset <= prefix_len)
-
-
-def _trace_layers(scanned: list[ScannedLayer], count: int) -> tuple[LayerRecord, ...]:
-    return tuple(LayerRecord(s.index, s.z, s.extruded_mm) for s in scanned[:count])
-
-
-def _streaming_parse(payload: bytes) -> tuple[GCodeProgram | None, GCodeError | None]:
-    """Parse as a stream would: report the first offending line, if any."""
-    try:
-        prog = parse_text(payload)
-        check_program(prog)
-        return prog, None
-    except GCodeError as err:
-        return None, err
-
-
-def _line_start_offset(payload: bytes, line_no: int | None) -> int:
-    if line_no is None or line_no <= 1:
-        return 0
-    offset = 0
-    for i, raw in enumerate(payload.splitlines(keepends=True), start=1):
-        if i == line_no:
-            return offset
-        offset += len(raw)
-    return len(payload)
-
-
-def _completed_trace(
-    prog: GCodeProgram, elapsed_ms: float, layer_time: float, corrected: int
+def _result(
+    status: JobStatus,
+    reason: FailReason | None,
+    elapsed_ms: float,
+    layer_time: float,
+    layers: tuple[Layer, ...] = (),
+    corrected: int = 0,
 ) -> tuple[JobOutcome, PrintTrace]:
-    layers = program_layers(prog)
-    records = tuple(LayerRecord(pl.index, pl.z, pl.extruded_mm) for pl in layers)
     trace = PrintTrace(
-        layers=records,
-        time_ms=elapsed_ms + len(records) * layer_time,
+        layers=layers,
+        time_ms=elapsed_ms + len(layers) * layer_time,
         integrity_corrected_bits=corrected,
     )
-    return JobOutcome(JobStatus.COMPLETED, layers_printed=len(records)), trace
+    return JobOutcome(status, layers_printed=len(layers), reason=reason), trace
+
+
+def _stopped(
+    reason: FailReason,
+    elapsed_ms: float,
+    layer_time: float,
+    layers: tuple[Layer, ...] = (),
+    corrected: int = 0,
+) -> tuple[JobOutcome, PrintTrace]:
+    # a job that stops before its first layer printed wastes nothing
+    status = JobStatus.SCRAPPED_MID_PRINT if layers else JobStatus.REJECTED_BEFORE_PRINT
+    return _result(status, reason, elapsed_ms, layer_time, layers, corrected)
 
 
 def run_job(
@@ -195,180 +168,78 @@ def run_job(
     `wrapped_toolpath` is what the sender transmits (an AMI1 envelope over
     G-code text unless enveloped=False, in which case raw G-code text).
     `reference` is the pristine copy used to attribute stream damage to a
-    layer; it defaults to the transmitted bytes themselves.
+    layer; it defaults to the transmitted bytes themselves.  The delivered
+    payload is read once, stopping at its first bad line; the reference is
+    read only when streaming damage must be attributed to a layer.
     """
     layer_time = float(cfg.nominal_layer_time_ms or 0.0)
-    if cfg.policy is PrintPolicy.FULL_IMAGE:
-        return _run_full_image(wrapped_toolpath, cfg, ch, mode, packet_size, enveloped, layer_time)
-
+    streaming = cfg.policy is PrintPolicy.STREAMING
     if reference is None:
         reference = wrapped_toolpath
     header_size = integrity.HEADER_SIZE if enveloped else 0
-    if enveloped:
-        try:
-            ref_env = integrity.read_header(reference)
-            ref_payload = reference[header_size : header_size + ref_env.payload_len]
-        except ValueError:
-            ref_payload = reference[header_size:]
-    else:
-        ref_payload = reference
-    return _run_streaming(
-        wrapped_toolpath, cfg, ch, mode, packet_size, enveloped, layer_time,
-        reference, ref_payload, scan_text_layers(ref_payload), header_size,
-    )
 
-
-def _run_full_image(
-    wrapped: bytes,
-    cfg: PrinterConfig,
-    ch: ChannelParams,
-    mode: TransferMode,
-    packet_size: int,
-    enveloped: bool,
-    layer_time: float,
-) -> tuple[JobOutcome, PrintTrace]:
     try:
-        tr = transfer(wrapped, ch, mode, packet_size)
+        tr = transfer(wrapped_toolpath, ch, mode, packet_size)
     except ChannelDownError as err:
-        return (
-            JobOutcome(JobStatus.REJECTED_BEFORE_PRINT, reason=FailReason.CHANNEL_DOWN),
-            PrintTrace(time_ms=err.result.elapsed_ms),
-        )
-    if len(tr.delivered) > cfg.buffer_capacity:
-        return (
-            JobOutcome(JobStatus.REJECTED_BEFORE_PRINT, reason=FailReason.BUFFER_TOO_SMALL),
-            PrintTrace(time_ms=tr.elapsed_ms),
-        )
+        printed: tuple[Layer, ...] = ()
+        if streaming:
+            # a layer counts as printed once its last move line has fully arrived
+            arrived = len(err.result.delivered) - header_size
+            ref_layers, _ = _reference_layers(reference, enveloped)
+            printed = tuple(lay for lay in ref_layers if lay.end_offset <= arrived)
+        return _stopped(FailReason.CHANNEL_DOWN, err.result.elapsed_ms, layer_time, printed)
+
+    delivered = tr.delivered
+    if not streaming and len(delivered) > cfg.buffer_capacity:
+        return _stopped(FailReason.BUFFER_TOO_SMALL, tr.elapsed_ms, layer_time)
     corrected = 0
     declared_records: int | None = None
     if enveloped:
-        vr = integrity.verify(tr.delivered)
-        if not vr.ok:
-            return (
-                JobOutcome(JobStatus.REJECTED_BEFORE_PRINT, reason=FailReason.INTEGRITY_FAILURE),
-                PrintTrace(time_ms=tr.elapsed_ms),
-            )
-        payload = vr.payload or b""
-        corrected = vr.corrected_bits
-        declared_records = vr.record_count
-    else:
-        payload = tr.delivered
-    prog, err = _streaming_parse(payload)
-    if err is not None:
-        return (
-            JobOutcome(JobStatus.REJECTED_BEFORE_PRINT, reason=FailReason.PARSE_FAILURE),
-            PrintTrace(time_ms=tr.elapsed_ms, integrity_corrected_bits=corrected),
-        )
-    assert prog is not None
-    if declared_records is not None and declared_records != len(prog.commands):
-        # the word-count leg of the integrity check
-        return (
-            JobOutcome(JobStatus.REJECTED_BEFORE_PRINT, reason=FailReason.INTEGRITY_FAILURE),
-            PrintTrace(time_ms=tr.elapsed_ms, integrity_corrected_bits=corrected),
-        )
-    return _completed_trace(prog, tr.elapsed_ms, layer_time, corrected)
-
-
-def _run_streaming(
-    wrapped: bytes,
-    cfg: PrinterConfig,
-    ch: ChannelParams,
-    mode: TransferMode,
-    packet_size: int,
-    enveloped: bool,
-    layer_time: float,
-    reference: bytes,
-    ref_payload: bytes,
-    scanned_ref: list[ScannedLayer],
-    header_size: int,
-) -> tuple[JobOutcome, PrintTrace]:
-    ref_len = len(ref_payload)
-
-    try:
-        tr = transfer(wrapped, ch, mode, packet_size)
-    except ChannelDownError as err:
-        prefix_payload = max(0, len(err.result.delivered) - header_size)
-        k = _layers_completed(scanned_ref, prefix_payload)
-        if k == 0:
-            return (
-                JobOutcome(JobStatus.REJECTED_BEFORE_PRINT, reason=FailReason.CHANNEL_DOWN),
-                PrintTrace(time_ms=err.result.elapsed_ms),
-            )
-        return (
-            JobOutcome(JobStatus.SCRAPPED_MID_PRINT, layers_printed=k,
-                       reason=FailReason.CHANNEL_DOWN),
-            PrintTrace(
-                layers=_trace_layers(scanned_ref, k),
-                time_ms=err.result.elapsed_ms + k * layer_time,
-            ),
-        )
-
-    delivered = tr.delivered
-    corrected = 0
-    if enveloped:
         # the header arrives first; an unrecognizable magic stops the job cold
         if delivered[:4] != integrity.MAGIC:
-            return (
-                JobOutcome(JobStatus.REJECTED_BEFORE_PRINT, reason=FailReason.INTEGRITY_FAILURE),
-                PrintTrace(time_ms=tr.elapsed_ms),
-            )
+            return _stopped(FailReason.INTEGRITY_FAILURE, tr.elapsed_ms, layer_time)
         vr = integrity.verify(delivered)
         if not vr.ok:
+            if not streaming:
+                return _stopped(FailReason.INTEGRITY_FAILURE, tr.elapsed_ms, layer_time)
             # checkable only at end-of-stream: scrap at the damaged layer
+            ref_layers, ref_len = _reference_layers(reference, enveloped)
             diff = _first_diff(delivered, reference)
             if diff is None or not (0 <= diff - header_size < ref_len):
                 # header/ECC-tail damage or sender-side bad envelope: the
                 # commands themselves all ran before the check failed
-                k = len(scanned_ref)
+                k = len(ref_layers)
             else:
-                k = _layer_containing(scanned_ref, ref_len, diff - header_size)
-            return (
-                JobOutcome(JobStatus.SCRAPPED_MID_PRINT, layers_printed=k,
-                           reason=FailReason.INTEGRITY_FAILURE),
-                PrintTrace(
-                    layers=_trace_layers(scanned_ref, k),
-                    time_ms=tr.elapsed_ms + k * layer_time,
-                ),
-            )
+                # prologue bytes belong to the first layer
+                k = sum(1 for lay in ref_layers[1:] if lay.start_offset <= diff - header_size)
+            return _result(JobStatus.SCRAPPED_MID_PRINT, FailReason.INTEGRITY_FAILURE,
+                           tr.elapsed_ms, layer_time, ref_layers[:k])
         payload = vr.payload or b""
         corrected = vr.corrected_bits
+        declared_records = vr.record_count
     else:
         payload = delivered
 
-    prog, err = _streaming_parse(payload)
-    if err is None:
-        assert prog is not None
-        if enveloped and vr.record_count != len(prog.commands):
-            # word count only checkable at end-of-stream: the whole part ran
-            k = len(scanned_ref)
-            return (
-                JobOutcome(JobStatus.SCRAPPED_MID_PRINT, layers_printed=k,
-                           reason=FailReason.INTEGRITY_FAILURE),
-                PrintTrace(
-                    layers=_trace_layers(scanned_ref, k),
-                    time_ms=tr.elapsed_ms + k * layer_time,
-                    integrity_corrected_bits=corrected,
-                ),
-            )
-        return _completed_trace(prog, tr.elapsed_ms, layer_time, corrected)
-
-    # the stream choked on a line mid-job; layers finished before it stand
-    fail_off = _line_start_offset(payload, err.line)
-    scanned_delivered = scan_text_layers(payload[:fail_off])
-    k = _layers_completed(scanned_delivered, fail_off)
-    if k == 0:
-        return (
-            JobOutcome(JobStatus.REJECTED_BEFORE_PRINT, reason=FailReason.PARSE_FAILURE),
-            PrintTrace(time_ms=tr.elapsed_ms, integrity_corrected_bits=corrected),
-        )
-    return (
-        JobOutcome(JobStatus.SCRAPPED_MID_PRINT, layers_printed=k, reason=FailReason.PARSE_FAILURE),
-        PrintTrace(
-            layers=_trace_layers(scanned_delivered, k),
-            time_ms=tr.elapsed_ms + k * layer_time,
-            integrity_corrected_bits=corrected,
-        ),
-    )
+    reading = fold(scan(payload))
+    if reading.error is not None:
+        # the stream choked on a line mid-job; layers begun before it stand
+        printed = reading.layers if streaming else ()
+        return _stopped(FailReason.PARSE_FAILURE, tr.elapsed_ms, layer_time, printed, corrected)
+    try:
+        check_program(GCodeProgram(reading.commands))
+    except GCodeError:
+        # program invariants hold or fail only once the whole program is in
+        return _stopped(FailReason.PARSE_FAILURE, tr.elapsed_ms, layer_time, corrected=corrected)
+    if declared_records is not None and declared_records != len(reading.commands):
+        # the word-count leg of the integrity check
+        if not streaming:
+            return _stopped(FailReason.INTEGRITY_FAILURE, tr.elapsed_ms, layer_time,
+                            corrected=corrected)
+        # only checkable at end-of-stream: the whole part ran
+        ref_layers, _ = _reference_layers(reference, enveloped)
+        return _result(JobStatus.SCRAPPED_MID_PRINT, FailReason.INTEGRITY_FAILURE,
+                       tr.elapsed_ms, layer_time, ref_layers, corrected)
+    return _result(JobStatus.COMPLETED, None, tr.elapsed_ms, layer_time, reading.layers, corrected)
 
 
 @dataclass(frozen=True)

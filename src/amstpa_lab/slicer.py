@@ -24,9 +24,6 @@ class SliceParams:
     layer_height: float
     snap_eps: float = 1e-7
 
-    # plane placement is fixed to the mid-plane rule; see module docstring
-    PLANE_RULE = "mid-plane"
-
     def __post_init__(self) -> None:
         if not (self.layer_height > 0.0):
             raise ValueError("layer_height must be > 0")

@@ -17,12 +17,12 @@ from amstpa_lab.gcode import (
     check_program,
     count_records,
     emit_text,
+    fold,
     intended_perimeters,
     parse_text,
     path_length,
     plan_toolpath,
-    program_layers,
-    scan_text_layers,
+    scan,
 )
 from amstpa_lab.slicer import Contour, LayerPlan
 
@@ -33,6 +33,14 @@ SQUARE = Contour(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), True)
 
 def square_layer(index=0, z=0.125):
     return LayerPlan(index=index, z=z, contours=(SQUARE,))
+
+
+def program_layers(prog):
+    return fold((0, 0, c) for c in prog.commands).layers
+
+
+def scan_text_layers(text):
+    return fold(scan(text), tolerant=True).layers
 
 
 class TestPlan:
@@ -126,6 +134,24 @@ class TestTextFormat:
         assert lines[-1] == "M2"
         assert all("\t" not in line for line in lines)
         assert cube_text.endswith(b"\n")
+
+    def test_scan_offsets_follow_the_one_line_rule(self):
+        data = b"G21\r\nG90\x0bG28\n; \xc3\xa9\nG1 X\xff\n\x1cM2"
+        lines = list(scan(data))
+        assert isinstance(lines[0][2], GCodeError) and lines[0][:2] == (0, 0)
+        assert lines[0][2].line is None  # invalid UTF-8 flags the whole text
+        spans = [(start, end) for start, end, _ in lines[1:]]
+        assert spans == [(0, 5), (5, 9), (9, 13), (13, 18), (18, 24), (24, 25), (25, 27)]
+        items = [item for _, _, item in lines[1:]]
+        assert items[:3] == [UseMillimeters(), AbsolutePositioning(), Home()]
+        assert items[3] is None and items[5] is None
+        assert isinstance(items[4], GCodeError) and items[4].line == 5
+        assert items[6] == ProgramEnd()
+
+    def test_invalid_utf8_rejected_whole(self):
+        with pytest.raises(GCodeError, match="not valid UTF-8"):
+            parse_text(b"G21\nG90\nG28\nM2 ; \xff\n")
+        assert count_records(b"G21\n; \xff\nG1 X\xfe\n") == 2
 
     def test_count_records(self, cube_text, cube_program):
         assert count_records(cube_text) == len(cube_program.commands)

@@ -1,6 +1,10 @@
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
-from amstpa_lab.gcode import path_length, scan_text_layers
+from amstpa_lab.gcode import fold, path_length, scan
 from amstpa_lab.integrity import HEADER_SIZE, wrap
 from amstpa_lab.netsim import ChannelParams, TransferMode
 from amstpa_lab.printer_sim import (
@@ -123,7 +127,7 @@ class TestStreaming:
     def test_corruption_in_last_layer_scraps_three(
         self, cube_wrapped, cube_text, lossless_channel
     ):
-        scanned = scan_text_layers(cube_text)
+        scanned = fold(scan(cube_text), tolerant=True).layers
         offset = HEADER_SIZE + scanned[3].start_offset + 5
         bad = bytearray(cube_wrapped)
         bad[offset] ^= 0x01
@@ -142,7 +146,7 @@ class TestStreaming:
     def test_corruption_attributed_to_each_layer(
         self, cube_wrapped, cube_text, lossless_channel, layer_index
     ):
-        scanned = scan_text_layers(cube_text)
+        scanned = fold(scan(cube_text), tolerant=True).layers
         offset = HEADER_SIZE + scanned[layer_index].start_offset + 3
         bad = bytearray(cube_wrapped)
         bad[offset] ^= 0x01
@@ -206,7 +210,7 @@ class TestStreaming:
         assert trace.layers == ()
 
     def test_raw_streaming_parse_failure_mid_job(self, cube_text, lossless_channel):
-        scanned = scan_text_layers(cube_text)
+        scanned = fold(scan(cube_text), tolerant=True).layers
         bad = bytearray(cube_text)
         # make layer 3's first move line unparseable in raw (no-envelope) mode
         bad[scanned[3].start_offset] = ord("Q")
@@ -218,6 +222,74 @@ class TestStreaming:
         assert outcome.reason is FailReason.PARSE_FAILURE
         assert outcome.layers_printed == 3
         assert len(trace.layers) == 3
+
+
+class TestLineRule:
+    """The printer splits lines by the parser's one rule (str.splitlines)."""
+
+    @pytest.mark.parametrize("byte", [0x0B, 0x0C, 0x1C])
+    def test_split_move_line_blames_no_layer(self, cube_text, lossless_channel, byte):
+        # byte 14 is the space after the first "G0"; as a line break it leaves
+        # a bare G0 and a line of orphan words, so no layer began before the
+        # bad line
+        assert cube_text[12:15] == b"G0 "
+        bad = bytearray(cube_text)
+        bad[14] = byte
+        outcome, trace = run_job(
+            bytes(bad), streaming(), lossless_channel, RELIABLE, enveloped=False,
+            reference=cube_text,
+        )
+        assert outcome.status is JobStatus.REJECTED_BEFORE_PRINT
+        assert outcome.reason is FailReason.PARSE_FAILURE
+        assert outcome.layers_printed == 0
+        assert trace.layers == ()
+
+    def test_invalid_utf8_rejected_before_any_layer(self, cube_text, lossless_channel):
+        bad = cube_text[:-3] + b"\xff" + cube_text[-2:]  # inside the closing "M2"
+        outcome, _ = run_job(
+            bad, streaming(), lossless_channel, RELIABLE, enveloped=False, reference=cube_text
+        )
+        assert outcome.status is JobStatus.REJECTED_BEFORE_PRINT
+        assert outcome.layers_printed == 0
+
+    # Recorded from the two-pass reader this one replaced: every third bit of
+    # the cube program flipped, run raw (no envelope) under each policy.
+    FLIP_SWEEP = {
+        PrintPolicy.FULL_IMAGE: (
+            "463e02c094473c938d99a39348804ac25c5cc308cd7368e0bb8c062e4c5d420f",
+            {("completed", None, 4): 687, ("rejected_before_print", "parse_failure", 0): 1465},
+        ),
+        PrintPolicy.STREAMING: (
+            "c7a5a5188df4f609f939906c111969119a9473401c8f28afca90190d145381a0",
+            {
+                ("completed", None, 4): 687,
+                ("rejected_before_print", "parse_failure", 0): 374,
+                ("scrapped_mid_print", "parse_failure", 1): 280,
+                ("scrapped_mid_print", "parse_failure", 2): 282,
+                ("scrapped_mid_print", "parse_failure", 3): 283,
+                ("scrapped_mid_print", "parse_failure", 4): 246,
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("policy", list(PrintPolicy))
+    def test_single_bit_flip_sweep_matches_record(self, cube_text, lossless_channel, policy):
+        cfg = PrinterConfig(buffer_capacity=1 << 20, policy=policy, nominal_layer_time_ms=1000.0)
+        digest = hashlib.sha256()
+        histogram = Counter()
+        for bit in range(0, len(cube_text) * 8, 3):
+            bad = bytearray(cube_text)
+            bad[bit // 8] ^= 1 << (bit % 8)
+            outcome, trace = run_job(
+                bytes(bad), cfg, lossless_channel, RELIABLE, enveloped=False, reference=cube_text
+            )
+            doc = [outcome_to_dict(outcome), trace_to_dict(trace)]
+            digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+            reason = outcome.reason.value if outcome.reason else None
+            histogram[(outcome.status.value, reason, outcome.layers_printed)] += 1
+        expected_digest, expected_histogram = self.FLIP_SWEEP[policy]
+        assert dict(histogram) == expected_histogram
+        assert digest.hexdigest() == expected_digest
 
 
 class TestDeterminism:
@@ -239,7 +311,7 @@ class TestGeometryDiff:
         assert gd.layers_missing == 0
 
     def test_scrapped_layers_missing(self, cube_layers, cube_wrapped, cube_text, lossless_channel):
-        scanned = scan_text_layers(cube_text)
+        scanned = fold(scan(cube_text), tolerant=True).layers
         bad = bytearray(cube_wrapped)
         bad[HEADER_SIZE + scanned[3].start_offset + 5] ^= 0x01
         _, trace = run_job(
