@@ -22,6 +22,7 @@ from .faultlab import (
     MitigationEvidence,
     PipelineConfig,
     bit_flip_specs,
+    check_demo,
     run_campaign,
     run_demo_campaign,
 )
@@ -35,7 +36,7 @@ from .gcode import (
 )
 from .integrity import wrap
 from .mesh_io import StlError, parse_stl, validate_mesh
-from .netsim import ChannelParams, TransferMode
+from .netsim import ChannelParams, TransferMode, check_packet_size
 from .printer_sim import (
     JobStatus,
     PrinterConfig,
@@ -127,9 +128,9 @@ def _parse_channel(spec: str) -> ChannelParams:
             key = key.strip()
             if key not in keys:
                 raise CliError(f"unknown channel parameter {key!r} (use {'/'.join(keys)})")
-            field = keys[key]
-            kwargs[field] = int(raw) if field == "seed" else float(raw)
+            kwargs[keys[key]] = raw
     try:
+        kwargs = {k: int(v) if k == "seed" else float(v) for k, v in kwargs.items()}
         return ChannelParams(**kwargs)
     except ValueError as exc:
         raise CliError(f"bad channel parameters: {exc}") from None
@@ -240,6 +241,7 @@ def _cmd_simulate(args) -> int:
             technology=PrinterTechnology(args.technology),
             nominal_layer_time_ms=args.layer_time_ms,
         )
+        check_packet_size(args.packet_size)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -267,30 +269,44 @@ def _cmd_simulate(args) -> int:
     return 0 if outcome.status is JobStatus.COMPLETED else 1
 
 
-def _campaign_config(doc: dict) -> tuple[PipelineConfig, list[FaultSpec] | None, bool, object]:
-    mesh_spec = doc.get("mesh", {"builtin": "cube"})
+def _block(doc: dict, key: str, default: dict | None = None) -> dict:
+    block = doc.get(key, {} if default is None else default)
+    if not isinstance(block, dict):
+        raise CliError(f"campaign config {key!r} must be an object")
+    return block
+
+
+def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int | None, object]:
+    """Check a whole campaign config before any trial runs.
+
+    Returns (config, fault specs, demo corruption count or None, base mesh).
+    Unknown keys are ignored.
+    """
+    if not isinstance(doc, dict):
+        raise CliError("campaign config must be a JSON object")
+    mesh_spec = _block(doc, "mesh", {"builtin": "cube"})
     if "builtin" in mesh_spec:
         name = mesh_spec["builtin"]
-        if name not in BUILTIN_MESHES:
+        if not isinstance(name, str) or name not in BUILTIN_MESHES:
             raise CliError(f"unknown builtin mesh {name!r} (use {'/'.join(BUILTIN_MESHES)})")
         base_mesh = BUILTIN_MESHES[name]()
     elif "path" in mesh_spec:
-        base_mesh = _load_mesh_file(mesh_spec["path"])
+        base_mesh = _load_mesh_file(str(mesh_spec["path"]))
     else:
         raise CliError("campaign config 'mesh' needs 'builtin' or 'path'")
 
     try:
-        slice_doc = doc.get("slice", {})
+        slice_doc = _block(doc, "slice")
         slice_params = SliceParams(
             layer_height=float(slice_doc.get("layer_height", 0.25)),
             snap_eps=float(slice_doc.get("snap_eps", 1e-7)),
         )
-        tp_doc = doc.get("toolpath", {})
+        tp_doc = _block(doc, "toolpath")
         toolpath = ToolpathParams(
             feed_rate=float(tp_doc.get("feed_rate", 1800.0)),
             extrusion_per_mm=float(tp_doc.get("extrusion_per_mm", 0.05)),
         )
-        ch_doc = doc.get("channel", {})
+        ch_doc = _block(doc, "channel")
         channel = ChannelParams(
             latency_ms=float(ch_doc.get("latency_ms", 1.0)),
             jitter_ms=float(ch_doc.get("jitter_ms", 0.0)),
@@ -298,7 +314,7 @@ def _campaign_config(doc: dict) -> tuple[PipelineConfig, list[FaultSpec] | None,
             loss_prob=float(ch_doc.get("loss_prob", 0.0)),
             seed=int(ch_doc.get("seed", 1)),
         )
-        pr_doc = doc.get("printer", {})
+        pr_doc = _block(doc, "printer")
         printer = PrinterConfig(
             buffer_capacity=int(pr_doc.get("buffer_capacity", 1 << 20)),
             policy=PrintPolicy(pr_doc.get("policy", "fullimage")),
@@ -317,27 +333,33 @@ def _campaign_config(doc: dict) -> tuple[PipelineConfig, list[FaultSpec] | None,
             geometry_tol_mm=float(doc.get("geometry_tol_mm", 1e-6)),
             campaign_seed=int(doc.get("seed", 0)),
         )
-    except ValueError as exc:
+        demo_count = None
+        if doc.get("demo", False):
+            check_demo(cfg)
+            demo_count = int(_block(doc, "generate").get("count", 200))
+    except (TypeError, ValueError) as exc:
         raise CliError(f"bad campaign config: {exc}") from None
 
     specs: list[FaultSpec] | None = None
     if "faults" in doc:
         try:
             specs = [FaultSpec.from_dict(d) for d in doc["faults"]]
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad fault spec: {exc}") from None
     elif "generate" in doc:
-        gen = doc["generate"]
+        gen = _block(doc, "generate")
         try:
             kind = FaultKind(gen.get("kind", "bit_flip"))
             stage = FaultStage(gen.get("stage", "in_transit"))
             count = int(gen.get("count", 100))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise CliError(f"bad generate block: {exc}") from None
         if kind is not FaultKind.BIT_FLIP:
             raise CliError("generate currently supports kind 'bit_flip' only")
         specs = bit_flip_specs(count, stage, cfg.campaign_seed)
-    return cfg, specs, bool(doc.get("demo", False)), base_mesh
+    if specs is None and demo_count is None:
+        raise CliError("campaign config needs 'faults', 'generate', or 'demo': true")
+    return cfg, specs, demo_count, base_mesh
 
 
 def _cmd_campaign(args) -> int:
@@ -346,18 +368,11 @@ def _cmd_campaign(args) -> int:
     except ValueError as exc:
         print(f"error: {args.config}: not valid JSON: {exc}", file=sys.stderr)
         return 2
-    cfg, specs, demo, base_mesh = _campaign_config(doc)
-    if demo:
-        result = run_demo_campaign(
-            cfg,
-            base_mesh,
-            corruption_count=int(doc.get("generate", {}).get("count", 200)),
-        )
-        _write_output(args.out, _dump_json(result.to_dict()))
-        return 0
-    if specs is None:
-        raise CliError("campaign config needs 'faults', 'generate', or 'demo': true")
-    result = run_campaign(cfg, specs, base_mesh)
+    cfg, specs, demo_count, base_mesh = _campaign_config(doc)
+    if demo_count is not None:
+        result = run_demo_campaign(cfg, base_mesh, corruption_count=demo_count)
+    else:
+        result = run_campaign(cfg, specs, base_mesh)
     _write_output(args.out, _dump_json(result.to_dict()))
     return 0
 
@@ -375,15 +390,19 @@ def _cmd_report(args) -> int:
         if not isinstance(doc, dict):
             print(f"error: {path}: not a known artifact", file=sys.stderr)
             return 2
-        if "candidates" in doc:
-            hazards = doc
-        elif "campaign" in doc and "evidence" in doc:
-            campaign = CampaignResult.from_dict(doc["campaign"])
-            evidence = MitigationEvidence.from_dict(doc["evidence"])
-        elif "histogram" in doc:
-            campaign = CampaignResult.from_dict(doc)
-        else:
-            print(f"error: {path}: not a known artifact", file=sys.stderr)
+        try:
+            if "candidates" in doc:
+                hazards = doc
+            elif "campaign" in doc and "evidence" in doc:
+                campaign = CampaignResult.from_dict(doc["campaign"])
+                evidence = MitigationEvidence.from_dict(doc["evidence"])
+            elif "histogram" in doc:
+                campaign = CampaignResult.from_dict(doc)
+            else:
+                print(f"error: {path}: not a known artifact", file=sys.stderr)
+                return 2
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            print(f"error: {path}: malformed campaign artifact: {exc!r}", file=sys.stderr)
             return 2
     doc = build_report(hazards=hazards, campaign=campaign, evidence=evidence)
     fmt = args.format or ("md" if args.out.endswith(".md") else "json")

@@ -5,11 +5,17 @@ stage and records the first stage that detects the damage.  Detection
 stages partition trials: a fault corrected by ECC still counts as caught by
 the integrity check, and a trial that completes with geometry matching the
 intent counts as Undetected (whether the fault was harmless or missed).
+
+Every campaign runs through one trial loop, `_trials`, over a pristine job
+prepared once, and `_tally` folds its trials into a CampaignResult.  The
+demonstration campaign prepares one pristine job and runs the loop over it
+three times: full-image and streaming policies, then raw text without the
+envelope.  A fault spec is checked against its stage when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .gcode import ToolpathParams, count_records, emit_text, plan_toolpath
@@ -23,7 +29,7 @@ from .mesh_io import (
     parse_stl,
     validate_mesh,
 )
-from .netsim import ChannelParams, TransferMode, splitmix64_next, transfer
+from .netsim import ChannelParams, TransferMode, check_packet_size, splitmix64_next, transfer
 from .printer_sim import (
     FailReason,
     JobStatus,
@@ -61,6 +67,13 @@ class FaultStage(Enum):
 
 _BYTE_KINDS = frozenset({FaultKind.BIT_FLIP, FaultKind.BYTE_SET, FaultKind.TRUNCATE})
 _MESH_KINDS = frozenset({FaultKind.SCALE_COORDS, FaultKind.FLIP_NORMALS})
+# what inject() is handed at each stage: the mesh or its STL bytes, the G-code
+# text, the sent bytes; drop_packets acts on the channel instead
+_STAGE_KINDS = {
+    FaultStage.AFTER_CAD: _MESH_KINDS | _BYTE_KINDS,
+    FaultStage.AFTER_SLICE: _BYTE_KINDS,
+    FaultStage.IN_TRANSIT: _BYTE_KINDS | {FaultKind.DROP_PACKETS},
+}
 
 
 @dataclass(frozen=True)
@@ -73,6 +86,10 @@ class FaultSpec:
     factor: float | None = None  # for SCALE_COORDS
     loss_prob: float | None = None  # for DROP_PACKETS
     seed: int = 0                # drives any field left unspecified
+
+    def __post_init__(self) -> None:
+        if self.kind not in _STAGE_KINDS[self.stage]:
+            raise ValueError(f"{self.kind.value} cannot be planted {self.stage.value}")
 
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind.value, "stage": self.stage.value, "seed": self.seed}
@@ -209,6 +226,9 @@ class PipelineConfig:
     geometry_tol_mm: float = 1e-6
     campaign_seed: int = 0
 
+    def __post_init__(self) -> None:
+        check_packet_size(self.packet_size)
+
 
 @dataclass(frozen=True)
 class _Pristine:
@@ -288,30 +308,36 @@ def _run_trial(
     return DetectionStage.UNDETECTED, outcome, trace
 
 
+def _trials(cfg: PipelineConfig, specs: list[FaultSpec], pristine: _Pristine):
+    """The one trial loop: yields (spec, stage, outcome) for each spec in order.
+
+    Trial i's channel seed derives from (campaign_seed, i), so replays and
+    concurrent evaluation produce identical results.
+    """
+    for i, spec in enumerate(specs):
+        channel = replace(cfg.channel, seed=_splitmix_at(cfg.campaign_seed, i))
+        stage, outcome, _ = _run_trial(cfg, spec, pristine, channel)
+        yield spec, stage, outcome
+
+
+def _tally(trials) -> CampaignResult:
+    """Fold (spec, stage, outcome) trials into the histogram and undetected specs."""
+    histogram: dict[DetectionStage, int] = {}
+    undetected: list[FaultSpec] = []
+    for spec, stage, _ in trials:
+        histogram[stage] = histogram.get(stage, 0) + 1
+        if stage is DetectionStage.UNDETECTED:
+            undetected.append(spec)
+    return CampaignResult(sum(histogram.values()), histogram, tuple(undetected))
+
+
 def run_campaign(
     cfg: PipelineConfig,
     specs: list[FaultSpec],
     base_mesh: TriangleMesh,
 ) -> CampaignResult:
-    """Run every fault spec through the pipeline and tally detection stages.
-
-    Trial RNG streams derive from (campaign_seed, trial index), so replays
-    and concurrent evaluation produce identical results.
-    """
-    pristine = _prepare(cfg, base_mesh)
-    histogram: dict[DetectionStage, int] = {}
-    undetected: list[FaultSpec] = []
-    for i, spec in enumerate(specs):
-        channel = replace(cfg.channel, seed=_splitmix_at(cfg.campaign_seed, i))
-        stage, _, _ = _run_trial(cfg, spec, pristine, channel)
-        histogram[stage] = histogram.get(stage, 0) + 1
-        if stage is DetectionStage.UNDETECTED:
-            undetected.append(spec)
-    return CampaignResult(
-        trials=len(specs),
-        histogram=histogram,
-        undetected_trials=tuple(undetected),
-    )
+    """Run every fault spec through the pipeline and tally detection stages."""
+    return _tally(_trials(cfg, specs, _prepare(cfg, base_mesh)))
 
 
 def bit_flip_specs(count: int, stage: FaultStage, seed: int) -> list[FaultSpec]:
@@ -345,26 +371,14 @@ class MitigationEvidence:
     raw_late_detections: int
 
     def to_dict(self) -> dict:
-        return {
-            "reliable_loss_prob": self.reliable_loss_prob,
-            "reliable_intact_under_loss": self.reliable_intact_under_loss,
-            "lossless_elapsed_ms": self.lossless_elapsed_ms,
-            "lossy_elapsed_ms": self.lossy_elapsed_ms,
-            "lossy_packets_lost": self.lossy_packets_lost,
-            "fullimage_trials": self.fullimage_trials,
-            "fullimage_rejected_integrity": self.fullimage_rejected_integrity,
-            "fullimage_scrapped": self.fullimage_scrapped,
-            "fullimage_corrupt_printed_layers": self.fullimage_corrupt_printed_layers,
-            "streaming_scrapped": self.streaming_scrapped,
-            "streaming_scrapped_with_layers": self.streaming_scrapped_with_layers,
-            "envelope_undetected": self.envelope_undetected,
-            "raw_trials": self.raw_trials,
-            "raw_late_detections": self.raw_late_detections,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MitigationEvidence":
-        return cls(**{k: doc[k] for k in cls.__dataclass_fields__})
+        values = {k: doc[k] for k in cls.__dataclass_fields__}
+        if not all(isinstance(v, (int, float)) for v in values.values()):
+            raise ValueError("evidence fields must be numbers or booleans")
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -381,6 +395,12 @@ _LATE_STAGES = frozenset(
 )
 
 
+def check_demo(cfg: PipelineConfig) -> None:
+    """Raise ValueError unless `cfg` can run the demonstration campaign."""
+    if not cfg.enveloped:
+        raise ValueError("the demonstration campaign needs the envelope enabled")
+
+
 def run_demo_campaign(
     cfg: PipelineConfig,
     base_mesh: TriangleMesh,
@@ -394,60 +414,25 @@ def run_demo_campaign(
     (integrity-check necessity), and probes the channel with and without
     loss under reliable transfer (protocol and QoS evidence).
     """
-    if not cfg.enveloped:
-        raise ValueError("the demonstration campaign needs the envelope enabled")
+    check_demo(cfg)
     specs = bit_flip_specs(corruption_count, FaultStage.IN_TRANSIT, cfg.campaign_seed)
-
-    full_cfg = replace(
-        cfg, printer=replace(cfg.printer, policy=PrintPolicy.FULL_IMAGE)
-    )
-    stream_cfg = replace(
-        cfg, printer=replace(cfg.printer, policy=PrintPolicy.STREAMING)
-    )
+    full_cfg = replace(cfg, printer=replace(cfg.printer, policy=PrintPolicy.FULL_IMAGE))
+    stream_cfg = replace(cfg, printer=replace(cfg.printer, policy=PrintPolicy.STREAMING))
     raw_cfg = replace(full_cfg, enveloped=False)
+    # the policy is not part of the job, so all three runs share one pristine
+    # job; the raw run sends its text without the envelope
+    pristine = _prepare(cfg, base_mesh)
 
     # full image + envelope, tracking outcomes for the buffering contrast
-    pristine = _prepare(full_cfg, base_mesh)
-    histogram: dict[DetectionStage, int] = {}
-    undetected: list[FaultSpec] = []
-    full_scrapped = 0
-    full_corrupt_layers = 0
-    full_rejected_integrity = 0
-    for i, spec in enumerate(specs):
-        channel = replace(full_cfg.channel, seed=_splitmix_at(full_cfg.campaign_seed, i))
-        stage, outcome, _ = _run_trial(full_cfg, spec, pristine, channel)
-        histogram[stage] = histogram.get(stage, 0) + 1
-        if stage is DetectionStage.UNDETECTED:
-            undetected.append(spec)
-        if outcome is not None:
-            if outcome.status is JobStatus.SCRAPPED_MID_PRINT:
-                full_scrapped += 1
-            if outcome.status is not JobStatus.COMPLETED:
-                full_corrupt_layers += outcome.layers_printed
-        if outcome is not None and outcome.reason is FailReason.INTEGRITY_FAILURE:
-            full_rejected_integrity += 1
-    campaign = CampaignResult(len(specs), histogram, tuple(undetected))
-
+    full_trials = list(_trials(full_cfg, specs, pristine))
+    campaign = _tally(full_trials)
+    full = [o for _, _, o in full_trials if o is not None]
     # streaming + envelope: same corruptions scrap partially printed parts
-    pristine_s = _prepare(stream_cfg, base_mesh)
-    stream_scrapped = 0
-    stream_scrapped_with_layers = 0
-    for i, spec in enumerate(specs):
-        channel = replace(stream_cfg.channel, seed=_splitmix_at(stream_cfg.campaign_seed, i))
-        _, outcome, _ = _run_trial(stream_cfg, spec, pristine_s, channel)
-        if outcome is not None and outcome.status is JobStatus.SCRAPPED_MID_PRINT:
-            stream_scrapped += 1
-            if outcome.layers_printed > 0:
-                stream_scrapped_with_layers += 1
-
+    stream = [o for _, _, o in _trials(stream_cfg, specs, pristine) if o is not None]
+    scrapped = [o for o in stream if o.status is JobStatus.SCRAPPED_MID_PRINT]
     # envelope stripped: the printer consumes raw text, detection moves late
-    pristine_r = _prepare(raw_cfg, base_mesh)
-    raw_late = 0
-    for i, spec in enumerate(specs):
-        channel = replace(raw_cfg.channel, seed=_splitmix_at(raw_cfg.campaign_seed, i))
-        stage, _, _ = _run_trial(raw_cfg, spec, pristine_r, channel)
-        if stage in _LATE_STAGES:
-            raw_late += 1
+    raw = _trials(raw_cfg, specs, replace(pristine, sent=pristine.text))
+    raw_late = sum(stage in _LATE_STAGES for _, stage, _ in raw)
 
     # channel probes: reliable transfer under loss, QoS cost of loss.
     # Several derived seeds so a lossy channel reliably shows losses.
@@ -481,11 +466,13 @@ def run_demo_campaign(
         lossy_elapsed_ms=lossy_ms,
         lossy_packets_lost=lossy_lost,
         fullimage_trials=len(specs),
-        fullimage_rejected_integrity=full_rejected_integrity,
-        fullimage_scrapped=full_scrapped,
-        fullimage_corrupt_printed_layers=full_corrupt_layers,
-        streaming_scrapped=stream_scrapped,
-        streaming_scrapped_with_layers=stream_scrapped_with_layers,
+        fullimage_rejected_integrity=sum(o.reason is FailReason.INTEGRITY_FAILURE for o in full),
+        fullimage_scrapped=sum(o.status is JobStatus.SCRAPPED_MID_PRINT for o in full),
+        fullimage_corrupt_printed_layers=sum(
+            o.layers_printed for o in full if o.status is not JobStatus.COMPLETED
+        ),
+        streaming_scrapped=len(scrapped),
+        streaming_scrapped_with_layers=sum(o.layers_printed > 0 for o in scrapped),
         envelope_undetected=campaign.count(DetectionStage.UNDETECTED),
         raw_trials=len(specs),
         raw_late_detections=raw_late,

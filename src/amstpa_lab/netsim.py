@@ -82,6 +82,11 @@ def _attempt(state: int, ch: ChannelParams, nbytes: int) -> tuple[bool, float, i
     return lost, elapsed, state
 
 
+def check_packet_size(packet_size: int) -> None:
+    if packet_size < 1:
+        raise ValueError("packet_size must be >= 1")
+
+
 def transfer(
     payload: bytes,
     ch: ChannelParams,
@@ -95,8 +100,7 @@ def transfer(
     sends each packet once; lost packets become zero-filled gaps recorded in
     gap_map, so the delivered buffer always has the original length.
     """
-    if packet_size < 1:
-        raise ValueError("packet_size must be >= 1")
+    check_packet_size(packet_size)
     if not payload:
         raise ValueError("payload must be non-empty")
 

@@ -70,10 +70,11 @@ class PrinterConfig:
     def __post_init__(self) -> None:
         if not (self.buffer_capacity > 0):
             raise ValueError("buffer_capacity must be > 0")
-        if self.nominal_layer_time_ms is None:
-            object.__setattr__(
-                self, "nominal_layer_time_ms", DEFAULT_LAYER_TIME_MS[self.technology]
-            )
+        layer_time = self.nominal_layer_time_ms
+        if layer_time is None:
+            layer_time = DEFAULT_LAYER_TIME_MS[self.technology]
+        # a non-numeric layer time fails here, before any job runs
+        object.__setattr__(self, "nominal_layer_time_ms", float(layer_time))
 
 
 class JobStatus(Enum):
@@ -104,13 +105,20 @@ class PrintTrace:
 
 
 def _first_diff(a: bytes, b: bytes) -> int | None:
-    n = min(len(a), len(b))
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    if len(a) != len(b):
-        return n
-    return None
+    """Index of the first differing byte (the shorter length when one is a
+    prefix of the other), or None when equal.  Bisects over slice equality,
+    so the comparisons run at C speed."""
+    if a == b:
+        return None
+    lo, hi = 0, min(len(a), len(b))
+    # a[:lo] == b[:lo], and the first difference lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if a[lo : mid + 1] == b[lo : mid + 1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _reference_layers(reference: bytes, enveloped: bool) -> tuple[tuple[Layer, ...], int]:
@@ -172,7 +180,7 @@ def run_job(
     payload is read once, stopping at its first bad line; the reference is
     read only when streaming damage must be attributed to a layer.
     """
-    layer_time = float(cfg.nominal_layer_time_ms or 0.0)
+    layer_time = cfg.nominal_layer_time_ms
     streaming = cfg.policy is PrintPolicy.STREAMING
     if reference is None:
         reference = wrapped_toolpath

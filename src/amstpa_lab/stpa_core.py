@@ -10,6 +10,8 @@ catalog through a documented rule table.
 
 from __future__ import annotations
 
+import functools
+import importlib.resources
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -374,47 +376,13 @@ def emit_model(cs: ControlStructure) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
+@functools.cache
 def builtin_am_reference_model() -> ControlStructure:
-    """The shipped AM toolchain model: CAD/CAM, repository, and printing
-    subsystems joined by file, command, and feedback flows."""
-    c = Component
-    p = Path
-    return ControlStructure(
-        name="am-toolchain-reference",
-        components=(
-            c("operator", "Operator", ComponentKind.HUMAN_OPERATOR, Subsystem.CROSS_CUTTING),
-            c("console", "Operator console", ComponentKind.CONTROL_INPUT, Subsystem.CROSS_CUTTING),
-            c("status_display", "Status display", ComponentKind.DISPLAY, Subsystem.CROSS_CUTTING),
-            c("cad_station", "CAD/CAM workstation", ComponentKind.CAD_CAM_STATION, Subsystem.CAD_CAM),
-            c("slicer_station", "Slicer workstation", ComponentKind.SLICER_STATION, Subsystem.CAD_CAM),
-            c("design_repo", "Design repository", ComponentKind.REPOSITORY, Subsystem.REPOSITORY),
-            c("upload_link", "CAD-to-repository network link", ComponentKind.NETWORK_LINK,
-              Subsystem.CROSS_CUTTING),
-            c("print_link", "Repository-to-printer network link", ComponentKind.NETWORK_LINK,
-              Subsystem.PRINTING),
-            c("printer", "3D printer", ComponentKind.PRINTER, Subsystem.PRINTING),
-        ),
-        paths=(
-            p("op_console", "operator", "console", PathKind.CONTROL, "operator commands"),
-            p("console_cad", "console", "cad_station", PathKind.CONTROL, "design and job commands"),
-            p("cad_slicer", "cad_station", "slicer_station", PathKind.RESOURCE, "STL model file"),
-            p("slicer_upload", "slicer_station", "upload_link", PathKind.RESOURCE,
-              "sliced toolpath file"),
-            p("upload_repo", "upload_link", "design_repo", PathKind.RESOURCE, "stored job file"),
-            p("repo_printlink", "design_repo", "print_link", PathKind.RESOURCE,
-              "released job file"),
-            p("printlink_printer", "print_link", "printer", PathKind.RESOURCE,
-              "job payload packets"),
-            p("console_printer", "console", "printer", PathKind.CONTROL,
-              "print start and stop commands"),
-            p("printer_display", "printer", "status_display", PathKind.FEEDBACK,
-              "printer status and sensor readings"),
-            p("repo_display", "design_repo", "status_display", PathKind.FEEDBACK,
-              "repository audit events"),
-            p("display_operator", "status_display", "operator", PathKind.FEEDBACK,
-              "job progress display"),
-        ),
-    )
+    """The shipped AM toolchain model (data/am_reference_model.json): CAD/CAM,
+    repository, and printing subsystems joined by file, command, and feedback
+    flows.  Loaded and validated once; the structure is frozen."""
+    blob = importlib.resources.files(__package__) / "data" / "am_reference_model.json"
+    return load_model(blob.read_bytes())
 
 
 # ---------------------------------------------------------------------------

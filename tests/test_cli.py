@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import subprocess
@@ -7,6 +8,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from amstpa_lab.cli import main
+from amstpa_lab.faultlab import MitigationEvidence
 from amstpa_lab.mesh_io import TriangleMesh, emit_stl_binary
 
 
@@ -243,6 +245,72 @@ class TestCampaignAndReport:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"mesh": {"builtin": "cube"}}))
         assert run_cli(["campaign", "--config", config])[0] == 2
+
+
+CUBE_FLIPS = {"mesh": {"builtin": "cube"}, "generate": {"count": 2}}
+EVIDENCE_FIELDS = [f.name for f in dataclasses.fields(MitigationEvidence)]
+
+
+def _one_fault(kind, stage, **params):
+    return {"mesh": {"builtin": "cube"}, "faults": [{"kind": kind, "stage": stage, **params}]}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        pytest.param("simulate", ["--channel", "loss=abc"], id="channel-loss-not-a-number"),
+        pytest.param("simulate", ["--packet-size", "0"], id="simulate-packet-size-0"),
+        pytest.param("campaign", [CUBE_FLIPS], id="config-top-level-list"),
+        pytest.param("campaign", {**CUBE_FLIPS, "slice": []}, id="config-block-not-object"),
+        pytest.param("campaign", {"mesh": {"builtin": ["cube"]}}, id="builtin-mesh-not-a-name"),
+        pytest.param("campaign", {"faults": [5]}, id="fault-not-object"),
+        pytest.param(
+            "campaign",
+            {**CUBE_FLIPS, "printer": {"nominal_layer_time_ms": "abc"}},
+            id="layer-time-not-a-number",
+        ),
+        pytest.param("campaign", {**CUBE_FLIPS, "packet_size": 0}, id="config-packet-size-0"),
+        pytest.param(
+            "campaign", {**CUBE_FLIPS, "demo": True, "envelope": False}, id="demo-without-envelope"
+        ),
+        pytest.param(
+            "campaign",
+            _one_fault("drop_packets", "after_slice", loss_prob=0.5),
+            id="drop-packets-after-slice",
+        ),
+        pytest.param(
+            "campaign", _one_fault("scale_coords", "in_transit", factor=1.1), id="scale-in-transit"
+        ),
+        pytest.param(
+            "report",
+            {"trials": 1, "histogram": {"bogus": 1}, "undetected_trials": []},
+            id="report-unknown-stage",
+        ),
+        pytest.param("report", {"campaign": {}, "evidence": {}}, id="report-empty-demo-artifact"),
+        pytest.param(
+            "report",
+            {
+                "campaign": {"trials": 0, "histogram": {}, "undetected_trials": []},
+                "evidence": dict.fromkeys(EVIDENCE_FIELDS, "abc"),
+            },
+            id="report-evidence-not-numbers",
+        ),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, cube_file, capsys, command, payload):
+    if command == "simulate":
+        argv = ["simulate", "--mesh", str(cube_file), *payload]
+    else:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        flag = "--config" if command == "campaign" else "--inputs"
+        argv = [command, flag, str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 class TestUsage:

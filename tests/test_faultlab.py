@@ -1,8 +1,10 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
+from amstpa_lab import faultlab
 from amstpa_lab.faultlab import (
     CampaignResult,
     DetectionStage,
@@ -19,7 +21,7 @@ from amstpa_lab.gcode import ToolpathParams
 from amstpa_lab.mesh_io import validate_mesh
 from amstpa_lab.netsim import ChannelParams, TransferMode
 from amstpa_lab.printer_sim import PrinterConfig, PrintPolicy
-from amstpa_lab.slicer import SliceParams
+from amstpa_lab.slicer import SliceParams, slice_mesh
 
 
 def pipeline(policy=PrintPolicy.FULL_IMAGE, enveloped=True, ecc=False, seed=0, loss=0.0):
@@ -90,6 +92,20 @@ class TestInject:
         spec = FaultSpec(FaultKind.DROP_PACKETS, FaultStage.IN_TRANSIT, loss_prob=0.5)
         with pytest.raises(ValueError, match="channel"):
             inject(b"abc", spec)
+
+    @pytest.mark.parametrize(
+        "kind, stage",
+        [
+            (FaultKind.DROP_PACKETS, FaultStage.AFTER_CAD),
+            (FaultKind.DROP_PACKETS, FaultStage.AFTER_SLICE),
+            (FaultKind.SCALE_COORDS, FaultStage.AFTER_SLICE),
+            (FaultKind.SCALE_COORDS, FaultStage.IN_TRANSIT),
+            (FaultKind.FLIP_NORMALS, FaultStage.IN_TRANSIT),
+        ],
+    )
+    def test_kind_must_fit_stage(self, kind, stage):
+        with pytest.raises(ValueError, match="cannot be planted"):
+            FaultSpec(kind, stage, factor=1.1, loss_prob=0.5)
 
     def test_spec_json_round_trip(self):
         specs = [
@@ -230,3 +246,63 @@ class TestDemoCampaign:
     def test_requires_envelope(self, cube):
         with pytest.raises(ValueError, match="envelope"):
             run_demo_campaign(pipeline(enveloped=False), cube)
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(json.dumps(result.to_dict()).encode()).hexdigest()
+
+
+# after-CAD mesh and STL faults, after-slice and in-transit bit flips, packet drops
+MIXED_SPECS = (
+    [
+        FaultSpec(FaultKind.SCALE_COORDS, FaultStage.AFTER_CAD, factor=1.001),
+        FaultSpec(FaultKind.FLIP_NORMALS, FaultStage.AFTER_CAD),
+        FaultSpec(FaultKind.TRUNCATE, FaultStage.AFTER_CAD, new_len=100),
+    ]
+    + bit_flip_specs(6, FaultStage.AFTER_CAD, seed=3)
+    + bit_flip_specs(8, FaultStage.AFTER_SLICE, seed=4)
+    + bit_flip_specs(8, FaultStage.IN_TRANSIT, seed=5)
+    + [
+        FaultSpec(FaultKind.DROP_PACKETS, FaultStage.IN_TRANSIT, loss_prob=0.3),
+        FaultSpec(FaultKind.DROP_PACKETS, FaultStage.IN_TRANSIT, loss_prob=0.9),
+    ]
+)
+
+
+class TestTrialLoop:
+    """The one trial loop reproduces, byte for byte, the per-campaign loops it
+    replaced; the digests were recorded before the loops were merged."""
+
+    def test_demo_output_unchanged(self, demo):
+        assert _digest(demo) == "35ecda804a41049e38a862dd5283d628dac7438411d5c2fbb35571619db7b8f1"
+
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        [
+            (
+                pipeline(seed=7),
+                "a078acc5b7dca436c3af213a67586cadc67c08a36bd2a0d8606858f992f6d414",
+            ),
+            (
+                replace(
+                    pipeline(policy=PrintPolicy.STREAMING, enveloped=False, seed=7),
+                    mode=TransferMode.BEST_EFFORT,
+                ),
+                "a19402601752684d0e85002c7dae92d6609758d210deae7ed5776c9d6674ff52",
+            ),
+        ],
+        ids=["fullimage-enveloped", "streaming-raw-besteffort"],
+    )
+    def test_mixed_campaign_output_unchanged(self, cube, cfg, digest):
+        assert _digest(run_campaign(cfg, MIXED_SPECS, cube)) == digest
+
+    def test_demo_slices_the_mesh_once(self, cube, monkeypatch):
+        calls = []
+
+        def counting_slice_mesh(*args, **kwargs):
+            calls.append(args)
+            return slice_mesh(*args, **kwargs)
+
+        monkeypatch.setattr(faultlab, "slice_mesh", counting_slice_mesh)
+        run_demo_campaign(pipeline(seed=42), cube, corruption_count=8)
+        assert len(calls) == 1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from amstpa_lab.printer_sim import (
     PrinterConfig,
     PrinterTechnology,
     PrintPolicy,
+    _first_diff,
     geometry_diff,
     outcome_to_dict,
     run_job,
@@ -327,3 +329,35 @@ class TestGeometryDiff:
         tdoc = trace_to_dict(trace)
         assert len(tdoc["layers"]) == 4
         assert tdoc["integrity_corrected_bits"] == 0
+
+
+def _first_diff_scalar(a, b):
+    """The per-byte loop `_first_diff` replaced, kept as its oracle."""
+    n = min(len(a), len(b))
+    for i in range(n):
+        if a[i] != b[i]:
+            return i
+    if len(a) != len(b):
+        return n
+    return None
+
+
+class TestFirstDiff:
+    def test_matches_scalar_oracle_on_random_pairs(self):
+        rng = random.Random(20)
+        for _ in range(200):
+            a = rng.randbytes(rng.randrange(0, 400))
+            cut = rng.randrange(0, len(a) + 1)
+            pairs = [(a, a), (a, bytes(a)), (a, a[:cut]), (a[:cut], a), (a, a + b"\x00")]
+            # differ at the first, last and a random byte; also against a shorter copy
+            for at in ({0, len(a) - 1, rng.randrange(len(a))} if a else ()):
+                b = bytearray(a)
+                b[at] ^= rng.randrange(1, 256)
+                pairs += [(a, bytes(b)), (bytes(b), a[: at + 1 + rng.randrange(len(a) - at)])]
+            for x, y in pairs:
+                assert _first_diff(x, y) == _first_diff_scalar(x, y), (x, y)
+
+    def test_last_byte_of_large_payload(self):
+        a = bytes(range(256)) * 3000
+        b = a[:-1] + bytes([a[-1] ^ 0x80])
+        assert _first_diff(a, b) == len(a) - 1
