@@ -22,21 +22,14 @@ from .faultlab import (
     MitigationEvidence,
     PipelineConfig,
     bit_flip_specs,
+    build_job,
     check_demo,
     run_campaign,
     run_demo_campaign,
 )
-from .gcode import (
-    GCodeError,
-    ToolpathParams,
-    count_records,
-    emit_text,
-    path_length,
-    plan_toolpath,
-)
-from .integrity import wrap
+from .gcode import GCodeError, ToolpathParams, emit_text, path_length, plan_toolpath
 from .mesh_io import StlError, parse_stl, validate_mesh
-from .netsim import ChannelParams, TransferMode, check_packet_size
+from .netsim import ChannelParams, TransferMode
 from .printer_sim import (
     JobStatus,
     PrinterConfig,
@@ -145,11 +138,7 @@ def _cmd_stpa(args) -> int:
     if args.builtin_am:
         cs = builtin_am_reference_model()
     elif args.model:
-        try:
-            cs = load_model(_read_file(args.model))
-        except ModelError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        cs = load_model(_read_file(args.model))
     else:
         raise CliError("stpa needs --model FILE or --builtin-am")
     hazards = attach_mitigations(enumerate_candidates(cs), builtin_catalog(), cs)
@@ -162,12 +151,7 @@ def _cmd_stpa(args) -> int:
 
 
 def _cmd_stl(args) -> int:
-    data = _read_file(args.file)
-    try:
-        mesh = parse_stl(data)
-    except StlError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 2
+    mesh = _load_mesh_file(args.file)
     report = validate_mesh(mesh, area_tol=args.area_tol)
     doc = {
         "file": args.file,
@@ -222,42 +206,39 @@ def _cmd_gcode(args) -> int:
 def _cmd_simulate(args) -> int:
     mesh = _load_mesh_file(args.mesh)
     try:
-        params = SliceParams(layer_height=args.layer_height)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    layers = slice_mesh(mesh, params)
-    prog = plan_toolpath(layers, _toolpath_params(args))
-    text = emit_text(prog)
-    enveloped = not args.no_envelope
-    payload = wrap(text, count_records(text), with_ecc=args.ecc) if enveloped else text
-
-    channel = _parse_channel(args.channel)
-    mode = TransferMode.RELIABLE_ORDERED if args.mode == "reliable" else TransferMode.BEST_EFFORT
-    policy = PrintPolicy.FULL_IMAGE if args.policy == "fullimage" else PrintPolicy.STREAMING
-    try:
-        cfg = PrinterConfig(
-            buffer_capacity=args.buffer,
-            policy=policy,
-            technology=PrinterTechnology(args.technology),
-            nominal_layer_time_ms=args.layer_time_ms,
+        cfg = PipelineConfig(
+            slice_params=SliceParams(layer_height=args.layer_height),
+            toolpath=_toolpath_params(args),
+            channel=_parse_channel(args.channel),
+            printer=PrinterConfig(
+                buffer_capacity=args.buffer,
+                policy=PrintPolicy(args.policy),
+                technology=PrinterTechnology(args.technology),
+                nominal_layer_time_ms=args.layer_time_ms,
+            ),
+            mode=TransferMode(args.mode),
+            packet_size=args.packet_size,
+            enveloped=not args.no_envelope,
+            ecc=args.ecc,
         )
-        check_packet_size(args.packet_size)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
+    job = build_job(cfg, mesh)
     outcome, trace = run_job(
-        payload, cfg, channel, mode, packet_size=args.packet_size, enveloped=enveloped
+        job.sent, cfg.printer, cfg.channel, cfg.mode,
+        packet_size=cfg.packet_size, enveloped=cfg.enveloped,
     )
-    lengths = path_length(prog)
-    gd = geometry_diff(layers, trace)
+    lengths = path_length(job.program)
+    gd = geometry_diff(job.layers, trace)
     doc = {
         "mesh": args.mesh,
-        "layers": len(layers),
-        "program_commands": len(prog.commands),
+        "layers": len(job.layers),
+        "program_commands": len(job.program.commands),
         "planned_extrusion_mm": lengths.extruded_mm,
-        "payload_bytes": len(payload),
-        "mode": mode.value,
-        "policy": policy.value,
+        "payload_bytes": len(job.sent),
+        "mode": cfg.mode.value,
+        "policy": cfg.printer.policy.value,
         "outcome": outcome_to_dict(outcome),
         "trace": trace_to_dict(trace),
         "geometry_diff": {
@@ -312,7 +293,6 @@ def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int |
             jitter_ms=float(ch_doc.get("jitter_ms", 0.0)),
             bandwidth_bytes_per_s=float(ch_doc.get("bandwidth_bytes_per_s", 125000.0)),
             loss_prob=float(ch_doc.get("loss_prob", 0.0)),
-            seed=int(ch_doc.get("seed", 1)),
         )
         pr_doc = _block(doc, "printer")
         printer = PrinterConfig(
@@ -464,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_toolpath_flags(p)
     p.add_argument("--channel", default="",
                    help="loss=P,latency=L,jitter=J,bw=B,seed=S (defaults: lossless)")
-    p.add_argument("--mode", choices=["reliable", "besteffort"], default="reliable")
-    p.add_argument("--policy", choices=["fullimage", "streaming"], default="fullimage")
+    p.add_argument("--mode", choices=[m.value for m in TransferMode], default="reliable")
+    p.add_argument("--policy", choices=[m.value for m in PrintPolicy], default="fullimage")
     p.add_argument("--buffer", type=int, default=1 << 20, help="printer buffer, bytes")
     p.add_argument("--packet-size", type=int, default=256)
     p.add_argument("--technology", default="material_extrusion",
@@ -500,10 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (StlError, GCodeError, ModelError) as exc:
+    except (CliError, StlError, GCodeError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,11 +6,16 @@ stages partition trials: a fault corrected by ECC still counts as caught by
 the integrity check, and a trial that completes with geometry matching the
 intent counts as Undetected (whether the fault was harmless or missed).
 
-Every campaign runs through one trial loop, `_trials`, over a pristine job
-prepared once, and `_tally` folds its trials into a CampaignResult.  The
-demonstration campaign prepares one pristine job and runs the loop over it
-three times: full-image and streaming policies, then raw text without the
-envelope.  A fault spec is checked against its stage when it is built.
+`build_job` is the one rule that turns a mesh into the bytes sent (slice,
+plan, emit, then wrap unless the envelope is off); `simulate`, the pristine
+job and every after-CAD trial go through it.  Every campaign runs through
+one trial loop, `_trials`, over a pristine job prepared once, and `_tally`
+folds its trials into a CampaignResult.  The demonstration campaign prepares
+one pristine job and runs the loop over it three times: full-image and
+streaming policies, then raw text without the envelope.  A fault spec is
+checked whole when it is built: its kind against its stage, and every
+parameter that needs no target; only checks against the target's size wait
+for `inject`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
-from .gcode import ToolpathParams, count_records, emit_text, plan_toolpath
+from .gcode import GCodeProgram, ToolpathParams, count_records, emit_text, plan_toolpath
 from .integrity import wrap
 from .mesh_io import (
     Facet,
@@ -90,6 +95,21 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in _STAGE_KINDS[self.stage]:
             raise ValueError(f"{self.kind.value} cannot be planted {self.stage.value}")
+        number = (int, float)
+        if self.kind is FaultKind.SCALE_COORDS and not (
+            isinstance(self.factor, number) and self.factor > 0.0
+        ):
+            raise ValueError("scale_coords requires factor > 0")
+        if self.kind is FaultKind.DROP_PACKETS and not (
+            isinstance(self.loss_prob, number) and 0.0 <= self.loss_prob <= 1.0
+        ):
+            raise ValueError("drop_packets requires loss_prob within [0, 1]")
+        if self.value is not None and not (isinstance(self.value, int) and 0 <= self.value <= 255):
+            raise ValueError("byte value must be an int within 0..255")
+        for name in ("offset", "new_len"):
+            v = getattr(self, name)
+            if v is not None and not (isinstance(v, int) and v >= 0):
+                raise ValueError(f"{name} must be a non-negative int")
 
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind.value, "stage": self.stage.value, "seed": self.seed}
@@ -130,8 +150,6 @@ def inject(target: bytes | TriangleMesh, spec: FaultSpec):
             )
             return TriangleMesh(flipped, target.source_encoding)
         factor = spec.factor
-        if factor is None or not (factor > 0.0):
-            raise ValueError("scale_coords requires factor > 0")
 
         def scale(v: Vec3) -> Vec3:
             return Vec3(v.x * factor, v.y * factor, v.z * factor)
@@ -163,8 +181,6 @@ def inject(target: bytes | TriangleMesh, spec: FaultSpec):
             raise ValueError(f"byte offset {offset} out of range for {len(data)} bytes")
         if spec.value is not None:
             value = spec.value
-            if not (0 <= value <= 255):
-                raise ValueError("byte value must be within 0..255")
         else:
             value = _splitmix_at(spec.seed, 1) % 256
             if value == data[offset]:
@@ -231,26 +247,37 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class _Pristine:
-    mesh: TriangleMesh
-    stl: bytes
+class Job:
     layers: list
+    program: GCodeProgram
     text: bytes
     sent: bytes  # wrapped envelope, or raw text when not enveloped
 
 
-def _prepare(cfg: PipelineConfig, base_mesh: TriangleMesh) -> _Pristine:
-    stl = emit_stl_binary(base_mesh)
-    layers = slice_mesh(base_mesh, cfg.slice_params)
+def build_job(cfg: PipelineConfig, mesh: TriangleMesh) -> Job:
+    """Slice, plan and emit `mesh`, then wrap the text as `cfg` sends it."""
+    layers = slice_mesh(mesh, cfg.slice_params)
     program = plan_toolpath(layers, cfg.toolpath)
     text = emit_text(program)
-    return _Pristine(base_mesh, stl, layers, text, _wrap_stage(cfg, text))
+    return Job(layers, program, text, _wrap_stage(cfg, text))
 
 
 def _wrap_stage(cfg: PipelineConfig, text: bytes) -> bytes:
     if not cfg.enveloped:
         return text
     return wrap(text, count_records(text), with_ecc=cfg.ecc)
+
+
+@dataclass(frozen=True)
+class _Pristine:
+    mesh: TriangleMesh
+    stl: bytes
+    job: Job
+
+
+def _prepare(cfg: PipelineConfig, base_mesh: TriangleMesh) -> _Pristine:
+    stl = emit_stl_binary(base_mesh)
+    return _Pristine(base_mesh, stl, build_job(cfg, base_mesh))
 
 
 def _run_trial(
@@ -260,9 +287,7 @@ def _run_trial(
     channel: ChannelParams,
 ):
     """One pipeline pass; returns (stage, outcome, trace)."""
-    sent = pristine.sent
-    reference = pristine.sent
-    intended = pristine.layers
+    sent = reference = pristine.job.sent
 
     if spec.stage is FaultStage.AFTER_CAD:
         if spec.kind in _MESH_KINDS:
@@ -275,19 +300,13 @@ def _run_trial(
             return DetectionStage.PARSE_ERROR, None, None
         if not validate_mesh(mesh).is_clean():
             return DetectionStage.MESH_VALIDATION, None, None
-        layers = slice_mesh(mesh, cfg.slice_params)
-        text = emit_text(plan_toolpath(layers, cfg.toolpath))
-        sent = reference = _wrap_stage(cfg, text)
+        sent = reference = build_job(cfg, mesh).sent
     elif spec.stage is FaultStage.AFTER_SLICE:
-        text = inject(pristine.text, spec)
-        sent = reference = _wrap_stage(cfg, text)
-    else:  # IN_TRANSIT
-        if spec.kind is FaultKind.DROP_PACKETS:
-            if spec.loss_prob is None or not (0.0 <= spec.loss_prob <= 1.0):
-                raise ValueError("drop_packets requires loss_prob within [0, 1]")
-            channel = replace(channel, loss_prob=spec.loss_prob)
-        else:
-            sent = inject(pristine.sent, spec)
+        sent = reference = _wrap_stage(cfg, inject(pristine.job.text, spec))
+    elif spec.kind is FaultKind.DROP_PACKETS:  # in transit, through the channel
+        channel = replace(channel, loss_prob=spec.loss_prob)
+    else:  # an in-transit byte fault
+        sent = inject(pristine.job.sent, spec)
 
     outcome, trace = run_job(
         sent,
@@ -302,7 +321,7 @@ def _run_trial(
         return DetectionStage.INTEGRITY_VERIFY, outcome, trace
     if outcome.status is not JobStatus.COMPLETED:
         return DetectionStage.PRINTER_OUTCOME, outcome, trace
-    gd = geometry_diff(intended, trace)
+    gd = geometry_diff(pristine.job.layers, trace)
     if gd.layers_missing > 0 or gd.max_extrusion_error_mm > cfg.geometry_tol_mm:
         return DetectionStage.GEOMETRY_DIFF, outcome, trace
     return DetectionStage.UNDETECTED, outcome, trace
@@ -431,7 +450,8 @@ def run_demo_campaign(
     stream = [o for _, _, o in _trials(stream_cfg, specs, pristine) if o is not None]
     scrapped = [o for o in stream if o.status is JobStatus.SCRAPPED_MID_PRINT]
     # envelope stripped: the printer consumes raw text, detection moves late
-    raw = _trials(raw_cfg, specs, replace(pristine, sent=pristine.text))
+    job = pristine.job
+    raw = _trials(raw_cfg, specs, replace(pristine, job=replace(job, sent=job.text)))
     raw_late = sum(stage in _LATE_STAGES for _, stage, _ in raw)
 
     # channel probes: reliable transfer under loss, QoS cost of loss.
@@ -443,13 +463,13 @@ def run_demo_campaign(
     for j in range(16):
         probe_seed = _splitmix_at(cfg.campaign_seed ^ 0x51CE, j)
         lossless = transfer(
-            pristine.sent,
+            job.sent,
             replace(cfg.channel, loss_prob=0.0, seed=probe_seed),
             TransferMode.RELIABLE_ORDERED,
             probe_packet,
         )
         lossy = transfer(
-            pristine.sent,
+            job.sent,
             replace(cfg.channel, loss_prob=reliable_loss_prob, seed=probe_seed),
             TransferMode.RELIABLE_ORDERED,
             probe_packet,

@@ -3,7 +3,10 @@
 Every transfer is a pure function of (payload, channel, mode, packet size):
 packet fates come from a SplitMix64 stream seeded by the channel seed, with
 exactly two draws per transmission attempt (loss, then jitter), so results
-are reproducible bit for bit on any platform.
+are reproducible bit for bit on any platform.  Both transfer modes run
+through the one packet loop in `transfer`: reliable and best-effort differ
+only in each packet's attempt budget and in what a packet that spends it
+becomes (a channel-down error, or a zero-filled gap).
 """
 
 from __future__ import annotations
@@ -99,68 +102,48 @@ def transfer(
     MAX_RETRIES times, raising ChannelDownError past the bound.  BestEffort
     sends each packet once; lost packets become zero-filled gaps recorded in
     gap_map, so the delivered buffer always has the original length.
+    Retransmissions are the attempts after each packet's first.
     """
     check_packet_size(packet_size)
     if not payload:
         raise ValueError("payload must be non-empty")
 
-    offsets = list(range(0, len(payload), packet_size))
+    reliable = mode is TransferMode.RELIABLE_ORDERED
+    budget = 1 + MAX_RETRIES if reliable else 1
+    offsets = range(0, len(payload), packet_size)
     state = ch.seed & _MASK
     elapsed = 0.0
-    sent = lost = retrans = 0
-
-    if mode is TransferMode.RELIABLE_ORDERED:
-        delivered = bytearray()
-        for off in offsets:
-            packet = payload[off : off + packet_size]
-            for attempt in range(1 + MAX_RETRIES):
-                was_lost, dt, state = _attempt(state, ch, len(packet))
-                sent += 1
-                elapsed += dt
-                if attempt > 0:
-                    retrans += 1
-                if not was_lost:
-                    break
-                lost += 1
-            else:
-                partial = bytes(delivered)
+    sent = lost = 0
+    delivered = bytearray(len(payload))
+    gaps: list[tuple[int, int]] = []
+    for off in offsets:
+        packet = payload[off : off + packet_size]
+        for _ in range(budget):
+            was_lost, dt, state = _attempt(state, ch, len(packet))
+            sent += 1
+            elapsed += dt
+            if not was_lost:
+                delivered[off : off + len(packet)] = packet
+                break
+            lost += 1
+        else:  # the packet spent its budget
+            if reliable:
                 raise ChannelDownError(
                     TransferResult(
-                        delivered=partial,
+                        delivered=bytes(delivered[:off]),
                         intact=False,
                         elapsed_ms=elapsed,
                         packets_sent=sent,
                         packets_lost=lost,
-                        retransmissions=retrans,
-                        gap_map=((len(partial), len(payload) - len(partial)),),
+                        retransmissions=sent - (off // packet_size + 1),
+                        gap_map=((off, len(payload) - off),),
                     )
                 )
-            delivered += packet
-        return TransferResult(
-            delivered=bytes(delivered),
-            intact=True,
-            elapsed_ms=elapsed,
-            packets_sent=sent,
-            packets_lost=lost,
-            retransmissions=retrans,
-        )
-
-    # best effort: one attempt per packet, gaps zero-filled
-    delivered = bytearray(len(payload))
-    gaps: list[list[int]] = []
-    for off in offsets:
-        packet = payload[off : off + packet_size]
-        was_lost, dt, state = _attempt(state, ch, len(packet))
-        sent += 1
-        elapsed += dt
-        if was_lost:
-            lost += 1
+            # a loss that starts where the last gap ends widens that gap
             if gaps and gaps[-1][0] + gaps[-1][1] == off:
-                gaps[-1][1] += len(packet)
+                gaps[-1] = (gaps[-1][0], gaps[-1][1] + len(packet))
             else:
-                gaps.append([off, len(packet)])
-        else:
-            delivered[off : off + len(packet)] = packet
+                gaps.append((off, len(packet)))
     final = bytes(delivered)
     return TransferResult(
         delivered=final,
@@ -168,6 +151,6 @@ def transfer(
         elapsed_ms=elapsed,
         packets_sent=sent,
         packets_lost=lost,
-        retransmissions=0,
-        gap_map=tuple((o, n) for o, n in gaps),
+        retransmissions=sent - len(offsets),
+        gap_map=tuple(gaps),
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import subprocess
@@ -7,6 +8,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from amstpa_lab import cli, faultlab
 from amstpa_lab.cli import main
 from amstpa_lab.faultlab import MitigationEvidence
 from amstpa_lab.mesh_io import TriangleMesh, emit_stl_binary
@@ -160,6 +162,47 @@ class TestSimulate:
     def test_bad_channel_spec_exits_2(self, cube_file):
         assert run_cli(["simulate", "--mesh", cube_file, "--channel", "zap=1"])[0] == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--buffer", "0"], ["--packet-size", "0"], ["--channel", "loss=abc"]],
+        ids=["buffer-0", "packet-size-0", "channel-loss-not-a-number"],
+    )
+    def test_bad_flag_exits_2_before_slicing(self, cube_file, monkeypatch, capsys, flags):
+        calls = []
+        for module in (cli, faultlab):
+            sliced = module.slice_mesh
+
+            def counting(*args, _sliced=sliced, **kwargs):
+                calls.append(args)
+                return _sliced(*args, **kwargs)
+
+            monkeypatch.setattr(module, "slice_mesh", counting)
+        assert main(["simulate", "--mesh", str(cube_file), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "flags, code, digest",
+        [
+            (["--no-envelope"], 0,
+             "d60bc38e6e0de79ab3c4e59d19521453684a99a84fd75cb569f466357ca30ade"),
+            (["--ecc"], 0,
+             "43813821bdbc6ec2219bc49829ea9aea91e43a411f4fa93b60ab3f4e7e78b1fa"),
+            (["--policy", "streaming"], 0,
+             "bc6d830e802eb4a84d1b24c30c5a0a7d90db688c90092d37fca0cba5960cc19c"),
+            (["--mode", "besteffort", "--channel", "loss=0.2,seed=3"], 1,
+             "651f4e30cf867a3827e52f1a40144a122c0a8302719a60f941ce388504dc1043"),
+        ],
+        ids=["no-envelope", "ecc", "streaming", "besteffort-lossy"],
+    )
+    def test_output_unchanged(self, cube_file, monkeypatch, flags, code, digest):
+        # digests of the JSON recorded before simulate built its job through
+        # faultlab.build_job and transfer merged its per-mode loops
+        monkeypatch.chdir(cube_file.parent)
+        got_code, out = run_cli(["simulate", "--mesh", cube_file.name, *flags])
+        assert got_code == code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 class TestCampaignAndReport:
     def test_generated_campaign(self, tmp_path):
@@ -280,6 +323,21 @@ def _one_fault(kind, stage, **params):
         ),
         pytest.param(
             "campaign", _one_fault("scale_coords", "in_transit", factor=1.1), id="scale-in-transit"
+        ),
+        pytest.param(
+            "campaign", _one_fault("scale_coords", "after_cad", factor=0), id="scale-factor-0"
+        ),
+        pytest.param(
+            "campaign", _one_fault("drop_packets", "in_transit"), id="drop-packets-no-loss-prob"
+        ),
+        pytest.param(
+            "campaign", _one_fault("byte_set", "in_transit", value=300), id="byte-set-value-300"
+        ),
+        pytest.param(
+            "campaign", _one_fault("bit_flip", "after_slice", offset=-3), id="bit-flip-offset-neg"
+        ),
+        pytest.param(
+            "campaign", _one_fault("truncate", "in_transit", new_len="abc"), id="truncate-len-abc"
         ),
         pytest.param(
             "report",

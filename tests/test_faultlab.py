@@ -72,10 +72,9 @@ class TestInject:
         spec = FaultSpec(FaultKind.SCALE_COORDS, FaultStage.AFTER_CAD, factor=1.0)
         assert inject(cube, spec) == cube
 
-    def test_scale_requires_positive_factor(self, cube):
-        spec = FaultSpec(FaultKind.SCALE_COORDS, FaultStage.AFTER_CAD, factor=0.0)
+    def test_scale_requires_positive_factor(self):
         with pytest.raises(ValueError, match="factor"):
-            inject(cube, spec)
+            FaultSpec(FaultKind.SCALE_COORDS, FaultStage.AFTER_CAD, factor=0.0)
 
     def test_flip_normals_all_inverted(self, cube):
         flipped = inject(cube, FaultSpec(FaultKind.FLIP_NORMALS, FaultStage.AFTER_CAD))

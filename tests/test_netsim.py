@@ -10,6 +10,8 @@ from amstpa_lab.netsim import (
     ChannelDownError,
     ChannelParams,
     TransferMode,
+    TransferResult,
+    _attempt,
     splitmix64_next,
     transfer,
 )
@@ -205,3 +207,113 @@ class TestDeterminism:
             transfer(b"", ChannelParams(), TransferMode.BEST_EFFORT, 10)
         with pytest.raises(ValueError):
             transfer(b"x", ChannelParams(), TransferMode.BEST_EFFORT, 0)
+
+
+def two_loop_transfer(payload, ch, mode, packet_size):
+    """The former `transfer`, one packet loop per mode (scalar oracle)."""
+    if packet_size < 1:
+        raise ValueError("packet_size must be >= 1")
+    if not payload:
+        raise ValueError("payload must be non-empty")
+
+    offsets = list(range(0, len(payload), packet_size))
+    state = ch.seed & MASK
+    elapsed = 0.0
+    sent = lost = retrans = 0
+
+    if mode is TransferMode.RELIABLE_ORDERED:
+        delivered = bytearray()
+        for off in offsets:
+            packet = payload[off : off + packet_size]
+            for attempt in range(1 + MAX_RETRIES):
+                was_lost, dt, state = _attempt(state, ch, len(packet))
+                sent += 1
+                elapsed += dt
+                if attempt > 0:
+                    retrans += 1
+                if not was_lost:
+                    break
+                lost += 1
+            else:
+                partial = bytes(delivered)
+                raise ChannelDownError(
+                    TransferResult(
+                        delivered=partial,
+                        intact=False,
+                        elapsed_ms=elapsed,
+                        packets_sent=sent,
+                        packets_lost=lost,
+                        retransmissions=retrans,
+                        gap_map=((len(partial), len(payload) - len(partial)),),
+                    )
+                )
+            delivered += packet
+        return TransferResult(
+            delivered=bytes(delivered),
+            intact=True,
+            elapsed_ms=elapsed,
+            packets_sent=sent,
+            packets_lost=lost,
+            retransmissions=retrans,
+        )
+
+    delivered = bytearray(len(payload))
+    gaps = []
+    for off in offsets:
+        packet = payload[off : off + packet_size]
+        was_lost, dt, state = _attempt(state, ch, len(packet))
+        sent += 1
+        elapsed += dt
+        if was_lost:
+            lost += 1
+            if gaps and gaps[-1][0] + gaps[-1][1] == off:
+                gaps[-1][1] += len(packet)
+            else:
+                gaps.append([off, len(packet)])
+        else:
+            delivered[off : off + len(packet)] = packet
+    final = bytes(delivered)
+    return TransferResult(
+        delivered=final,
+        intact=final == payload,
+        elapsed_ms=elapsed,
+        packets_sent=sent,
+        packets_lost=lost,
+        retransmissions=0,
+        gap_map=tuple((o, n) for o, n in gaps),
+    )
+
+
+def _outcome(fn, *args):
+    """A transfer's result, or the result and message of its ChannelDownError."""
+    try:
+        return "ok", fn(*args), None
+    except ChannelDownError as err:
+        return "down", err.result, str(err)
+
+
+class TestOneLoop:
+    """The one packet loop matches the former per-mode loops exactly."""
+
+    @given(
+        payload=st.binary(min_size=1, max_size=600),
+        packet_size=st.integers(min_value=1, max_value=80),
+        loss=st.sampled_from([0.0, 0.3, 0.97, 1.0]),
+        jitter=st.sampled_from([0.0, 0.7, 5.0]),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        mode=st.sampled_from(list(TransferMode)),
+    )
+    @settings(max_examples=300)
+    def test_matches_two_loop_oracle(self, payload, packet_size, loss, jitter, seed, mode):
+        ch = ChannelParams(latency_ms=1.0, jitter_ms=jitter, loss_prob=loss, seed=seed)
+        args = (payload, ch, mode, packet_size)
+        assert _outcome(transfer, *args) == _outcome(two_loop_transfer, *args)
+
+    def test_channel_down_matches_oracle_mid_payload(self):
+        # a late packet spends its budget after earlier ones got through
+        payload = bytes(range(256)) * 4
+        ch = ChannelParams(loss_prob=0.97, seed=11)
+        args = (payload, ch, TransferMode.RELIABLE_ORDERED, 7)
+        kind, result, message = _outcome(two_loop_transfer, *args)
+        assert kind == "down" and result.delivered
+        assert _outcome(transfer, *args) == (kind, result, message)
