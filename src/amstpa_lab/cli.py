@@ -28,7 +28,7 @@ from .faultlab import (
     run_demo_campaign,
 )
 from .gcode import GCodeError, ToolpathParams, emit_text, path_length, plan_toolpath
-from .mesh_io import StlError, parse_stl, validate_mesh
+from .mesh_io import StlError, parse_stl, require_finite, validate_mesh
 from .netsim import ChannelParams, TransferMode
 from .printer_sim import (
     JobStatus,
@@ -104,6 +104,16 @@ def _load_mesh_file(path: str):
         raise CliError(f"{path}: {exc}") from None
 
 
+def _load_finite_mesh(path: str):
+    """A mesh the pipeline can take: parsed, with every coordinate finite."""
+    mesh = _load_mesh_file(path)
+    try:
+        require_finite(mesh)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
+    return mesh
+
+
 def _parse_channel(spec: str) -> ChannelParams:
     keys = {
         "loss": "loss_prob",
@@ -158,6 +168,7 @@ def _cmd_stl(args) -> int:
         "encoding": mesh.source_encoding.value,
         "facet_count": report.facet_count,
         "degenerate_facets": list(report.degenerate_facets),
+        "nonfinite_facets": list(report.nonfinite_facets),
         "nonmanifold_edges": report.nonmanifold_edges,
         "inverted_normals": list(report.inverted_normals),
         "bbox_min": [report.bbox_min.x, report.bbox_min.y, report.bbox_min.z],
@@ -169,7 +180,7 @@ def _cmd_stl(args) -> int:
 
 
 def _cmd_slice(args) -> int:
-    mesh = _load_mesh_file(args.file)
+    mesh = _load_finite_mesh(args.file)
     try:
         params = SliceParams(layer_height=args.layer_height, snap_eps=args.snap_eps)
     except ValueError as exc:
@@ -204,7 +215,7 @@ def _cmd_gcode(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    mesh = _load_mesh_file(args.mesh)
+    mesh = _load_finite_mesh(args.mesh)
     try:
         cfg = PipelineConfig(
             slice_params=SliceParams(layer_height=args.layer_height),
@@ -272,7 +283,7 @@ def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int |
             raise CliError(f"unknown builtin mesh {name!r} (use {'/'.join(BUILTIN_MESHES)})")
         base_mesh = BUILTIN_MESHES[name]()
     elif "path" in mesh_spec:
-        base_mesh = _load_mesh_file(str(mesh_spec["path"]))
+        base_mesh = _load_finite_mesh(str(mesh_spec["path"]))
     else:
         raise CliError("campaign config 'mesh' needs 'builtin' or 'path'")
 

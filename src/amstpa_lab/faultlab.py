@@ -291,7 +291,10 @@ def _run_trial(
 
     if spec.stage is FaultStage.AFTER_CAD:
         if spec.kind in _MESH_KINDS:
-            stl_bytes = emit_stl_binary(inject(pristine.mesh, spec))
+            try:
+                stl_bytes = emit_stl_binary(inject(pristine.mesh, spec))
+            except ValueError:  # scaled past the float range of binary STL
+                return DetectionStage.MESH_VALIDATION, None, None
         else:
             stl_bytes = inject(pristine.stl, spec)
         try:

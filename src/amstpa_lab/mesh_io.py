@@ -72,6 +72,9 @@ class Facet:
     def vertices(self) -> tuple[Vec3, Vec3, Vec3]:
         return (self.v0, self.v1, self.v2)
 
+    def is_finite(self) -> bool:
+        return self.normal.is_finite() and all(v.is_finite() for v in self.vertices)
+
     def computed_normal(self) -> Vec3:
         """Right-hand-rule normal of (v0, v1, v2), unnormalized."""
         return (self.v1 - self.v0).cross(self.v2 - self.v0)
@@ -87,6 +90,7 @@ class TriangleMesh:
 class MeshReport:
     facet_count: int
     degenerate_facets: tuple[int, ...]
+    nonfinite_facets: tuple[int, ...]
     nonmanifold_edges: int
     inverted_normals: tuple[int, ...]
     bbox_min: Vec3
@@ -97,6 +101,7 @@ class MeshReport:
         return (
             self.watertight
             and not self.degenerate_facets
+            and not self.nonfinite_facets
             and not self.inverted_normals
         )
 
@@ -237,15 +242,16 @@ def parse_stl(data: bytes) -> TriangleMesh:
     return parse_stl_binary(data)
 
 
-def _require_finite(mesh: TriangleMesh) -> None:
+def require_finite(mesh: TriangleMesh) -> None:
+    """Raise ValueError naming the first facet with a NaN or infinite coordinate."""
     for i, f in enumerate(mesh.facets):
-        if not (f.normal.is_finite() and all(v.is_finite() for v in f.vertices)):
+        if not f.is_finite():
             raise ValueError(f"facet {i} has a non-finite coordinate")
 
 
 def emit_stl_binary(mesh: TriangleMesh) -> bytes:
     """Emit binary STL with the fixed 80-byte header and zero attributes."""
-    _require_finite(mesh)
+    require_finite(mesh)
     out = bytearray(BINARY_HEADER)
     out += _COUNT.pack(len(mesh.facets))
     for i, f in enumerate(mesh.facets):
@@ -269,7 +275,7 @@ def emit_stl_ascii(mesh: TriangleMesh, precision: int = 6) -> bytes:
     enough to round-trip any 64-bit float exactly.  Exponents are emitted
     with the platform-standard 2-digit width.
     """
-    _require_finite(mesh)
+    require_finite(mesh)
     if precision < 0:
         raise ValueError("precision must be >= 0")
 
@@ -296,12 +302,14 @@ def _vertex_key(v: Vec3) -> bytes:
 def validate_mesh(mesh: TriangleMesh, area_tol: float = 1e-12) -> MeshReport:
     """Produce a validation report; never raises.
 
-    Degenerate facets have area < area_tol (mm^2).  Manifoldness counts
+    Degenerate facets have area < area_tol (mm^2).  Non-finite facets have a
+    NaN or infinite coordinate in a vertex or the normal.  Manifoldness counts
     undirected edges (on bit-identical vertices) not shared by exactly two
     facets.  Inverted facets have a stored normal opposing the computed
     right-hand-rule normal.
     """
     degenerate: list[int] = []
+    nonfinite: list[int] = []
     inverted: list[int] = []
     edge_count: dict[tuple[bytes, bytes], int] = {}
 
@@ -313,6 +321,8 @@ def validate_mesh(mesh: TriangleMesh, area_tol: float = 1e-12) -> MeshReport:
         area = 0.5 * computed.norm()
         if area < area_tol:
             degenerate.append(i)
+        if not f.is_finite():
+            nonfinite.append(i)
         if computed.norm() > 0.0 and f.normal.dot(computed) < 0.0:
             inverted.append(i)
         keys = [_vertex_key(v) for v in f.vertices]
@@ -333,6 +343,7 @@ def validate_mesh(mesh: TriangleMesh, area_tol: float = 1e-12) -> MeshReport:
     return MeshReport(
         facet_count=len(mesh.facets),
         degenerate_facets=tuple(degenerate),
+        nonfinite_facets=tuple(nonfinite),
         nonmanifold_edges=nonmanifold,
         inverted_normals=tuple(inverted),
         bbox_min=bbox_min,

@@ -11,6 +11,7 @@ becomes (a channel-down error, or a zero-filled gap).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -40,10 +41,10 @@ class ChannelParams:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.latency_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("latency_ms and jitter_ms must be >= 0")
-        if not (self.bandwidth_bytes_per_s > 0):
-            raise ValueError("bandwidth_bytes_per_s must be > 0")
+        if not (0 <= self.latency_ms < math.inf and 0 <= self.jitter_ms < math.inf):
+            raise ValueError("latency_ms and jitter_ms must be finite and >= 0")
+        if not (0 < self.bandwidth_bytes_per_s < math.inf):
+            raise ValueError("bandwidth_bytes_per_s must be finite and > 0")
         if not (0.0 <= self.loss_prob <= 1.0):
             raise ValueError("loss_prob must be within [0, 1]")
 

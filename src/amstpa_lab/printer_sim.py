@@ -16,6 +16,7 @@ contrast measurable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -74,7 +75,10 @@ class PrinterConfig:
         if layer_time is None:
             layer_time = DEFAULT_LAYER_TIME_MS[self.technology]
         # a non-numeric layer time fails here, before any job runs
-        object.__setattr__(self, "nominal_layer_time_ms", float(layer_time))
+        layer_time = float(layer_time)
+        if not (0 <= layer_time < math.inf):
+            raise ValueError("nominal_layer_time_ms must be finite and >= 0")
+        object.__setattr__(self, "nominal_layer_time_ms", layer_time)
 
 
 class JobStatus(Enum):

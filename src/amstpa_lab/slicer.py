@@ -4,15 +4,27 @@ Slicing planes follow the mid-plane rule z = z_min + (k + 0.5) * layer_height,
 which keeps planes off flat horizontal faces of well-behaved models.  Each
 triangle crossing a plane contributes one segment; segments are chained into
 contours by greedy endpoint matching with a snap tolerance.
+
+The layout follows Minetto et al., "An optimal algorithm for 3D triangle
+mesh slicing" (Computer-Aided Design 92, 2017).  A plane sweep finds, by
+bisection over the sorted plane heights, the planes each triangle spans, and
+visits a triangle only at those planes, in facet order.  Chaining buckets
+segment endpoints in a grid of cells at least 2 * snap_eps wide, so the next
+segment is looked up in the 3x3 cells around the chain's tail rather than
+among all unused segments.  The tie rule is exact: a chain starts at the
+lowest unused segment, and the next one is the lowest-indexed unused segment
+with an endpoint within snap_eps of the tail, its p end tested before its q
+end.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .mesh_io import TriangleMesh
+from .mesh_io import TriangleMesh, require_finite
 
 log = logging.getLogger(__name__)
 
@@ -118,32 +130,80 @@ def _simplify(points: list[Point2], closed: bool, eps: float) -> list[Point2]:
     return kept
 
 
+# A cell (ix, iy) is packed into the one int ix * _STRIDE + iy; _cell_keys
+# keeps |iy| below _STRIDE / 2, so the packing is one-to-one.
+_STRIDE = 1 << 43
+_NEIGHBOURS = tuple(dx * _STRIDE + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+
+def _cell_keys(segments: list[tuple[Point2, Point2]], eps: float) -> list[int]:
+    """Packed grid cell of every endpoint: p then q of each segment.
+
+    Cells are at least 2 * eps wide, so two endpoints within eps of each other
+    fall in the same or adjacent cells even after the cell index is rounded.
+    They are also at least 2**-40 of the largest coordinate wide, which keeps
+    every index within 2**41 for any eps, down to the smallest subnormal; an
+    eps whose double overflows makes one cell.  A layer with a non-finite
+    endpoint (a mesh wider than the float range) also gets one cell, so its
+    lookups scan every segment in index order, as a plain greedy search does.
+    """
+    coords = [c for seg in segments for point in seg for c in point]
+    if not all(map(math.isfinite, coords)):
+        return [0] * len(coords)
+    width = max(2.0 * eps, max(map(abs, coords), default=0.0) * 2.0**-40)
+    return [
+        math.floor(x / width) * _STRIDE + math.floor(y / width)
+        for seg in segments
+        for x, y in seg
+    ]
+
+
 def _chain_segments(segments: list[tuple[Point2, Point2]], eps: float) -> list[Contour]:
-    """Greedy chaining; ties broken by lowest segment index."""
-    unused = list(range(len(segments)))
+    """Greedy chaining; ties broken by lowest segment index.
+
+    Each cell lists, in index order, the segments with an endpoint in it.  A
+    lookup takes from each of the 3x3 cells around the tail the first unused
+    segment with an endpoint within eps, and keeps the lowest of these.
+    """
+    keys = _cell_keys(segments, eps)
+    cells: dict[int, list[int]] = {}
+    for e, key in enumerate(keys):
+        bucket = cells.setdefault(key, [])
+        if not bucket or bucket[-1] != e >> 1:
+            bucket.append(e >> 1)
+    n = len(segments)
+    used = [False] * n
     contours: list[Contour] = []
-    while unused:
-        first = unused.pop(0)
+    for first in range(n):
+        if used[first]:
+            continue
+        used[first] = True
         a, b = segments[first]
         chain = [a, b]
+        tail_key = keys[2 * first + 1]
         closed = False
         while True:
             tail = chain[-1]
-            found = None
-            for j in unused:
-                p, q = segments[j]
-                if _dist(p, tail) <= eps:
-                    found = (j, q)
-                    break
-                if _dist(q, tail) <= eps:
-                    found = (j, p)
-                    break
-            if found is None:
+            best = n
+            for offset in _NEIGHBOURS:
+                for j in cells.get(tail_key + offset, ()):
+                    if j >= best:
+                        break
+                    if used[j]:
+                        continue
+                    p, q = segments[j]
+                    if _dist(p, tail) <= eps:
+                        best, nxt, nxt_key = j, q, keys[2 * j + 1]
+                        break
+                    if _dist(q, tail) <= eps:
+                        best, nxt, nxt_key = j, p, keys[2 * j]
+                        break
+            if best == n:
                 closed = len(chain) > 2 and _dist(chain[0], chain[-1]) <= eps
                 break
-            j, nxt = found
-            unused.remove(j)
+            used[best] = True
             chain.append(nxt)
+            tail_key = nxt_key
             if _dist(chain[0], chain[-1]) <= eps:
                 closed = True
                 break
@@ -166,31 +226,44 @@ def slice_mesh(mesh: TriangleMesh, params: SliceParams) -> list[LayerPlan]:
 
     Layer count is ceil((z_max - z_min) / layer_height); a flat or empty
     mesh yields zero layers.  Closed contours are oriented counter-clockwise.
-    Open chains (from non-watertight input) are kept and flagged.
+    Open chains (from non-watertight input) are kept and flagged.  Raises
+    ValueError if a facet has a non-finite coordinate.
     """
+    require_finite(mesh)
     h = params.layer_height
-    zs_all = [v.z for f in mesh.facets for v in f.vertices]
-    if not zs_all:
-        return []
-    z_min, z_max = min(zs_all), max(zs_all)
-    if z_max == z_min:
-        return []
-    n_layers = math.ceil((z_max - z_min) / h)
-    nudge = 1e-9 * h
-
-    tri_cache = [
+    tris = [
         (
             (f.v0.z, f.v1.z, f.v2.z),
             ((f.v0.x, f.v0.y), (f.v1.x, f.v1.y), (f.v2.x, f.v2.y)),
         )
         for f in mesh.facets
     ]
+    if not tris:
+        return []
+    z_min = min(min(zs) for zs, _ in tris)
+    z_max = max(max(zs) for zs, _ in tris)
+    if z_max == z_min:
+        return []
+    n_layers = math.ceil((z_max - z_min) / h)
+    nudge = 1e-9 * h
+    planes = [z_min + (k + 0.5) * h for k in range(n_layers)]
+
+    # A triangle can cross only the planes within its z extent, ends
+    # included; _triangle_plane_segment settles those at the ends.
+    first = [bisect_left(planes, min(zs)) for zs, _ in tris]
+    stop = [bisect_right(planes, max(zs)) for zs, _ in tris]
+    entering: dict[int, list[int]] = {}  # first plane -> facets, in facet order
+    for i in range(len(tris)):
+        if first[i] < stop[i]:
+            entering.setdefault(first[i], []).append(i)
+    active: list[int] = []  # facets spanning the current plane, in facet order
 
     layers = []
-    for k in range(n_layers):
-        plane_z = z_min + (k + 0.5) * h
+    for k, plane_z in enumerate(planes):
+        active = sorted([i for i in active if stop[i] > k] + entering.get(k, []))
         segments = []
-        for zs, xy in tri_cache:
+        for i in active:
+            zs, xy = tris[i]
             seg = _triangle_plane_segment(zs, xy, plane_z, nudge)
             if seg is not None:
                 segments.append(seg)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -303,6 +304,32 @@ def _one_fault(kind, stage, **params):
     [
         pytest.param("simulate", ["--channel", "loss=abc"], id="channel-loss-not-a-number"),
         pytest.param("simulate", ["--packet-size", "0"], id="simulate-packet-size-0"),
+        pytest.param("simulate", ["--channel", "latency=nan"], id="channel-latency-nan"),
+        pytest.param("simulate", ["--channel", "jitter=inf"], id="channel-jitter-inf"),
+        pytest.param("simulate", ["--channel", "bw=inf"], id="channel-bandwidth-inf"),
+        pytest.param("simulate", ["--layer-time-ms", "nan"], id="layer-time-nan"),
+        pytest.param("simulate", ["--layer-time-ms", "-5"], id="layer-time-negative"),
+        pytest.param(
+            "campaign", {**CUBE_FLIPS, "channel": {"latency_ms": math.nan}}, id="config-latency-nan"
+        ),
+        pytest.param(
+            "campaign", {**CUBE_FLIPS, "channel": {"jitter_ms": math.inf}}, id="config-jitter-inf"
+        ),
+        pytest.param(
+            "campaign",
+            {**CUBE_FLIPS, "channel": {"bandwidth_bytes_per_s": math.inf}},
+            id="config-bandwidth-inf",
+        ),
+        pytest.param(
+            "campaign",
+            {**CUBE_FLIPS, "printer": {"nominal_layer_time_ms": math.nan}},
+            id="config-layer-time-nan",
+        ),
+        pytest.param(
+            "campaign",
+            {**CUBE_FLIPS, "printer": {"nominal_layer_time_ms": -5}},
+            id="config-layer-time-negative",
+        ),
         pytest.param("campaign", [CUBE_FLIPS], id="config-top-level-list"),
         pytest.param("campaign", {**CUBE_FLIPS, "slice": []}, id="config-block-not-object"),
         pytest.param("campaign", {"mesh": {"builtin": ["cube"]}}, id="builtin-mesh-not-a-name"),
@@ -369,6 +396,37 @@ def test_bad_input_exits_2_without_traceback(tmp_path, cube_file, capsys, comman
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("vertex", ["0 0 inf", "0 0 nan", "nan 0 1"])
+@pytest.mark.parametrize("command", ["slice", "simulate", "campaign"])
+def test_nonfinite_mesh_exits_2_without_traceback(tmp_path, capsys, command, vertex):
+    mesh = tmp_path / "bad.stl"
+    mesh.write_text(
+        "solid bad\nfacet normal 0 -1 0\nouter loop\n"
+        f"vertex 0 0 0\nvertex 1 0 1\nvertex {vertex}\n"
+        "endloop\nendfacet\nendsolid bad\n"
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mesh": {"path": str(mesh)}, "generate": {"count": 2}}))
+    argv = {
+        "slice": ["slice", str(mesh), "--layer-height", "0.25"],
+        "simulate": ["simulate", "--mesh", str(mesh)],
+        "campaign": ["campaign", "--config", str(config)],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {mesh}: facet 0 has a non-finite coordinate\n"
+    assert captured.out == ""
+
+
+def test_overflowing_scale_fault_is_classified(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_one_fault("scale_coords", "after_cad", factor=1e200)))
+    code, out = run_cli(["campaign", "--config", config])
+    assert code == 0
+    assert json.loads(out)["histogram"] == {"mesh_validation": 1}
 
 
 class TestUsage:

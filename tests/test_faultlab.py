@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import struct
 from dataclasses import replace
 
 import pytest
@@ -18,7 +20,7 @@ from amstpa_lab.faultlab import (
     run_demo_campaign,
 )
 from amstpa_lab.gcode import ToolpathParams
-from amstpa_lab.mesh_io import validate_mesh
+from amstpa_lab.mesh_io import emit_stl_binary, parse_stl, validate_mesh
 from amstpa_lab.netsim import ChannelParams, TransferMode
 from amstpa_lab.printer_sim import PrinterConfig, PrintPolicy
 from amstpa_lab.slicer import SliceParams, slice_mesh
@@ -158,6 +160,23 @@ class TestCampaign:
 
     def test_flip_normals_detected_by_mesh_validation(self, cube):
         spec = FaultSpec(FaultKind.FLIP_NORMALS, FaultStage.AFTER_CAD)
+        result = run_campaign(pipeline(), [spec], cube)
+        assert result.histogram == {DetectionStage.MESH_VALIDATION: 1}
+
+    def test_scale_past_float32_is_mesh_validation(self, cube):
+        # the scaled mesh has no binary STL form; the campaign goes on
+        spec = FaultSpec(FaultKind.SCALE_COORDS, FaultStage.AFTER_CAD, factor=1e200)
+        result = run_campaign(pipeline(), [spec, spec], cube)
+        assert result.histogram == {DetectionStage.MESH_VALIDATION: 2}
+
+    def test_infinite_normal_is_mesh_validation(self, cube):
+        # flipping bit 30 of a normal component of -1.0 makes it -inf; the
+        # vertices, and so the edge census, are untouched
+        stl = emit_stl_binary(cube)
+        component = 84 + 8  # z of facet 0's normal
+        assert struct.unpack_from("<f", stl, component) == (-1.0,)
+        spec = FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_CAD, offset=component * 8 + 30)
+        assert parse_stl(inject(stl, spec)).facets[0].normal.z == -math.inf
         result = run_campaign(pipeline(), [spec], cube)
         assert result.histogram == {DetectionStage.MESH_VALIDATION: 1}
 

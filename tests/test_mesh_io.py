@@ -225,6 +225,20 @@ class TestValidate:
         report = validate_mesh(mesh)
         assert report.degenerate_facets == (0,)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"v1": Vec3(0.0, math.nan, 0.0)}, {"normal": Vec3(0.0, 0.0, -math.inf)}],
+        ids=["vertex-nan", "normal-inf"],
+    )
+    def test_nonfinite_facet_listed(self, cube, bad):
+        f = cube.facets[5]
+        fields = {"normal": f.normal, "v0": f.v0, "v1": f.v1, "v2": f.v2, **bad}
+        mesh = TriangleMesh(cube.facets[:5] + (Facet(**fields),) + cube.facets[6:])
+        report = validate_mesh(mesh)
+        assert report.nonfinite_facets == (5,)
+        assert not report.is_clean()
+        assert validate_mesh(cube).nonfinite_facets == ()
+
     def test_inverted_normal_detected(self, cube):
         flipped = TriangleMesh(
             (
