@@ -15,6 +15,7 @@ import sys
 
 from . import shapes
 from .faultlab import (
+    CampaignError,
     CampaignResult,
     FaultSpec,
     FaultStage,
@@ -185,7 +186,10 @@ def _cmd_slice(args) -> int:
         params = SliceParams(layer_height=args.layer_height, snap_eps=args.snap_eps)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    layers = slice_mesh(mesh, params)
+    try:
+        layers = slice_mesh(mesh, params)
+    except ValueError as exc:
+        raise CliError(f"{args.file}: {exc}") from None
     _write_output(args.out, _dump_json(layers_to_dict(layers, args.layer_height)))
     return 0
 
@@ -235,7 +239,10 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
-    job = build_job(cfg, mesh)
+    try:
+        job = build_job(cfg, mesh)
+    except ValueError as exc:
+        raise CliError(f"{args.mesh}: {exc}") from None
     outcome, trace = run_job(
         job.sent, cfg.printer, cfg.channel, cfg.mode,
         packet_size=cfg.packet_size, enveloped=cfg.enveloped,
@@ -491,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, StlError, GCodeError, ModelError) as exc:
+    except (CliError, StlError, GCodeError, ModelError, CampaignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

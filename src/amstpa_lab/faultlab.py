@@ -14,8 +14,10 @@ folds its trials into a CampaignResult.  The demonstration campaign prepares
 one pristine job and runs the loop over it three times: full-image and
 streaming policies, then raw text without the envelope.  A fault spec is
 checked whole when it is built: its kind against its stage, and every
-parameter that needs no target; only checks against the target's size wait
-for `inject`.
+parameter that needs no target.  An explicit offset or length is checked
+against its pristine target once the pristine job exists, before any trial
+runs.  A trial whose fault leaves nothing to send is still classified: the
+printer never receives a job.
 """
 
 from __future__ import annotations
@@ -167,18 +169,16 @@ def inject(target: bytes | TriangleMesh, spec: FaultSpec):
     if not data:
         raise ValueError("cannot inject into an empty byte string")
 
+    _check_target_size(spec, len(data))
+
     if spec.kind is FaultKind.BIT_FLIP:
         limit = len(data) * 8
         offset = spec.offset if spec.offset is not None else _splitmix_at(spec.seed, 0) % limit
-        if not (0 <= offset < limit):
-            raise ValueError(f"bit offset {offset} out of range for {len(data)} bytes")
         data[offset // 8] ^= 1 << (offset % 8)
         return bytes(data)
 
     if spec.kind is FaultKind.BYTE_SET:
         offset = spec.offset if spec.offset is not None else _splitmix_at(spec.seed, 0) % len(data)
-        if not (0 <= offset < len(data)):
-            raise ValueError(f"byte offset {offset} out of range for {len(data)} bytes")
         if spec.value is not None:
             value = spec.value
         else:
@@ -190,9 +190,20 @@ def inject(target: bytes | TriangleMesh, spec: FaultSpec):
 
     # TRUNCATE
     new_len = spec.new_len if spec.new_len is not None else _splitmix_at(spec.seed, 0) % len(data)
-    if not (0 <= new_len <= len(data)):
-        raise ValueError(f"new length {new_len} out of range for {len(data)} bytes")
     return bytes(data[:new_len])
+
+
+def _check_target_size(spec: FaultSpec, size: int) -> None:
+    """Raise ValueError if the spec's explicit offset or length lies past `size` bytes.
+
+    Seed-derived offsets and lengths are always in range.
+    """
+    if spec.kind is FaultKind.BIT_FLIP and spec.offset is not None and spec.offset >= size * 8:
+        raise ValueError(f"bit offset {spec.offset} out of range for {size} bytes")
+    if spec.kind is FaultKind.BYTE_SET and spec.offset is not None and spec.offset >= size:
+        raise ValueError(f"byte offset {spec.offset} out of range for {size} bytes")
+    if spec.kind is FaultKind.TRUNCATE and spec.new_len is not None and spec.new_len > size:
+        raise ValueError(f"new length {spec.new_len} out of range for {size} bytes")
 
 
 class DetectionStage(Enum):
@@ -275,9 +286,31 @@ class _Pristine:
     job: Job
 
 
+class CampaignError(ValueError):
+    """A campaign that cannot start; raised before any trial runs."""
+
+
 def _prepare(cfg: PipelineConfig, base_mesh: TriangleMesh) -> _Pristine:
-    stl = emit_stl_binary(base_mesh)
-    return _Pristine(base_mesh, stl, build_job(cfg, base_mesh))
+    try:
+        stl = emit_stl_binary(base_mesh)
+        job = build_job(cfg, base_mesh)
+    except ValueError as exc:  # no binary STL form, or too tall to slice
+        raise CampaignError(f"cannot prepare the pristine job: {exc}") from None
+    return _Pristine(base_mesh, stl, job)
+
+
+def _check_targets(specs: list[FaultSpec], pristine: _Pristine) -> None:
+    """Refuse a byte fault whose explicit offset or length lies past its pristine target."""
+    sizes = {
+        FaultStage.AFTER_CAD: len(pristine.stl),
+        FaultStage.AFTER_SLICE: len(pristine.job.text),
+        FaultStage.IN_TRANSIT: len(pristine.job.sent),
+    }
+    for i, spec in enumerate(specs):
+        try:
+            _check_target_size(spec, sizes[spec.stage])
+        except ValueError as exc:
+            raise CampaignError(f"fault {i}: {exc}") from None
 
 
 def _run_trial(
@@ -311,6 +344,10 @@ def _run_trial(
     else:  # an in-transit byte fault
         sent = inject(pristine.job.sent, spec)
 
+    if not sent:  # truncated to nothing: no job reaches the printer
+        if cfg.enveloped:  # the printer finds no envelope header
+            return DetectionStage.INTEGRITY_VERIFY, None, None
+        return DetectionStage.PRINTER_OUTCOME, None, None  # an empty program
     outcome, trace = run_job(
         sent,
         cfg.printer,
@@ -358,8 +395,14 @@ def run_campaign(
     specs: list[FaultSpec],
     base_mesh: TriangleMesh,
 ) -> CampaignResult:
-    """Run every fault spec through the pipeline and tally detection stages."""
-    return _tally(_trials(cfg, specs, _prepare(cfg, base_mesh)))
+    """Run every fault spec through the pipeline and tally detection stages.
+
+    Raises CampaignError, before any trial runs, if the pristine job cannot
+    be built or a fault's explicit offset or length lies past its target.
+    """
+    pristine = _prepare(cfg, base_mesh)
+    _check_targets(specs, pristine)
+    return _tally(_trials(cfg, specs, pristine))
 
 
 def bit_flip_specs(count: int, stage: FaultStage, seed: int) -> list[FaultSpec]:

@@ -19,6 +19,7 @@ magic and length checks or by the stored-CRC comparison.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ _SYNDROME_MASKS = tuple(
 )
 _ENCODE_MASKS = tuple(mask & ((1 << 64) - 1) for mask in _SYNDROME_MASKS)
 _ALL_TX_MASK = (1 << 72) - 1
+_NONZERO = re.compile(rb"[^\x00]")
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,21 @@ def secded_decode(block: SecdedBlock) -> SecdedResult:
     return SecdedResult(word & ((1 << 64) - 1), corrected=1, double_error=False)
 
 
+# The check byte is linear over GF(2) in the data bits, so a block's check
+# byte is the XOR of each data byte's own contribution.  _LANES[j][b] is the
+# check byte of a block holding only byte b at lane j; bytes.translate looks
+# up a whole lane at once (the table-driven method of Sarwate's CRC).
+_LANES = tuple(bytes(secded_encode(b << 8 * j).check for b in range(256)) for j in range(8))
+
+
 def _ecc_bytes(payload: bytes) -> bytes:
-    out = bytearray()
-    for off in range(0, len(payload), 8):
-        chunk = payload[off : off + 8].ljust(8, b"\x00")
-        out.append(secded_encode(int.from_bytes(chunk, "little")).check)
-    return bytes(out)
+    """One check byte per 8-byte block; the final block is padded with zeros."""
+    blocks = (len(payload) + 7) // 8
+    padded = payload.ljust(8 * blocks, b"\x00")
+    check = 0
+    for j, lane in enumerate(_LANES):
+        check ^= int.from_bytes(padded[j::8].translate(lane), "little")
+    return check.to_bytes(blocks, "little")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +173,9 @@ def verify(wrapped: bytes) -> VerifyResult:
 
     Fields are checked in wire order so the result names the first failing
     one.  With ECC present, single-bit payload errors are corrected before
-    the CRC comparison and reported via corrected_bits.
+    the CRC comparison and reported via corrected_bits.  Only the blocks
+    whose recomputed check byte differs from the sent one are decoded, in
+    ascending order.
     """
     if wrapped[:4] != MAGIC:
         return VerifyResult(False, mismatch=MismatchKind.BAD_MAGIC,
@@ -181,17 +194,21 @@ def verify(wrapped: bytes) -> VerifyResult:
     corrected = 0
     if ecc_present:
         checks = wrapped[HEADER_SIZE + payload_len :]
-        fixed = bytearray()
-        for i in range(ecc_len):
+        # a block's syndrome byte is zero exactly when it needs no correction
+        syndromes = (
+            int.from_bytes(_ecc_bytes(payload), "little") ^ int.from_bytes(checks, "little")
+        ).to_bytes(ecc_len, "little")
+        fixed = bytearray(payload)
+        for match in _NONZERO.finditer(syndromes):
+            i = match.start()
             chunk = payload[i * 8 : i * 8 + 8]
-            pad = 8 - len(chunk)
             block = SecdedBlock(int.from_bytes(chunk.ljust(8, b"\x00"), "little"), checks[i])
             result = secded_decode(block)
             if result.double_error:
                 return VerifyResult(False, mismatch=MismatchKind.UNCORRECTABLE_ECC,
                                     detail=f"double-bit error in 8-byte block {i}")
             corrected += result.corrected
-            fixed += result.data.to_bytes(8, "little")[: 8 - pad]
+            fixed[i * 8 : i * 8 + len(chunk)] = result.data.to_bytes(8, "little")[: len(chunk)]
         payload = bytes(fixed)
     if crc32(payload) != stored_crc:
         return VerifyResult(False, corrected_bits=corrected, mismatch=MismatchKind.CRC_MISMATCH,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,6 +19,7 @@ log = logging.getLogger(__name__)
 BINARY_HEADER = b"amstpa-lab".ljust(80, b"\x00")
 _RECORD = struct.Struct("<12fH")
 _COUNT = struct.Struct("<I")
+_VERTICES = struct.Struct("<9d")
 
 
 class StlError(ValueError):
@@ -245,7 +247,7 @@ def parse_stl(data: bytes) -> TriangleMesh:
 def require_finite(mesh: TriangleMesh) -> None:
     """Raise ValueError naming the first facet with a NaN or infinite coordinate."""
     for i, f in enumerate(mesh.facets):
-        if not f.is_finite():
+        if not _finite(_coords(f)):
             raise ValueError(f"facet {i} has a non-finite coordinate")
 
 
@@ -256,13 +258,7 @@ def emit_stl_binary(mesh: TriangleMesh) -> bytes:
     out += _COUNT.pack(len(mesh.facets))
     for i, f in enumerate(mesh.facets):
         try:
-            out += _RECORD.pack(
-                f.normal.x, f.normal.y, f.normal.z,
-                f.v0.x, f.v0.y, f.v0.z,
-                f.v1.x, f.v1.y, f.v1.z,
-                f.v2.x, f.v2.y, f.v2.z,
-                0,
-            )
+            out += _RECORD.pack(*_coords(f), 0)
         except OverflowError:
             raise ValueError(f"facet {i} has a coordinate beyond 32-bit float range") from None
     return bytes(out)
@@ -294,9 +290,14 @@ def emit_stl_ascii(mesh: TriangleMesh, precision: int = 6) -> bytes:
     return "".join(parts).encode("ascii")
 
 
-def _vertex_key(v: Vec3) -> bytes:
-    # exact bit-pattern identity, deliberately stricter than epsilon snapping
-    return struct.pack("<3d", v.x, v.y, v.z)
+def _coords(f: Facet) -> tuple[float, ...]:
+    """The facet's 12 floats: normal, then v0, v1 and v2, each x, y, z."""
+    n, a, b, c = f.normal, f.v0, f.v1, f.v2
+    return (n.x, n.y, n.z, a.x, a.y, a.z, b.x, b.y, b.z, c.x, c.y, c.z)
+
+
+def _finite(coords: tuple[float, ...]) -> bool:
+    return all(map(math.isfinite, coords))
 
 
 def validate_mesh(mesh: TriangleMesh, area_tol: float = 1e-12) -> MeshReport:
@@ -311,31 +312,38 @@ def validate_mesh(mesh: TriangleMesh, area_tol: float = 1e-12) -> MeshReport:
     degenerate: list[int] = []
     nonfinite: list[int] = []
     inverted: list[int] = []
-    edge_count: dict[tuple[bytes, bytes], int] = {}
-
-    xs: list[float] = []
-    ys: list[float] = []
-    zs: list[float] = []
+    edges: list[tuple[bytes, bytes]] = []
+    points: list[float] = []  # x, y, z of every vertex in facet order
+    pack = _VERTICES.pack
     for i, f in enumerate(mesh.facets):
-        computed = f.computed_normal()
-        area = 0.5 * computed.norm()
-        if area < area_tol:
+        coords = _coords(f)
+        nx, ny, nz, ax, ay, az, bx, by, bz, cx, cy, cz = coords
+        # right-hand-rule normal (v1 - v0) x (v2 - v0)
+        ux, uy, uz = bx - ax, by - ay, bz - az
+        wx, wy, wz = cx - ax, cy - ay, cz - az
+        px, py, pz = uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx
+        norm = math.sqrt(px * px + py * py + pz * pz)
+        if 0.5 * norm < area_tol:
             degenerate.append(i)
-        if not f.is_finite():
+        if not _finite(coords):
             nonfinite.append(i)
-        if computed.norm() > 0.0 and f.normal.dot(computed) < 0.0:
+        if norm > 0.0 and nx * px + ny * py + nz * pz < 0.0:
             inverted.append(i)
-        keys = [_vertex_key(v) for v in f.vertices]
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            edge = (min(keys[a], keys[b]), max(keys[a], keys[b]))
-            edge_count[edge] = edge_count.get(edge, 0) + 1
-        for v in f.vertices:
-            xs.append(v.x)
-            ys.append(v.y)
-            zs.append(v.z)
+        # vertex keys are their exact bit patterns, deliberately stricter
+        # than epsilon snapping: -0.0 and 0.0 differ, a NaN matches its bits
+        vertices = coords[3:]
+        keys = pack(*vertices)
+        k0, k1, k2 = keys[:24], keys[24:48], keys[48:]
+        edges += (
+            (k0, k1) if k0 < k1 else (k1, k0),
+            (k1, k2) if k1 < k2 else (k2, k1),
+            (k2, k0) if k2 < k0 else (k0, k2),
+        )
+        points += vertices
 
-    nonmanifold = sum(1 for c in edge_count.values() if c != 2)
-    if xs:
+    nonmanifold = sum(1 for c in Counter(edges).values() if c != 2)
+    if points:
+        xs, ys, zs = points[0::3], points[1::3], points[2::3]
         bbox_min = Vec3(min(xs), min(ys), min(zs))
         bbox_max = Vec3(max(xs), max(ys), max(zs))
     else:

@@ -227,7 +227,8 @@ def slice_mesh(mesh: TriangleMesh, params: SliceParams) -> list[LayerPlan]:
     Layer count is ceil((z_max - z_min) / layer_height); a flat or empty
     mesh yields zero layers.  Closed contours are oriented counter-clockwise.
     Open chains (from non-watertight input) are kept and flagged.  Raises
-    ValueError if a facet has a non-finite coordinate.
+    ValueError if a facet has a non-finite coordinate or if the layer count
+    overflows a double.
     """
     require_finite(mesh)
     h = params.layer_height
@@ -244,7 +245,13 @@ def slice_mesh(mesh: TriangleMesh, params: SliceParams) -> list[LayerPlan]:
     z_max = max(max(zs) for zs, _ in tris)
     if z_max == z_min:
         return []
-    n_layers = math.ceil((z_max - z_min) / h)
+    count = (z_max - z_min) / h
+    if count == math.inf:
+        raise ValueError(
+            f"z extent {z_min:g} to {z_max:g} mm over layer height {h:g} mm "
+            "overflows the layer count"
+        )
+    n_layers = math.ceil(count)
     nudge = 1e-9 * h
     planes = [z_min + (k + 0.5) * h for k in range(n_layers)]
 

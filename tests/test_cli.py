@@ -367,6 +367,21 @@ def _one_fault(kind, stage, **params):
             "campaign", _one_fault("truncate", "in_transit", new_len="abc"), id="truncate-len-abc"
         ),
         pytest.param(
+            "campaign",
+            _one_fault("bit_flip", "after_slice", offset=999999999),
+            id="bit-flip-offset-past-target",
+        ),
+        pytest.param(
+            "campaign",
+            _one_fault("byte_set", "in_transit", offset=1 << 40),
+            id="byte-set-offset-past-target",
+        ),
+        pytest.param(
+            "campaign",
+            _one_fault("truncate", "after_cad", new_len=1 << 40),
+            id="truncate-len-past-target",
+        ),
+        pytest.param(
             "report",
             {"trials": 1, "histogram": {"bogus": 1}, "undetected_trials": []},
             id="report-unknown-stage",
@@ -419,6 +434,77 @@ def test_nonfinite_mesh_exits_2_without_traceback(tmp_path, capsys, command, ver
     assert code == 2
     assert captured.err == f"error: {mesh}: facet 0 has a non-finite coordinate\n"
     assert captured.out == ""
+
+
+def _one_facet(tmp_path, a, b, c):
+    mesh = tmp_path / "facet.stl"
+    mesh.write_text(
+        "solid one\nfacet normal 1 0 0\nouter loop\n"
+        f"vertex {a}\nvertex {b}\nvertex {c}\n"
+        "endloop\nendfacet\nendsolid one\n"
+    )
+    return mesh
+
+
+def test_campaign_mesh_beyond_float32_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    mesh = _one_facet(tmp_path, "1e39 0 1", "0 1 1", "0 0 1")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mesh": {"path": str(mesh)}, "generate": {"count": 1}}))
+    trials = []
+    monkeypatch.setattr(faultlab, "_run_trial", lambda *args: trials.append(args))
+    code = main(["campaign", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: cannot prepare the pristine job: "
+        "facet 0 has a coordinate beyond 32-bit float range\n"
+    )
+    assert captured.out == "" and trials == []
+
+
+@pytest.mark.parametrize(
+    "command, z, layer_height",
+    [
+        ("slice", 1e308, 0.25),
+        ("simulate", 1e308, 0.25),
+        # within float32 range, so the campaign reaches the slicer
+        ("campaign", 3e38, 1e-300),
+    ],
+)
+def test_overflowing_layer_count_exits_2(tmp_path, capsys, command, z, layer_height):
+    mesh = _one_facet(tmp_path, f"0 0 {-z}", f"0 1 {z}", f"0 0 {z}")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "mesh": {"path": str(mesh)},
+        "slice": {"layer_height": layer_height},
+        "generate": {"count": 1},
+    }))
+    argv = {
+        "slice": ["slice", str(mesh), "--layer-height", str(layer_height)],
+        "simulate": ["simulate", "--mesh", str(mesh), "--layer-height", str(layer_height)],
+        "campaign": ["campaign", "--config", str(config)],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.endswith(
+        f"z extent {-z:g} to {z:g} mm over layer height {layer_height:g} mm "
+        "overflows the layer count\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "envelope, stage", [(True, "integrity_verify"), (False, "printer_outcome")]
+)
+def test_in_transit_truncate_to_nothing_is_classified(tmp_path, envelope, stage):
+    config = tmp_path / "config.json"
+    doc = {**_one_fault("truncate", "in_transit", new_len=0), "envelope": envelope}
+    config.write_text(json.dumps(doc))
+    code, out = run_cli(["campaign", "--config", config])
+    assert code == 0
+    assert json.loads(out)["histogram"] == {stage: 1}
 
 
 def test_overflowing_scale_fault_is_classified(tmp_path):

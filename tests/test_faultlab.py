@@ -20,7 +20,14 @@ from amstpa_lab.faultlab import (
     run_demo_campaign,
 )
 from amstpa_lab.gcode import ToolpathParams
-from amstpa_lab.mesh_io import emit_stl_binary, parse_stl, validate_mesh
+from amstpa_lab.mesh_io import (
+    Facet,
+    TriangleMesh,
+    Vec3,
+    emit_stl_binary,
+    parse_stl,
+    validate_mesh,
+)
 from amstpa_lab.netsim import ChannelParams, TransferMode
 from amstpa_lab.printer_sim import PrinterConfig, PrintPolicy
 from amstpa_lab.slicer import SliceParams, slice_mesh
@@ -230,6 +237,74 @@ class TestCampaign:
         result = run_campaign(pipeline(ecc=True, seed=13), specs, cube)
         assert result.count(DetectionStage.UNDETECTED) == 0
         assert result.count(DetectionStage.INTEGRITY_VERIFY) == 100
+
+
+class TestFaultTargets:
+    """Every fault a campaign accepts becomes a trial; a fault that no trial
+    can plant is refused before the first trial runs."""
+
+    @pytest.mark.parametrize(
+        "enveloped, stage",
+        [(True, DetectionStage.INTEGRITY_VERIFY), (False, DetectionStage.PRINTER_OUTCOME)],
+        ids=["enveloped", "raw"],
+    )
+    def test_in_transit_truncate_to_nothing_is_classified(self, cube, enveloped, stage):
+        explicit = FaultSpec(FaultKind.TRUNCATE, FaultStage.IN_TRANSIT, new_len=0)
+        # seeds whose derived new_len is 0 on the cube's 832-byte envelope
+        # and on its 807-byte raw text
+        derived = FaultSpec(FaultKind.TRUNCATE, FaultStage.IN_TRANSIT,
+                            seed=481 if enveloped else 944)
+        sent = faultlab._prepare(pipeline(enveloped=enveloped), cube).job.sent
+        assert inject(sent, derived) == b""
+        result = run_campaign(pipeline(enveloped=enveloped), [explicit, derived], cube)
+        assert result.histogram == {stage: 2}
+
+    def test_after_slice_truncate_to_nothing_is_classified(self, cube):
+        spec = FaultSpec(FaultKind.TRUNCATE, FaultStage.AFTER_SLICE, new_len=0)
+        for enveloped in (True, False):
+            result = run_campaign(pipeline(enveloped=enveloped), [spec], cube)
+            assert result.histogram == {DetectionStage.PRINTER_OUTCOME: 1}
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_SLICE, offset=999999999),
+             "fault 1: bit offset 999999999 out of range for 807 bytes"),
+            (FaultSpec(FaultKind.BIT_FLIP, FaultStage.IN_TRANSIT, offset=832 * 8),
+             "fault 1: bit offset 6656 out of range for 832 bytes"),
+            (FaultSpec(FaultKind.BYTE_SET, FaultStage.AFTER_CAD, offset=684),
+             "fault 1: byte offset 684 out of range for 684 bytes"),
+            (FaultSpec(FaultKind.TRUNCATE, FaultStage.IN_TRANSIT, new_len=833),
+             "fault 1: new length 833 out of range for 832 bytes"),
+        ],
+        ids=["after-slice-bit", "in-transit-bit", "after-cad-byte", "in-transit-length"],
+    )
+    def test_explicit_target_past_its_end_refused_before_any_trial(
+        self, cube, monkeypatch, spec, message
+    ):
+        trials = []
+        monkeypatch.setattr(faultlab, "_run_trial", lambda *args: trials.append(args))
+        fine = FaultSpec(FaultKind.BIT_FLIP, FaultStage.IN_TRANSIT, seed=1)
+        with pytest.raises(faultlab.CampaignError) as err:
+            run_campaign(pipeline(), [fine, spec], cube)
+        assert str(err.value) == message
+        assert trials == []
+
+    def test_explicit_target_at_its_end_accepted(self, cube):
+        specs = [
+            FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_SLICE, offset=807 * 8 - 1),
+            FaultSpec(FaultKind.BYTE_SET, FaultStage.IN_TRANSIT, offset=831, value=0),
+            FaultSpec(FaultKind.TRUNCATE, FaultStage.AFTER_CAD, new_len=684),
+        ]
+        assert run_campaign(pipeline(), specs, cube).trials == 3
+
+    def test_mesh_beyond_float32_refused_before_any_trial(self):
+        mesh = TriangleMesh(
+            (Facet(Vec3(0.0, 0.0, 1.0), Vec3(1e39, 0.0, 1.0), Vec3(0.0, 1.0, 1.0),
+                   Vec3(0.0, 0.0, 1.0)),)
+        )
+        with pytest.raises(faultlab.CampaignError, match="beyond 32-bit float range"):
+            run_campaign(pipeline(), bit_flip_specs(1, FaultStage.IN_TRANSIT, seed=0), mesh)
 
 
 @pytest.fixture(scope="module")

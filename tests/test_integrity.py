@@ -6,10 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from amstpa_lab.integrity import (
+    _HEADER,
     HEADER_SIZE,
     MAGIC,
     MismatchKind,
     SecdedBlock,
+    VerifyResult,
+    _ecc_bytes,
     crc32,
     read_header,
     secded_decode,
@@ -190,3 +193,112 @@ class TestEnvelope:
             wrap(b"x", -1)
         with pytest.raises(ValueError):
             wrap(b"x", 1 << 64)
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles: the per-block encoder and decoder that the lane-table
+# encoder and the syndrome-only decoder replaced.
+# ---------------------------------------------------------------------------
+
+
+def scalar_ecc_bytes(payload: bytes) -> bytes:
+    out = bytearray()
+    for off in range(0, len(payload), 8):
+        chunk = payload[off : off + 8].ljust(8, b"\x00")
+        out.append(secded_encode(int.from_bytes(chunk, "little")).check)
+    return bytes(out)
+
+
+def scalar_verify(wrapped: bytes) -> VerifyResult:
+    if wrapped[:4] != MAGIC:
+        return VerifyResult(False, mismatch=MismatchKind.BAD_MAGIC,
+                            detail=f"expected {MAGIC!r}, got {bytes(wrapped[:4])!r}")
+    if len(wrapped) < HEADER_SIZE:
+        return VerifyResult(False, mismatch=MismatchKind.LENGTH_MISMATCH,
+                            detail=f"header truncated at {len(wrapped)} bytes")
+    _, payload_len, record_count, stored_crc, flag = _HEADER.unpack_from(wrapped, 0)
+    ecc_present = flag != 0
+    ecc_len = (payload_len + 7) // 8 if ecc_present else 0
+    expected = HEADER_SIZE + payload_len + ecc_len
+    if len(wrapped) != expected:
+        return VerifyResult(False, mismatch=MismatchKind.LENGTH_MISMATCH,
+                            detail=f"expected {expected} bytes, got {len(wrapped)}")
+    payload = wrapped[HEADER_SIZE : HEADER_SIZE + payload_len]
+    corrected = 0
+    if ecc_present:
+        checks = wrapped[HEADER_SIZE + payload_len :]
+        fixed = bytearray()
+        for i in range(ecc_len):
+            chunk = payload[i * 8 : i * 8 + 8]
+            pad = 8 - len(chunk)
+            block = SecdedBlock(int.from_bytes(chunk.ljust(8, b"\x00"), "little"), checks[i])
+            result = secded_decode(block)
+            if result.double_error:
+                return VerifyResult(False, mismatch=MismatchKind.UNCORRECTABLE_ECC,
+                                    detail=f"double-bit error in 8-byte block {i}")
+            corrected += result.corrected
+            fixed += result.data.to_bytes(8, "little")[: 8 - pad]
+        payload = bytes(fixed)
+    if crc32(payload) != stored_crc:
+        return VerifyResult(False, corrected_bits=corrected, mismatch=MismatchKind.CRC_MISMATCH,
+                            detail=f"stored 0x{stored_crc:08X}, computed 0x{crc32(payload):08X}")
+    return VerifyResult(True, payload=payload, record_count=record_count, corrected_bits=corrected)
+
+
+def block_bits(payload_len: int, block: int) -> list[int]:
+    """Bit offsets, within an ECC envelope, of one block's sent data and check bits."""
+    data = range((HEADER_SIZE + 8 * block) * 8, (HEADER_SIZE + min(8 * block + 8, payload_len)) * 8)
+    check = HEADER_SIZE + payload_len + block
+    return [*data, *range(check * 8, check * 8 + 8)]
+
+
+@st.composite
+def damaged_envelopes(draw):
+    """An ECC envelope with 0 to 3 flipped bits in each of up to 4 blocks."""
+    payload = draw(st.binary(min_size=1, max_size=120))
+    wrapped = bytearray(wrap(payload, draw(st.integers(0, 99)), with_ecc=True))
+    blocks = (len(payload) + 7) // 8
+    last = st.just(blocks - 1)  # the padded final block, drawn often
+    for block in draw(st.lists(st.integers(0, blocks - 1) | last, max_size=4, unique=True)):
+        for bit in draw(st.lists(st.sampled_from(block_bits(len(payload), block)),
+                                 max_size=3, unique=True)):
+            wrapped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(wrapped)
+
+
+class TestBulkSecdedMatchesScalarOracle:
+    def test_encode_every_length_to_300(self):
+        data = random.Random(300).randbytes(300)
+        for n in range(301):
+            assert _ecc_bytes(data[:n]) == scalar_ecc_bytes(data[:n]), n
+
+    def test_encode_large_payload(self):
+        data = random.Random(76283).randbytes(76283)
+        assert _ecc_bytes(data) == scalar_ecc_bytes(data)
+
+    @given(st.binary(max_size=300))
+    def test_encode(self, payload):
+        assert _ecc_bytes(payload) == scalar_ecc_bytes(payload)
+
+    @given(damaged_envelopes())
+    def test_verify(self, wrapped):
+        assert verify(wrapped) == scalar_verify(wrapped)
+
+    def test_verify_reports_the_first_double_error(self):
+        wrapped = bytearray(wrap(bytes(range(40)), 5, with_ecc=True))
+        for block in (1, 3):  # two bits in each of blocks 1 and 3
+            for bit in block_bits(40, block)[:2]:
+                wrapped[bit // 8] ^= 1 << (bit % 8)
+        wrapped[HEADER_SIZE] ^= 0x01  # and one correctable bit in block 0
+        result = verify(bytes(wrapped))
+        assert result == scalar_verify(bytes(wrapped))
+        assert result.detail == "double-bit error in 8-byte block 1"
+
+    def test_verify_corrects_the_padded_final_block(self):
+        payload = b"0123456789"  # the second block holds 2 bytes and 6 of padding
+        for bit in block_bits(len(payload), 1):
+            wrapped = bytearray(wrap(payload, 1, with_ecc=True))
+            wrapped[bit // 8] ^= 1 << (bit % 8)
+            result = verify(bytes(wrapped))
+            assert result == scalar_verify(bytes(wrapped))
+            assert result.ok and result.corrected_bits == 1 and result.payload == payload

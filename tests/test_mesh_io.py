@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 from pathlib import Path
@@ -11,6 +12,7 @@ from amstpa_lab.mesh_io import (
     BINARY_HEADER,
     Encoding,
     Facet,
+    MeshReport,
     StlError,
     TriangleMesh,
     Vec3,
@@ -268,3 +270,133 @@ class TestValidate:
                 assert report.bbox_min.x <= v.x <= report.bbox_max.x
                 assert report.bbox_min.y <= v.y <= report.bbox_max.y
                 assert report.bbox_min.z <= v.z <= report.bbox_max.z
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle: the validator the single-pass one replaced.
+# ---------------------------------------------------------------------------
+
+
+def _vertex_key(v: Vec3) -> bytes:
+    return struct.pack("<3d", v.x, v.y, v.z)
+
+
+def scalar_validate_mesh(mesh: TriangleMesh, area_tol: float = 1e-12) -> MeshReport:
+    degenerate: list[int] = []
+    nonfinite: list[int] = []
+    inverted: list[int] = []
+    edge_count: dict[tuple[bytes, bytes], int] = {}
+
+    xs: list[float] = []
+    ys: list[float] = []
+    zs: list[float] = []
+    for i, f in enumerate(mesh.facets):
+        computed = f.computed_normal()
+        area = 0.5 * computed.norm()
+        if area < area_tol:
+            degenerate.append(i)
+        if not f.is_finite():
+            nonfinite.append(i)
+        if computed.norm() > 0.0 and f.normal.dot(computed) < 0.0:
+            inverted.append(i)
+        keys = [_vertex_key(v) for v in f.vertices]
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            edge = (min(keys[a], keys[b]), max(keys[a], keys[b]))
+            edge_count[edge] = edge_count.get(edge, 0) + 1
+        for v in f.vertices:
+            xs.append(v.x)
+            ys.append(v.y)
+            zs.append(v.z)
+
+    nonmanifold = sum(1 for c in edge_count.values() if c != 2)
+    if xs:
+        bbox_min = Vec3(min(xs), min(ys), min(zs))
+        bbox_max = Vec3(max(xs), max(ys), max(zs))
+    else:
+        bbox_min = bbox_max = Vec3(0.0, 0.0, 0.0)
+    return MeshReport(
+        facet_count=len(mesh.facets),
+        degenerate_facets=tuple(degenerate),
+        nonfinite_facets=tuple(nonfinite),
+        nonmanifold_edges=nonmanifold,
+        inverted_normals=tuple(inverted),
+        bbox_min=bbox_min,
+        bbox_max=bbox_max,
+        watertight=(nonmanifold == 0 and len(mesh.facets) > 0),
+    )
+
+
+def exact(report: MeshReport) -> MeshReport:
+    """The report with its box corners as bit patterns, so a NaN equals itself."""
+    def bits(v: Vec3) -> bytes:
+        return struct.pack("<3d", v.x, v.y, v.z)
+
+    return dataclasses.replace(report, bbox_min=bits(report.bbox_min),
+                               bbox_max=bits(report.bbox_max))
+
+
+# few distinct values, so facets share vertices, collapse and flip; the
+# signed zeros and the two NaNs differ only in their bits
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.5, 1e-7, 1e-160, math.nan, -math.nan, math.inf, -math.inf]
+CLOSED = [shapes.box(), shapes.corner_tetrahedron(), shapes.octahedron(), shapes.ngon_prism(5)]
+
+
+@st.composite
+def awkward_meshes(draw):
+    """A closed solid with some facets edited, or a soup over a small vertex pool."""
+    if draw(st.booleans()):
+        facets = list(draw(st.sampled_from(CLOSED)).facets)
+        for _ in range(draw(st.integers(0, 4))):
+            i = draw(st.integers(0, len(facets) - 1))
+            f = facets[i]
+            edit = draw(st.sampled_from(["flip", "normal", "v0", "v1", "v2", "collapse"]))
+            if edit == "flip":
+                facets[i] = Facet(Vec3(-f.normal.x, -f.normal.y, -f.normal.z), f.v0, f.v1, f.v2)
+            elif edit == "collapse":
+                facets[i] = Facet(f.normal, f.v0, f.v0, f.v2)
+            else:
+                facets[i] = dataclasses.replace(f, **{edit: draw(vec3s(st.sampled_from(SPECIAL)))})
+        return TriangleMesh(tuple(facets))
+    pool = draw(st.lists(vec3s(st.sampled_from(SPECIAL)), min_size=1, max_size=6))
+    vertex = st.sampled_from(pool)
+    facet = st.builds(Facet, vec3s(st.sampled_from(SPECIAL) | finite64), vertex, vertex, vertex)
+    return TriangleMesh(tuple(draw(st.lists(facet, max_size=10))))
+
+
+class TestValidateMatchesScalarOracle:
+    @given(awkward_meshes(), st.sampled_from([1e-12, 0.0, 0.5, math.inf]))
+    def test_awkward_meshes(self, mesh, area_tol):
+        assert exact(validate_mesh(mesh, area_tol)) == exact(scalar_validate_mesh(mesh, area_tol))
+
+    @given(meshes(finite64, Encoding.ASCII))
+    def test_random_meshes(self, mesh):
+        assert exact(validate_mesh(mesh)) == exact(scalar_validate_mesh(mesh))
+
+    def test_signed_zero_vertices_are_distinct(self):
+        cube = shapes.box()
+        f = cube.facets[0]
+        twin = Facet(f.normal, Vec3(-f.v0.x, f.v0.y, f.v0.z), f.v1, f.v2)
+        assert f.v0.x == 0.0  # so the twin differs only in the sign of zero
+        mesh = TriangleMesh((twin,) + cube.facets[1:])
+        report = validate_mesh(mesh)
+        assert report == scalar_validate_mesh(mesh)
+        assert report.nonmanifold_edges == 4 and not report.watertight
+
+    def test_underflowing_normal_is_not_inverted(self):
+        # the cross product is 1e-320 along z, so its norm underflows to 0
+        # while its dot with the stored normal is still negative
+        tiny = TriangleMesh((Facet(Vec3(0.0, 0.0, -1.0), Vec3(0.0, 0.0, 0.0),
+                                   Vec3(1e-160, 0.0, 0.0), Vec3(0.0, 1e-160, 0.0)),))
+        report = validate_mesh(tiny)
+        assert report == scalar_validate_mesh(tiny)
+        assert report.inverted_normals == () and report.degenerate_facets == (0,)
+
+    def test_nan_bounds_follow_facet_order(self):
+        # min and max keep a NaN met first, so the box depends on vertex order
+        cube = shapes.box()
+        f = cube.facets[0]
+        first = Facet(f.normal, Vec3(math.nan, f.v0.y, f.v0.z), f.v1, f.v2)
+        mesh = TriangleMesh((first,) + cube.facets[1:])
+        report = validate_mesh(mesh)
+        assert exact(report) == exact(scalar_validate_mesh(mesh))
+        assert math.isnan(report.bbox_min.x) and math.isnan(report.bbox_max.x)
