@@ -335,14 +335,14 @@ def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int |
         if doc.get("demo", False):
             check_demo(cfg)
             demo_count = int(_block(doc, "generate").get("count", 200))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"bad campaign config: {exc}") from None
 
     specs: list[FaultSpec] | None = None
     if "faults" in doc:
         try:
             specs = [FaultSpec.from_dict(d) for d in doc["faults"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"bad fault spec: {exc}") from None
     elif "generate" in doc:
         gen = _block(doc, "generate")
@@ -350,7 +350,7 @@ def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int |
             kind = FaultKind(gen.get("kind", "bit_flip"))
             stage = FaultStage(gen.get("stage", "in_transit"))
             count = int(gen.get("count", 100))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"bad generate block: {exc}") from None
         if kind is not FaultKind.BIT_FLIP:
             raise CliError("generate currently supports kind 'bit_flip' only")

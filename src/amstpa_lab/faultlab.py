@@ -17,7 +17,9 @@ checked whole when it is built: its kind against its stage, and every
 parameter that needs no target.  An explicit offset or length is checked
 against its pristine target once the pristine job exists, before any trial
 runs.  A trial whose fault leaves nothing to send is still classified: the
-printer never receives a job.
+printer never receives a job.  So is an after-CAD fault that leaves a mesh
+the slicer refuses (more than `slicer.MAX_LAYERS` layers): like one scaled
+past the float range of binary STL, it lands in mesh validation.
 """
 
 from __future__ import annotations
@@ -336,7 +338,10 @@ def _run_trial(
             return DetectionStage.PARSE_ERROR, None, None
         if not validate_mesh(mesh).is_clean():
             return DetectionStage.MESH_VALIDATION, None, None
-        sent = reference = build_job(cfg, mesh).sent
+        try:
+            sent = reference = build_job(cfg, mesh).sent
+        except ValueError:  # the slicer refuses it: too many layers
+            return DetectionStage.MESH_VALIDATION, None, None
     elif spec.stage is FaultStage.AFTER_SLICE:
         sent = reference = _wrap_stage(cfg, inject(pristine.job.text, spec))
     elif spec.kind is FaultKind.DROP_PACKETS:  # in transit, through the channel

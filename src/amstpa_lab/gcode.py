@@ -11,16 +11,25 @@ line as LF, CR and CRLF do.  `;` starts a comment that runs to the end of
 its line.  A record is a line that still holds code once its comment and
 surrounding whitespace are removed; each record is one command.  `scan`
 applies the line rule and parses each line, and `fold` applies the layer
-rule; `parse_text`, `count_records` and `path_length` are views over the
-two.
+rule and checks the program invariants in the same pass; `parse_text`,
+`check_program`, `count_records` and `path_length` are views over the two.
+
+Commands are tuple records: the two moves are NamedTuples, and the four
+commands without arguments are empty tuples equal only to their own kind.
+The planner writes every move in one of two canonical forms, `G1 X Y E F`
+and `G0 X Y Z`.  `emit_text` renders each with one f-string, and `scan`
+matches each line against one compiled regex per form; a line that matches
+neither goes through the general parser, `_parse_line`.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .slicer import LayerPlan, contour_perimeter
 
@@ -37,15 +46,13 @@ class GCodeError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class RapidMove:
+class RapidMove(NamedTuple):
     x: float | None = None
     y: float | None = None
     z: float | None = None
 
 
-@dataclass(frozen=True)
-class LinearMove:
+class LinearMove(NamedTuple):
     x: float | None = None
     y: float | None = None
     z: float | None = None
@@ -53,24 +60,41 @@ class LinearMove:
     f: float | None = None
 
 
-@dataclass(frozen=True)
-class UseMillimeters:
-    pass
+class _Word(tuple):
+    """A command without arguments, equal only to a command of its own kind.
+
+    As plain empty tuples, UseMillimeters() and Home() would compare equal.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self)
+
+    def __ne__(self, other: object) -> bool:
+        return type(other) is not type(self)
+
+    def __hash__(self) -> int:
+        return hash(type(self).__name__)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
 
 
-@dataclass(frozen=True)
-class AbsolutePositioning:
-    pass
+class UseMillimeters(_Word):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Home:
-    pass
+class AbsolutePositioning(_Word):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProgramEnd:
-    pass
+class Home(_Word):
+    __slots__ = ()
+
+
+class ProgramEnd(_Word):
+    __slots__ = ()
 
 
 Command = RapidMove | LinearMove | UseMillimeters | AbsolutePositioning | Home | ProgramEnd
@@ -95,33 +119,17 @@ class ToolpathParams:
 
 
 def check_program(prog: GCodeProgram) -> None:
-    """Raise GCodeError unless the program satisfies its invariants."""
-    cmds = prog.commands
-    if len(cmds) < 4 or cmds[:3] != PROLOGUE:
-        raise GCodeError("program must begin with G21, G90, G28")
-    if not isinstance(cmds[-1], ProgramEnd):
-        raise GCodeError("program must end with M2")
-    if any(isinstance(c, ProgramEnd) for c in cmds[:-1]):
-        raise GCodeError("M2 before end of program")
-    last_e = 0.0
-    for i, c in enumerate(cmds):
-        if isinstance(c, (RapidMove, LinearMove)):
-            for name in _FIELD_ORDER[type(c)]:
-                v = getattr(c, name)
-                if v is not None and not math.isfinite(v):
-                    raise GCodeError(f"command {i}: non-finite {name.upper()} value")
-        if isinstance(c, LinearMove):
-            if c.f is not None and not (c.f > 0.0):
-                raise GCodeError(f"command {i}: feed rate must be > 0")
-            if c.e is not None:
-                if c.e < last_e:
-                    raise GCodeError(f"command {i}: extrusion decreased")
-                last_e = c.e
+    """Raise GCodeError unless the program satisfies its invariants.
+
+    The invariants are those `fold` checks as it reads (`Reading.invalid`).
+    """
+    invalid = fold((0, 0, c) for c in prog.commands).invalid
+    if invalid is not None:
+        raise invalid
 
 
-def _q(v: float) -> float:
-    # quantize to the dialect's 5-decimal grid
-    return round(v, 5)
+# builds a record from its full field tuple, skipping the keyword __new__
+_record = tuple.__new__
 
 
 def plan_toolpath(layers: list[LayerPlan], p: ToolpathParams) -> GCodeProgram:
@@ -132,29 +140,30 @@ def plan_toolpath(layers: list[LayerPlan], p: ToolpathParams) -> GCodeProgram:
     from its own text emission.
     """
     cmds: list[Command] = list(PROLOGUE)
+    add = cmds.append
+    hypot = math.hypot
+    ratio = p.extrusion_per_mm
     e_total = 0.0
-    feed = _q(p.feed_rate)
+    feed = round(p.feed_rate, 5)
     for layer in layers:
-        z = _q(layer.z)
+        z = round(layer.z, 5)
         for ci, contour in enumerate(layer.contours):
             if not contour.closed:
                 log.warning("skipping open contour %d on layer %d", ci, layer.index)
                 continue
-            pts = [(_q(x), _q(y)) for x, y in contour.vertices]
-            cmds.append(RapidMove(x=pts[0][0], y=pts[0][1], z=z))
-            prev = pts[0]
-            for nxt in pts[1:] + [pts[0]]:
-                e_total += math.hypot(nxt[0] - prev[0], nxt[1] - prev[1]) * p.extrusion_per_mm
-                cmds.append(LinearMove(x=nxt[0], y=nxt[1], e=_q(e_total), f=feed))
-                prev = nxt
-    cmds.append(ProgramEnd())
+            # quantize to the dialect's 5-decimal grid
+            pts = [(round(x, 5), round(y, 5)) for x, y in contour.vertices]
+            px, py = pts[0]
+            add(_record(RapidMove, (px, py, z)))
+            pts.append(pts[0])
+            for nx, ny in pts[1:]:
+                e_total += hypot(nx - px, ny - py) * ratio
+                add(_record(LinearMove, (nx, ny, None, round(e_total, 5), feed)))
+                px, py = nx, ny
+    add(ProgramEnd())
     return GCodeProgram(tuple(cmds))
 
 
-_FIELD_ORDER = {
-    RapidMove: ("x", "y", "z"),
-    LinearMove: ("x", "y", "z", "e", "f"),
-}
 _PLAIN_WORDS = {
     UseMillimeters: "G21",
     AbsolutePositioning: "G90",
@@ -163,21 +172,38 @@ _PLAIN_WORDS = {
 }
 
 
+def _emit_command(c: Command) -> str:
+    kind = type(c)
+    if kind in _PLAIN_WORDS:
+        return _PLAIN_WORDS[kind]
+    parts = ["G0" if kind is RapidMove else "G1"]
+    for name, v in zip(c._fields, c):
+        if v is not None:
+            parts.append(f"{name.upper()}{v:.5f}")
+    return " ".join(parts)
+
+
 def emit_text(prog: GCodeProgram) -> bytes:
-    """Render to ASCII text, LF line endings, 5 decimal places."""
+    """Render to ASCII text, LF line endings, 5 decimal places.
+
+    The planner's two move forms, `G1 X Y E F` and `G0 X Y Z`, each render
+    through one f-string; any other command takes the generic path.
+    """
     lines = []
+    add = lines.append
     for c in prog.commands:
         kind = type(c)
-        if kind in _PLAIN_WORDS:
-            lines.append(_PLAIN_WORDS[kind])
-            continue
-        word = "G0" if isinstance(c, RapidMove) else "G1"
-        parts = [word]
-        for name in _FIELD_ORDER[kind]:
-            v = getattr(c, name)
-            if v is not None:
-                parts.append(f"{name.upper()}{v:.5f}")
-        lines.append(" ".join(parts))
+        if kind is LinearMove:
+            x, y, z, e, f = c
+            if z is None and x is not None and y is not None and e is not None and f is not None:
+                add(f"G1 X{x:.5f} Y{y:.5f} E{e:.5f} F{f:.5f}")
+                continue
+        elif kind is RapidMove:
+            x, y, z = c
+            if x is not None and y is not None and z is not None:
+                add(f"G0 X{x:.5f} Y{y:.5f} Z{z:.5f}")
+                continue
+        add(_emit_command(c))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -185,13 +211,8 @@ _PLAIN_COMMANDS = {word: kind() for kind, word in _PLAIN_WORDS.items()}
 _MOVE_KINDS = {"G0": RapidMove, "G1": LinearMove}
 
 
-def _words(line: str) -> list[str]:
-    # a line is a record when this is non-empty
-    return line.split(";", 1)[0].split()
-
-
 def _parse_line(line: str, line_no: int) -> Command | None:
-    tokens = _words(line)
+    tokens = line.split(";", 1)[0].split()
     if not tokens:
         return None
     word = tokens[0]
@@ -212,7 +233,7 @@ def _parse_line(line: str, line_no: int) -> Command | None:
         raise GCodeError(f"unknown G/M code {word!r}", line_no)
 
     kind = _MOVE_KINDS[head]
-    allowed = _FIELD_ORDER[kind]
+    allowed = kind._fields
     fields: dict[str, float] = {}
     for token in tokens[1:]:
         name = token[0].lower()
@@ -231,19 +252,23 @@ def _parse_line(line: str, line_no: int) -> Command | None:
     return kind(**fields)
 
 
-def _lines(data: bytes) -> Iterator[tuple[int, int, str]]:
-    """The dialect's one line rule: (start_byte, end_byte, line) per line.
+# The planner's two line forms, as emitted.  At most 300 integer digits keep
+# every value finite, so a match parses exactly as _parse_line would parse
+# the line; any other line goes through _parse_line.
+_NUMBER = r"(-?[0-9]{1,300}\.[0-9]+)"
+_CANONICAL_G1 = re.compile(rf"G1 X{_NUMBER} Y{_NUMBER} E{_NUMBER} F{_NUMBER}\n?")
+_CANONICAL_G0 = re.compile(rf"G0 X{_NUMBER} Y{_NUMBER} Z{_NUMBER}\n?")
+
+
+def _split(data: bytes) -> tuple[list[str], bool]:
+    """The dialect's one line rule: the lines of `data`, ends kept, and
+    whether the text is ASCII (so a line's length is its byte length).
 
     Bytes that are not UTF-8 are kept as surrogate escapes, so offsets stay
     exact on damaged text.
     """
     text = data.decode("utf-8", "surrogateescape")
-    ascii_text = text.isascii()
-    start = 0
-    for line in text.splitlines(keepends=True):
-        end = start + (len(line) if ascii_text else len(line.encode("utf-8", "surrogateescape")))
-        yield start, end, line
-        start = end
+    return text.splitlines(keepends=True), text.isascii()
 
 
 Line = tuple[int, int, Command | GCodeError | None]
@@ -262,12 +287,24 @@ def scan(data: bytes) -> Iterator[Line]:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             yield 0, 0, GCodeError(f"not valid UTF-8 text: {exc}")
-    for line_no, (start, end, line) in enumerate(_lines(data), 1):
-        try:
-            item = _parse_line(line, line_no)
-        except GCodeError as err:
-            item = err
+    lines, ascii_text = _split(data)
+    g1, g0 = _CANONICAL_G1.fullmatch, _CANONICAL_G0.fullmatch
+    start = 0
+    for line_no, line in enumerate(lines, 1):
+        end = start + (len(line) if ascii_text else len(line.encode("utf-8", "surrogateescape")))
+        if m := g1(line):
+            x, y, e, f = m.groups()
+            item = _record(LinearMove, (float(x), float(y), None, float(e), float(f)))
+        elif m := g0(line):
+            x, y, z = m.groups()
+            item = _record(RapidMove, (float(x), float(y), float(z)))
+        else:
+            try:
+                item = _parse_line(line, line_no)
+            except GCodeError as err:
+                item = err
         yield start, end, item
+        start = end
 
 
 @dataclass(frozen=True)
@@ -286,6 +323,17 @@ class Reading:
     travel_mm: float           # Euclidean G0 distance from the origin
     extruded_mm: float         # Euclidean G1 distance from the origin
     error: GCodeError | None   # the first bad line of a strict fold
+    invalid: GCodeError | None  # the first program invariant the commands break
+
+
+def _command_error(i: int, cmd: RapidMove | LinearMove) -> GCodeError:
+    """Why move `i` breaks the per-command invariants, given it breaks one."""
+    for name, v in zip(cmd._fields, cmd):
+        if v is not None and not math.isfinite(v):
+            return GCodeError(f"command {i}: non-finite {name.upper()} value")
+    if type(cmd) is LinearMove and cmd.f is not None and not (cmd.f > 0.0):
+        return GCodeError(f"command {i}: feed rate must be > 0")
+    return GCodeError(f"command {i}: extrusion decreased")
 
 
 def fold(lines: Iterable[Line], tolerant: bool = False) -> Reading:
@@ -295,45 +343,94 @@ def fold(lines: Iterable[Line], tolerant: bool = False) -> Reading:
     distance before the first z change (the planner emits none) counts in
     the path totals but in no layer.  A strict fold stops at the first bad
     line, keeping what came before it; a tolerant fold skips bad lines.
+
+    The same pass checks the program invariants over the commands it keeps:
+    the G21, G90, G28 prologue, one M2 and only at the end, finite move
+    values, feed rates above 0 and extrusion that never decreases.  The
+    first one broken is `Reading.invalid`.
     """
+    sqrt, isfinite = math.sqrt, math.isfinite
     x = y = z = 0.0
     travel = extruded = 0.0
     commands: list[Command] = []
+    add = commands.append
     layers: list[Layer] = []
     current: list | None = None  # [z, extruded, start_offset, end_offset]
     error = None
+    last_e = 0.0
+    ends = 0  # M2 commands kept
+    broken = None  # the first move that breaks a per-command invariant
     for start, end, cmd in lines:
-        if cmd is None:
+        kind = type(cmd)
+        if kind is LinearMove:
+            nx, ny, nz, e, f = cmd
+        elif kind is RapidMove:
+            nx, ny, nz = cmd
+            e = f = None
+        elif cmd is None:
             continue
-        if isinstance(cmd, GCodeError):
+        elif isinstance(cmd, GCodeError):
             if tolerant:
                 continue
             error = cmd
             break
-        commands.append(cmd)
-        if isinstance(cmd, Home):
-            x = y = z = 0.0
-        elif isinstance(cmd, (RapidMove, LinearMove)):
-            nx = cmd.x if cmd.x is not None else x
-            ny = cmd.y if cmd.y is not None else y
-            nz = cmd.z if cmd.z is not None else z
-            if nz != z:
-                if current is not None:
-                    layers.append(Layer(len(layers), *current))
-                current = [nz, 0.0, start, end]
-            d = math.sqrt((nx - x) ** 2 + (ny - y) ** 2 + (nz - z) ** 2)
-            if isinstance(cmd, RapidMove):
-                travel += d
-            else:
-                extruded += d
-                if current is not None:
-                    current[1] += d
+        else:
+            add(cmd)
+            if kind is Home:
+                x = y = z = 0.0
+            elif kind is ProgramEnd:
+                ends += 1
+            continue
+        add(cmd)
+        if nx is None:
+            nx = x
+        if ny is None:
+            ny = y
+        if nz is None:
+            nz = z
+        if nz != z:
             if current is not None:
-                current[3] = end
-            x, y, z = nx, ny, nz
+                layers.append(Layer(len(layers), *current))
+            current = [nz, 0.0, start, end]
+        try:
+            d = sqrt((nx - x) ** 2 + (ny - y) ** 2 + (nz - z) ** 2)
+        except OverflowError:  # a finite move too long to square
+            d = math.hypot(nx - x, ny - y, nz - z)
+        if kind is RapidMove:
+            travel += d
+        else:
+            extruded += d
+            if current is not None:
+                current[1] += d
+        if current is not None:
+            current[3] = end
+        # while no move has broken an invariant, x, y and z are finite, so
+        # testing the new position tests the values this move gives
+        if broken is None:
+            if not (
+                isfinite(nx) and isfinite(ny) and isfinite(nz)
+                and (e is None or (isfinite(e) and e >= last_e))
+                and (f is None or (isfinite(f) and f > 0.0))
+            ):
+                broken = _command_error(len(commands) - 1, cmd)
+            elif e is not None:
+                last_e = e
+        x, y, z = nx, ny, nz
     if current is not None:
         layers.append(Layer(len(layers), *current))
-    return Reading(tuple(commands), tuple(layers), travel, extruded, error)
+    return Reading(tuple(commands), tuple(layers), travel, extruded, error,
+                   _invalid(commands, ends, broken))
+
+
+def _invalid(commands: list[Command], ends: int, broken: GCodeError | None) -> GCodeError | None:
+    """The first program invariant broken, in the order they are checked."""
+    if len(commands) < 4 or tuple(commands[:3]) != PROLOGUE:
+        return GCodeError("program must begin with G21, G90, G28")
+    if type(commands[-1]) is not ProgramEnd:
+        return GCodeError("program must end with M2")
+    if ends > 1:
+        return GCodeError("M2 before end of program")
+    return broken
 
 
 def parse_text(data: bytes) -> GCodeProgram:
@@ -355,13 +452,16 @@ def path_length(prog: GCodeProgram) -> Reading:
 def count_records(text: bytes) -> int:
     """Record count: lines that hold code, whether or not it parses.
 
-    Each such line is one item of `scan` that is not None.
+    These are the lines, under the same line rule, whose `scan` item is not
+    None: their first character that is not whitespace is not `;`.
 
     For well-formed dialect text this equals the parsed command count; it is
     the record definition used when wrapping toolpaths in an integrity
     envelope, so the printer can cross-check the declared count.
     """
-    return sum(1 for _, _, line in _lines(text) if _words(line))
+    lines, _ = _split(text)
+    stripped = list(map(str.lstrip, lines))
+    return len(stripped) - stripped.count("") - sum(s.startswith(";") for s in stripped)
 
 
 def intended_perimeters(layers: list[LayerPlan]) -> list[float]:

@@ -59,9 +59,6 @@ class Vec3:
     def norm(self) -> float:
         return math.sqrt(self.dot(self))
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-
 
 @dataclass(frozen=True)
 class Facet:
@@ -73,13 +70,6 @@ class Facet:
     @property
     def vertices(self) -> tuple[Vec3, Vec3, Vec3]:
         return (self.v0, self.v1, self.v2)
-
-    def is_finite(self) -> bool:
-        return self.normal.is_finite() and all(v.is_finite() for v in self.vertices)
-
-    def computed_normal(self) -> Vec3:
-        """Right-hand-rule normal of (v0, v1, v2), unnormalized."""
-        return (self.v1 - self.v0).cross(self.v2 - self.v0)
 
 
 @dataclass(frozen=True)

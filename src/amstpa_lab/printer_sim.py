@@ -21,15 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import integrity
-from .gcode import (
-    GCodeError,
-    GCodeProgram,
-    Layer,
-    check_program,
-    fold,
-    intended_perimeters,
-    scan,
-)
+from .gcode import Layer, fold, intended_perimeters, scan
 from .netsim import ChannelDownError, ChannelParams, TransferMode, transfer
 from .slicer import LayerPlan
 
@@ -237,9 +229,7 @@ def run_job(
         # the stream choked on a line mid-job; layers begun before it stand
         printed = reading.layers if streaming else ()
         return _stopped(FailReason.PARSE_FAILURE, tr.elapsed_ms, layer_time, printed, corrected)
-    try:
-        check_program(GCodeProgram(reading.commands))
-    except GCodeError:
+    if reading.invalid is not None:
         # program invariants hold or fail only once the whole program is in
         return _stopped(FailReason.PARSE_FAILURE, tr.elapsed_ms, layer_time, corrected=corrected)
     if declared_records is not None and declared_records != len(reading.commands):

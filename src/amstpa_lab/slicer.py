@@ -30,6 +30,10 @@ log = logging.getLogger(__name__)
 
 Point2 = tuple[float, float]
 
+# The most layers one slice may have; a job needing more is refused before
+# its plane heights are built.
+MAX_LAYERS = 10**6
+
 
 @dataclass(frozen=True)
 class SliceParams:
@@ -227,8 +231,9 @@ def slice_mesh(mesh: TriangleMesh, params: SliceParams) -> list[LayerPlan]:
     Layer count is ceil((z_max - z_min) / layer_height); a flat or empty
     mesh yields zero layers.  Closed contours are oriented counter-clockwise.
     Open chains (from non-watertight input) are kept and flagged.  Raises
-    ValueError if a facet has a non-finite coordinate or if the layer count
-    overflows a double.
+    ValueError, before any plane is built, if a facet has a non-finite
+    coordinate or if the layer count overflows a double or exceeds
+    MAX_LAYERS.
     """
     require_finite(mesh)
     h = params.layer_height
@@ -250,6 +255,11 @@ def slice_mesh(mesh: TriangleMesh, params: SliceParams) -> list[LayerPlan]:
         raise ValueError(
             f"z extent {z_min:g} to {z_max:g} mm over layer height {h:g} mm "
             "overflows the layer count"
+        )
+    if count > MAX_LAYERS:
+        raise ValueError(
+            f"z extent {z_min:g} to {z_max:g} mm over layer height {h:g} mm "
+            f"needs {count:.4g} layers, more than {MAX_LAYERS}"
         )
     n_layers = math.ceil(count)
     nudge = 1e-9 * h

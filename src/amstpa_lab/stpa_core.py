@@ -312,6 +312,10 @@ def load_model(text: bytes) -> ControlStructure:
     if not isinstance(name, str):
         raise ModelError("model 'name' must be a string")
 
+    for key in ("components", "paths"):
+        if not isinstance(doc.get(key, []), list):
+            raise ModelError(f"model {key!r} must be a list")
+
     components = []
     seen_c: set[str] = set()
     for i, raw in enumerate(doc.get("components", [])):

@@ -9,10 +9,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from amstpa_lab import cli, faultlab
+from amstpa_lab import cli, faultlab, shapes
 from amstpa_lab.cli import main
 from amstpa_lab.faultlab import MitigationEvidence
-from amstpa_lab.mesh_io import TriangleMesh, emit_stl_binary
+from amstpa_lab.mesh_io import TriangleMesh, Vec3, emit_stl_ascii, emit_stl_binary
 
 
 @pytest.fixture()
@@ -340,6 +340,18 @@ def _one_fault(kind, stage, **params):
             id="layer-time-not-a-number",
         ),
         pytest.param("campaign", {**CUBE_FLIPS, "packet_size": 0}, id="config-packet-size-0"),
+        pytest.param("campaign", {**CUBE_FLIPS, "seed": math.inf}, id="config-seed-inf"),
+        pytest.param(
+            "campaign", {**CUBE_FLIPS, "printer": {"buffer_capacity": math.inf}},
+            id="config-buffer-inf",
+        ),
+        pytest.param(
+            "campaign", {"generate": {"count": -math.inf}}, id="generate-count-inf"
+        ),
+        pytest.param(
+            "campaign", {"faults": [{"kind": "bit_flip", "stage": "in_transit", "seed": math.nan}]},
+            id="fault-seed-nan",
+        ),
         pytest.param(
             "campaign", {**CUBE_FLIPS, "demo": True, "envelope": False}, id="demo-without-envelope"
         ),
@@ -510,6 +522,43 @@ def test_in_transit_truncate_to_nothing_is_classified(tmp_path, envelope, stage)
 def test_overflowing_scale_fault_is_classified(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_one_fault("scale_coords", "after_cad", factor=1e200)))
+    code, out = run_cli(["campaign", "--config", config])
+    assert code == 0
+    assert json.loads(out)["histogram"] == {"mesh_validation": 1}
+
+
+def test_move_too_long_to_square_is_measured(tmp_path):
+    # an X extent of 1e200 mm: squaring a move's length overflows a double,
+    # but the length itself is finite
+    mesh = tmp_path / "wide.stl"
+    mesh.write_bytes(emit_stl_ascii(shapes.box(hi=Vec3(1e200, 1.0, 1.0))))
+    code, out = run_cli(["simulate", "--mesh", mesh])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["outcome"]["status"] == "completed"
+    assert doc["planned_extrusion_mm"] >= 2e200
+
+
+@pytest.mark.parametrize("command", ["slice", "simulate"])
+def test_layer_count_past_the_cap_exits_2(cube_file, capsys, command):
+    # 1e300 planes: refused before the list of plane heights is built
+    argv = {
+        "slice": ["slice", str(cube_file), "--layer-height", "1e-300"],
+        "simulate": ["simulate", "--mesh", str(cube_file), "--layer-height", "1e-300"],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.endswith("needs 1e+300 layers, more than 1000000\n")
+    assert captured.out == ""
+
+
+def test_scale_fault_past_the_layer_cap_is_classified(tmp_path):
+    # the scaled cube fits binary STL and validates clean, but needs 4e30
+    # layers at 0.25 mm
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_one_fault("scale_coords", "after_cad", factor=1e30)))
     code, out = run_cli(["campaign", "--config", config])
     assert code == 0
     assert json.loads(out)["histogram"] == {"mesh_validation": 1}

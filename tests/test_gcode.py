@@ -1,19 +1,25 @@
 import logging
+import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from amstpa_lab import shapes
 from amstpa_lab.gcode import (
     AbsolutePositioning,
     GCodeError,
     GCodeProgram,
     Home,
+    Layer,
     LinearMove,
     ProgramEnd,
     RapidMove,
     ToolpathParams,
     UseMillimeters,
+    _emit_command,
+    _parse_line,
     check_program,
     count_records,
     emit_text,
@@ -24,7 +30,7 @@ from amstpa_lab.gcode import (
     plan_toolpath,
     scan,
 )
-from amstpa_lab.slicer import Contour, LayerPlan
+from amstpa_lab.slicer import Contour, LayerPlan, SliceParams, slice_mesh
 
 PROLOGUE = (UseMillimeters(), AbsolutePositioning(), Home())
 
@@ -277,3 +283,312 @@ def programs(draw):
 def test_parse_emit_identity(prog):
     check_program(prog)
     assert parse_text(emit_text(prog)) == prog
+
+
+@given(programs())
+def test_parse_emit_parse_round_trip(prog):
+    text = emit_text(prog)
+    reparsed = parse_text(text)
+    assert emit_text(reparsed) == text
+    again = parse_text(emit_text(reparsed))
+    assert again == reparsed == prog
+    assert [type(c) for c in again.commands] == [type(c) for c in prog.commands]
+
+
+@given(programs())
+def test_emit_fast_forms_match_generic_path(prog):
+    generic = ("\n".join(map(_emit_command, prog.commands)) + "\n").encode("ascii")
+    assert emit_text(prog) == generic
+
+
+# ---------------------------------------------------------------------------
+# Tuple command records: equality and repr as the frozen dataclasses had them
+# ---------------------------------------------------------------------------
+
+WORDS = [UseMillimeters, AbsolutePositioning, Home, ProgramEnd]
+
+
+class TestRecordEquality:
+    @pytest.mark.parametrize("a", WORDS)
+    @pytest.mark.parametrize("b", WORDS)
+    def test_zero_field_commands_equal_only_their_own_kind(self, a, b):
+        assert (a() == b()) is (a is b)
+        assert (a() != b()) is (a is not b)
+        assert a() != ()
+        assert not (a() == ())
+
+    def test_moves_differ_from_words(self):
+        assert RapidMove() != LinearMove()
+        assert RapidMove(x=1.0) == RapidMove(x=1.0)
+        assert len({RapidMove(x=1.0), RapidMove(x=1.0), Home(), Home(), ProgramEnd()}) == 3
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"G90\nG21\nG28\nG0 X1.00000 Y1.00000 Z0.10000\nM2\n", "begin"),
+            (b"G21\nG90\nM2\nM2\n", "begin"),
+            (b"G21\nG90\nG28\nM2\nM2\n", "before end"),
+        ],
+    )
+    def test_permuted_prologue_rejected(self, text, message):
+        with pytest.raises(GCodeError, match=message):
+            check_program(parse_text(text))
+        with pytest.raises(GCodeError, match=message):
+            oracle_check_program(parse_text(text))
+
+    def test_repr_and_fields(self):
+        assert repr(LinearMove(x=1.0, e=0.5)) == "LinearMove(x=1.0, y=None, z=None, e=0.5, f=None)"
+        assert repr(RapidMove(z=0.25)) == "RapidMove(x=None, y=None, z=0.25)"
+        assert [repr(w()) for w in WORDS] == [
+            "UseMillimeters()", "AbsolutePositioning()", "Home()", "ProgramEnd()"
+        ]
+        assert LinearMove(f=1.0).f == 1.0 and LinearMove._fields == ("x", "y", "z", "e", "f")
+        assert isinstance(Home(), Home) and not isinstance(Home(), ProgramEnd)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the reader, fold, program check and planner the fast paths replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_scan(data):
+    """Every line through _parse_line, offsets from each line's UTF-8 length."""
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            yield 0, 0, GCodeError(f"not valid UTF-8 text: {exc}")
+    text = data.decode("utf-8", "surrogateescape")
+    start = 0
+    for line_no, line in enumerate(text.splitlines(keepends=True), 1):
+        end = start + len(line.encode("utf-8", "surrogateescape"))
+        try:
+            item = _parse_line(line, line_no)
+        except GCodeError as err:
+            item = err
+        yield start, end, item
+        start = end
+
+
+def oracle_fold(lines, tolerant=False):
+    """(commands, layers, travel, extruded, error) by the isinstance fold."""
+    x = y = z = 0.0
+    travel = extruded = 0.0
+    commands, layers = [], []
+    current = None
+    error = None
+    for start, end, cmd in lines:
+        if cmd is None:
+            continue
+        if isinstance(cmd, GCodeError):
+            if tolerant:
+                continue
+            error = cmd
+            break
+        commands.append(cmd)
+        if isinstance(cmd, Home):
+            x = y = z = 0.0
+        elif isinstance(cmd, (RapidMove, LinearMove)):
+            nx = cmd.x if cmd.x is not None else x
+            ny = cmd.y if cmd.y is not None else y
+            nz = cmd.z if cmd.z is not None else z
+            if nz != z:
+                if current is not None:
+                    layers.append(Layer(len(layers), *current))
+                current = [nz, 0.0, start, end]
+            try:
+                d = math.sqrt((nx - x) ** 2 + (ny - y) ** 2 + (nz - z) ** 2)
+            except OverflowError:  # the fold's one rule for a move too long to square
+                d = math.hypot(nx - x, ny - y, nz - z)
+            if isinstance(cmd, RapidMove):
+                travel += d
+            else:
+                extruded += d
+                if current is not None:
+                    current[1] += d
+            if current is not None:
+                current[3] = end
+            x, y, z = nx, ny, nz
+    if current is not None:
+        layers.append(Layer(len(layers), *current))
+    return tuple(commands), tuple(layers), travel, extruded, error
+
+
+def oracle_check_program(prog):
+    cmds = prog.commands
+    if len(cmds) < 4 or cmds[:3] != PROLOGUE:
+        raise GCodeError("program must begin with G21, G90, G28")
+    if not isinstance(cmds[-1], ProgramEnd):
+        raise GCodeError("program must end with M2")
+    if any(isinstance(c, ProgramEnd) for c in cmds[:-1]):
+        raise GCodeError("M2 before end of program")
+    last_e = 0.0
+    for i, c in enumerate(cmds):
+        if isinstance(c, (RapidMove, LinearMove)):
+            for name in c._fields:
+                v = getattr(c, name)
+                if v is not None and not math.isfinite(v):
+                    raise GCodeError(f"command {i}: non-finite {name.upper()} value")
+        if isinstance(c, LinearMove):
+            if c.f is not None and not (c.f > 0.0):
+                raise GCodeError(f"command {i}: feed rate must be > 0")
+            if c.e is not None:
+                if c.e < last_e:
+                    raise GCodeError(f"command {i}: extrusion decreased")
+                last_e = c.e
+
+
+def oracle_plan_toolpath(layers, p):
+    cmds = list(PROLOGUE)
+    e_total = 0.0
+    feed = round(p.feed_rate, 5)
+    for layer in layers:
+        z = round(layer.z, 5)
+        for contour in layer.contours:
+            if not contour.closed:
+                continue
+            pts = [(round(x, 5), round(y, 5)) for x, y in contour.vertices]
+            cmds.append(RapidMove(x=pts[0][0], y=pts[0][1], z=z))
+            prev = pts[0]
+            for nxt in pts[1:] + [pts[0]]:
+                e_total += math.hypot(nxt[0] - prev[0], nxt[1] - prev[1]) * p.extrusion_per_mm
+                cmds.append(LinearMove(x=nxt[0], y=nxt[1], e=round(e_total, 5), f=feed))
+                prev = nxt
+    cmds.append(ProgramEnd())
+    return GCodeProgram(tuple(cmds))
+
+
+def described(item):
+    # repr tells -0.0 from 0.0 and a record's kind from a bare tuple
+    if isinstance(item, GCodeError):
+        return ("error", str(item), item.line)
+    return repr(item)
+
+
+def oracle_invalid(commands):
+    try:
+        oracle_check_program(GCodeProgram(commands))
+    except GCodeError as err:
+        return described(err)
+    return None
+
+
+PLANNED_TEXT = emit_text(
+    plan_toolpath(slice_mesh(shapes.box(), SliceParams(layer_height=0.25)), ToolpathParams())
+)
+LINE_BREAKS = b"\x0b\x0c\x1c\x1d\x1e\r"
+# Arabic-Indic, Devanagari and fullwidth digits: float() reads them, [0-9] does not
+OTHER_DIGITS = ["\u0663", "\u0969", "\uff13"]
+
+
+def _at(data, pattern, k):
+    """Span of the k-th match of `pattern` in data (wrapping), or None."""
+    spans = [m.span() for m in re.finditer(pattern, bytes(data))]
+    return spans[k % len(spans)] if spans else None
+
+
+def _mutate(data: bytearray, op: str, pos: int, value: int) -> bytearray:
+    pos %= len(data)
+    if op == "flip":
+        data[pos] ^= 1 << (value % 8)
+    elif op == "set":
+        data[pos] = value % 256
+    elif op == "break":
+        data[pos] = LINE_BREAKS[value % len(LINE_BREAKS)]
+    elif op == "lower" and (span := _at(data, rb"G[01] ", value)):
+        data[span[0]] = ord("g")
+    elif op == "space":
+        data[pos:pos] = b" " * (1 + value % 3)
+    elif op == "zero" and (span := _at(data, rb"[GXYZEF](?=[0-9])", value)):
+        data[span[1]:span[1]] = b"0" * (1 + value % 2)
+    elif op == "negzero" and (span := _at(data, rb"(?<=[XYZEF])-?[0-9]+\.[0-9]+", value)):
+        data[span[0]:span[1]] = b"-0.00000"
+    elif op == "digit" and (span := _at(data, rb"[0-9]", value)):
+        data[span[0]:span[1]] = OTHER_DIGITS[value % len(OTHER_DIGITS)].encode()
+    return data
+
+
+OPS = ["flip", "set", "break", "lower", "space", "zero", "negzero", "digit"]
+
+
+@st.composite
+def mutated_texts(draw):
+    if draw(st.booleans()):
+        data = bytearray(PLANNED_TEXT)
+    else:
+        data = bytearray(emit_text(draw(programs())))
+    steps = st.tuples(st.sampled_from(OPS), st.integers(0, 1 << 16), st.integers(0, 255))
+    for op, pos, value in draw(st.lists(steps, max_size=4)):
+        data = _mutate(data, op, pos, value)
+    return bytes(data)
+
+
+class TestFastPathMatchesOracle:
+    def check(self, data):
+        assert [(s, e, described(i)) for s, e, i in scan(data)] == [
+            (s, e, described(i)) for s, e, i in oracle_scan(data)
+        ]
+        for tolerant in (False, True):
+            reading = fold(scan(data), tolerant)
+            commands, layers, travel, extruded, error = oracle_fold(oracle_scan(data), tolerant)
+            assert list(map(repr, reading.commands)) == list(map(repr, commands))
+            assert repr(reading.layers) == repr(layers)
+            assert (repr(reading.travel_mm), repr(reading.extruded_mm)) == (
+                repr(travel), repr(extruded)
+            )
+            assert described(reading.error) == described(error)
+            got = described(reading.invalid) if reading.invalid is not None else None
+            assert got == oracle_invalid(commands)
+        text = data.decode("utf-8", "surrogateescape")
+        assert count_records(data) == sum(
+            1 for line in text.splitlines() if line.split(";", 1)[0].split()
+        )
+
+    def test_planned_text_takes_the_fast_path_unchanged(self):
+        self.check(PLANNED_TEXT)
+        assert fold(scan(PLANNED_TEXT)).invalid is None
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"g1 X1.00000 Y1.00000 E0.10000 F1800.00000",
+            b"G1  X1.00000 Y1.00000 E0.10000 F1800.00000",
+            b"G1 X01.00000 Y1.00000 E0.10000 F1800.00000",
+            b"G01 X1.00000 Y1.00000 E0.10000 F1800.00000",
+            b"G0 X-0.00000 Y1.00000 Z0.12500",
+            b"G0 X1.00000 Y1.00000 Z0.12500 ; comment",
+            b"G0 X1.00000 Y1.00000 Z0.12500\r",
+            b"G1 X1.00000 Y1.00000 E-0.10000 F1800.00000",
+            b"G1 X1.00000 Y1.00000 E0.10000 F0.00000",
+            b"G1 X\xd9\xa3.00000 Y1.00000 E0.10000 F1800.00000",
+            b"G1 X\xef\xbc\x93.00000 Y1.00000 E0.10000 F1800.00000",
+            b"G1 X1" + b"0" * 400 + b".00000 Y1.00000 E0.10000 F1800.00000",
+            b"G0 X1" + b"0" * 299 + b".00000 Y1.00000 Z0.12500",
+            b"G1 X1.00000 Y1.00000 Z0.5 E0.10000 F1800.00000",
+            b"G1 Y1.00000 X1.00000 E0.10000 F1800.00000",
+        ],
+    )
+    def test_near_canonical_lines(self, line):
+        for text in (line, line + b"\n", b"G21\nG90\nG28\n" + line + b"\nM2\n"):
+            self.check(text)
+
+    @given(mutated_texts())
+    def test_mutated_planner_text(self, data):
+        self.check(data)
+
+
+def test_long_finite_move_does_not_overflow():
+    # 1e200 squared overflows a double; the move's length is still finite
+    reading = fold(scan(b"G21\nG90\nG28\nG0 X1e200 Y0 Z1\nG1 X-1e200 E1 F1\nM2\n"))
+    assert reading.travel_mm == 1e200
+    assert reading.extruded_mm == 2e200
+    assert reading.invalid is None and reading.error is None
+
+
+@pytest.mark.parametrize("sides, layer_height", [(5, 0.5), (24, 0.3), (64, 0.25)])
+def test_plan_matches_oracle(sides, layer_height):
+    layers = slice_mesh(shapes.ngon_prism(sides, 10, 10), SliceParams(layer_height=layer_height))
+    params = ToolpathParams(feed_rate=1234.567891, extrusion_per_mm=0.0333)
+    planned = plan_toolpath(layers, params)
+    oracle = oracle_plan_toolpath(layers, params)
+    assert list(map(repr, planned.commands)) == list(map(repr, oracle.commands))

@@ -291,11 +291,12 @@ def scalar_validate_mesh(mesh: TriangleMesh, area_tol: float = 1e-12) -> MeshRep
     ys: list[float] = []
     zs: list[float] = []
     for i, f in enumerate(mesh.facets):
-        computed = f.computed_normal()
+        # the right-hand-rule normal of (v0, v1, v2), unnormalized
+        computed = (f.v1 - f.v0).cross(f.v2 - f.v0)
         area = 0.5 * computed.norm()
         if area < area_tol:
             degenerate.append(i)
-        if not f.is_finite():
+        if not all(math.isfinite(c) for v in (f.normal, *f.vertices) for c in (v.x, v.y, v.z)):
             nonfinite.append(i)
         if computed.norm() > 0.0 and f.normal.dot(computed) < 0.0:
             inverted.append(i)

@@ -187,6 +187,13 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             SliceParams(layer_height=0.1, snap_eps=0.0)
 
+    def test_layer_cap_boundary(self, cube, monkeypatch):
+        # the unit cube at 0.25 mm needs exactly 4 layers, at 0.2 mm 5
+        monkeypatch.setattr(slicer, "MAX_LAYERS", 4)
+        assert len(slice_mesh(cube, SliceParams(layer_height=0.25))) == 4
+        with pytest.raises(ValueError, match="needs 5 layers, more than 4"):
+            slice_mesh(cube, SliceParams(layer_height=0.2))
+
     def test_open_contours_from_missing_wall(self, cube, caplog):
         # facets 4 and 5 are the front wall; slices can no longer close
         broken = TriangleMesh(cube.facets[:4] + cube.facets[6:], cube.source_encoding)

@@ -172,6 +172,12 @@ class TestLoadModel:
         with pytest.raises(ModelError, match="UTF-8"):
             load_model(b"\xff\xfe{}")
 
+    @pytest.mark.parametrize("key", ["components", "paths"])
+    @pytest.mark.parametrize("value", [None, 3, "ab", {"id": "a"}])
+    def test_components_and_paths_must_be_lists(self, key, value):
+        with pytest.raises(ModelError, match=f"model '{key}' must be a list"):
+            load_model(json.dumps({"name": "m", key: value}).encode())
+
 
 def _structure(n_components=1, n_paths=0):
     components = tuple(
