@@ -97,6 +97,14 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _dump_strict_json(doc: dict) -> str:
+    """JSON with no Infinity or NaN token, which strict readers reject."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise CliError("the result has a number that overflows a double") from None
+
+
 def _load_mesh_file(path: str):
     data = _read_file(path)
     try:
@@ -264,7 +272,7 @@ def _cmd_simulate(args) -> int:
             "layers_missing": gd.layers_missing,
         },
     }
-    _write_output(args.out, _dump_json(doc))
+    _write_output(args.out, _dump_strict_json(doc))
     return 0 if outcome.status is JobStatus.COMPLETED else 1
 
 
@@ -371,7 +379,7 @@ def _cmd_campaign(args) -> int:
         result = run_demo_campaign(cfg, base_mesh, corruption_count=demo_count)
     else:
         result = run_campaign(cfg, specs, base_mesh)
-    _write_output(args.out, _dump_json(result.to_dict()))
+    _write_output(args.out, _dump_strict_json(result.to_dict()))
     return 0
 
 
@@ -399,7 +407,7 @@ def _cmd_report(args) -> int:
             else:
                 print(f"error: {path}: not a known artifact", file=sys.stderr)
                 return 2
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             print(f"error: {path}: malformed campaign artifact: {exc!r}", file=sys.stderr)
             return 2
     doc = build_report(hazards=hazards, campaign=campaign, evidence=evidence)

@@ -16,6 +16,7 @@ contrast measurable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -117,6 +118,9 @@ def _first_diff(a: bytes, b: bytes) -> int | None:
     return lo
 
 
+# A campaign's streaming trials all share one pristine reference, so the
+# last fold is kept; the result is immutable.
+@functools.lru_cache(maxsize=1)
 def _reference_layers(reference: bytes, enveloped: bool) -> tuple[tuple[Layer, ...], int]:
     """Layers of the pristine payload, read tolerantly, and its byte length."""
     payload = reference

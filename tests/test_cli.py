@@ -309,6 +309,18 @@ def _one_fault(kind, stage, **params):
         pytest.param("simulate", ["--channel", "bw=inf"], id="channel-bandwidth-inf"),
         pytest.param("simulate", ["--layer-time-ms", "nan"], id="layer-time-nan"),
         pytest.param("simulate", ["--layer-time-ms", "-5"], id="layer-time-negative"),
+        # finite numbers whose products overflow: the result would hold Infinity
+        pytest.param("simulate", ["--channel", "bw=5e-308"], id="simulate-time-overflows"),
+        pytest.param(
+            "simulate",
+            ["--channel", "latency=1e308", "--layer-time-ms", "1e308"],
+            id="simulate-latency-and-layer-time-overflow",
+        ),
+        pytest.param(
+            "campaign",
+            {"demo": True, "generate": {"count": 3}, "channel": {"latency_ms": 1e308}},
+            id="demo-evidence-time-overflows",
+        ),
         pytest.param(
             "campaign", {**CUBE_FLIPS, "channel": {"latency_ms": math.nan}}, id="config-latency-nan"
         ),
@@ -399,6 +411,12 @@ def _one_fault(kind, stage, **params):
             id="report-unknown-stage",
         ),
         pytest.param("report", {"campaign": {}, "evidence": {}}, id="report-empty-demo-artifact"),
+        pytest.param("report", {"trials": math.inf, "histogram": {}}, id="report-trials-inf"),
+        pytest.param(
+            "report",
+            {"trials": 1, "histogram": {"integrity_verify": 1e400}, "undetected_trials": []},
+            id="report-count-1e400",
+        ),
         pytest.param(
             "report",
             {

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from amstpa_lab import faultlab
+from amstpa_lab import faultlab, printer_sim
 from amstpa_lab.faultlab import (
     CampaignResult,
     DetectionStage,
@@ -19,7 +19,7 @@ from amstpa_lab.faultlab import (
     run_campaign,
     run_demo_campaign,
 )
-from amstpa_lab.gcode import ToolpathParams
+from amstpa_lab.gcode import ToolpathParams, fold
 from amstpa_lab.mesh_io import (
     Facet,
     TriangleMesh,
@@ -399,3 +399,19 @@ class TestTrialLoop:
         monkeypatch.setattr(faultlab, "slice_mesh", counting_slice_mesh)
         run_demo_campaign(pipeline(seed=42), cube, corruption_count=8)
         assert len(calls) == 1
+
+    def test_demo_folds_its_reference_once(self, cube, monkeypatch):
+        # every streaming trial fails its integrity check and needs the
+        # pristine layers; the last reference folded is cached
+        calls = []
+
+        def counting_fold(lines, tolerant=False):
+            calls.append(tolerant)
+            return fold(lines, tolerant)
+
+        printer_sim._reference_layers.cache_clear()
+        monkeypatch.setattr(printer_sim, "fold", counting_fold)
+        demo = run_demo_campaign(pipeline(seed=42), cube, corruption_count=8)
+        printer_sim._reference_layers.cache_clear()
+        assert demo.evidence.streaming_scrapped == 8
+        assert calls.count(True) == 1

@@ -12,10 +12,6 @@ from amstpa_lab.slicer import (
     LayerPlan,
     SliceParams,
     _chain_segments,
-    _dedupe,
-    _dist,
-    _simplify,
-    _triangle_plane_segment,
     contour_perimeter,
     contour_signed_area,
     layers_from_dict,
@@ -25,9 +21,118 @@ from amstpa_lab.slicer import (
 
 
 # ---------------------------------------------------------------------------
-# Scalar oracle: the quadratic chainer and the full facet x plane loop that
-# the endpoint hash and the plane sweep replace.
+# Scalar oracle: the per-step helpers, the quadratic chainer and the full
+# facet x plane loop that the fused passes, the endpoint hash and the plane
+# sweep replace.
 # ---------------------------------------------------------------------------
+
+
+def _dist(a, b):
+    return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def _triangle_plane_segment(zs, xy, plane_z, nudge):
+    """Segment where a triangle crosses z = plane_z, or None.
+
+    Vertices exactly on the plane are nudged by +nudge in z so every
+    crossing triangle yields exactly one segment, deterministically.
+    """
+    d = [z - plane_z for z in zs]
+    for i in range(3):
+        if d[i] == 0.0:
+            d[i] = nudge
+    if (d[0] > 0) == (d[1] > 0) == (d[2] > 0):
+        return None
+    points = []
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        if (d[a] > 0) != (d[b] > 0):
+            t = d[a] / (d[a] - d[b])
+            points.append(
+                (
+                    xy[a][0] + t * (xy[b][0] - xy[a][0]),
+                    xy[a][1] + t * (xy[b][1] - xy[a][1]),
+                )
+            )
+    # mixed signs across three vertices always cut exactly two edges
+    return (points[0], points[1])
+
+
+def _dedupe(points, eps):
+    out = [points[0]]
+    for p in points[1:]:
+        if _dist(p, out[-1]) > eps:
+            out.append(p)
+    return out
+
+
+def _collinear(a, b, c, eps):
+    # b lies on segment a-c within eps perpendicular distance
+    ax, ay = c[0] - a[0], c[1] - a[1]
+    bx, by = b[0] - a[0], b[1] - a[1]
+    base = math.hypot(ax, ay)
+    if base <= eps:
+        return True
+    return abs(ax * by - ay * bx) / base <= eps
+
+
+def _simplify(points, closed, eps):
+    """Drop vertices collinear with their neighbors (wall triangulation
+    introduces mid-edge crossing points that carry no shape information)."""
+    n = len(points)
+    if n < 3:
+        return points
+    if closed:
+        kept = [
+            points[i]
+            for i in range(n)
+            if not _collinear(points[i - 1], points[i], points[(i + 1) % n], eps)
+        ]
+        return kept
+    kept = [points[0]]
+    for i in range(1, n - 1):
+        if not _collinear(points[i - 1], points[i], points[i + 1], eps):
+            kept.append(points[i])
+    kept.append(points[-1])
+    return kept
+
+
+def scalar_signed_area(c):
+    """Shoelace area; positive for counter-clockwise winding."""
+    if not c.closed:
+        raise ValueError("signed area is defined only for closed contours")
+    total = 0.0
+    n = len(c.vertices)
+    for i in range(n):
+        x0, y0 = c.vertices[i]
+        x1, y1 = c.vertices[(i + 1) % n]
+        total += x0 * y1 - x1 * y0
+    return 0.5 * total
+
+
+def scalar_perimeter(c):
+    """Sum of edge lengths; closed contours include the closing edge."""
+    n = len(c.vertices)
+    if n < 2:
+        return 0.0
+    total = 0.0
+    last = n if c.closed else n - 1
+    for i in range(last):
+        total += _dist(c.vertices[i], c.vertices[(i + 1) % n])
+    return total
+
+
+def _close(chain, closed, eps):
+    """The contour of a chain, or None for a closed sliver."""
+    if closed:
+        chain = chain[:-1] if _dist(chain[0], chain[-1]) <= eps else chain
+        chain = _simplify(_dedupe(chain, eps), True, eps)
+        if len(chain) < 3:
+            return None  # sliver from a near-tangent plane
+        contour = Contour(tuple(chain), True)
+        if scalar_signed_area(contour) < 0.0:
+            contour = Contour(tuple(reversed(chain)), True)
+        return contour
+    return Contour(tuple(_simplify(_dedupe(chain, eps), False, eps)), False)
 
 
 def scalar_chain_segments(segments, eps):
@@ -59,17 +164,92 @@ def scalar_chain_segments(segments, eps):
             if _dist(chain[0], chain[-1]) <= eps:
                 closed = True
                 break
-        if closed:
-            chain = chain[:-1] if _dist(chain[0], chain[-1]) <= eps else chain
-            chain = _simplify(_dedupe(chain, eps), True, eps)
-            if len(chain) < 3:
-                continue  # sliver from a near-tangent plane
-            contour = Contour(tuple(chain), True)
-            if contour_signed_area(contour) < 0.0:
-                contour = Contour(tuple(reversed(chain)), True)
+        contour = _close(chain, closed, eps)
+        if contour is not None:
             contours.append(contour)
-        else:
-            contours.append(Contour(tuple(_simplify(_dedupe(chain, eps), False, eps)), False))
+    return contours
+
+
+# The 3x3 grid chainer that the own-cell lookup replaces: cells 2 * eps wide,
+# and every lookup scans the 3x3 cells around the tail.
+_STRIDE = 1 << 43
+_NEIGHBOURS = tuple(dx * _STRIDE + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+
+def grid_cell_keys(segments, eps):
+    """Packed grid cell of every endpoint: p then q of each segment.
+
+    Cells are at least 2 * eps wide, so two endpoints within eps of each other
+    fall in the same or adjacent cells even after the cell index is rounded.
+    They are also at least 2**-40 of the largest coordinate wide, which keeps
+    every index within 2**41 for any eps, down to the smallest subnormal; an
+    eps whose double overflows makes one cell.  A layer with a non-finite
+    endpoint (a mesh wider than the float range) also gets one cell, so its
+    lookups scan every segment in index order, as a plain greedy search does.
+    """
+    coords = [c for seg in segments for point in seg for c in point]
+    if not all(map(math.isfinite, coords)):
+        return [0] * len(coords)
+    width = max(2.0 * eps, max(map(abs, coords), default=0.0) * 2.0**-40)
+    return [
+        math.floor(x / width) * _STRIDE + math.floor(y / width)
+        for seg in segments
+        for x, y in seg
+    ]
+
+
+def grid_chain_segments(segments, eps):
+    """Greedy chaining; ties broken by lowest segment index.
+
+    Each cell lists, in index order, the segments with an endpoint in it.  A
+    lookup takes from each of the 3x3 cells around the tail the first unused
+    segment with an endpoint within eps, and keeps the lowest of these.
+    """
+    keys = grid_cell_keys(segments, eps)
+    cells = {}
+    for e, key in enumerate(keys):
+        bucket = cells.setdefault(key, [])
+        if not bucket or bucket[-1] != e >> 1:
+            bucket.append(e >> 1)
+    n = len(segments)
+    used = [False] * n
+    contours = []
+    for first in range(n):
+        if used[first]:
+            continue
+        used[first] = True
+        a, b = segments[first]
+        chain = [a, b]
+        tail_key = keys[2 * first + 1]
+        closed = False
+        while True:
+            tail = chain[-1]
+            best = n
+            for offset in _NEIGHBOURS:
+                for j in cells.get(tail_key + offset, ()):
+                    if j >= best:
+                        break
+                    if used[j]:
+                        continue
+                    p, q = segments[j]
+                    if _dist(p, tail) <= eps:
+                        best, nxt, nxt_key = j, q, keys[2 * j + 1]
+                        break
+                    if _dist(q, tail) <= eps:
+                        best, nxt, nxt_key = j, p, keys[2 * j]
+                        break
+            if best == n:
+                closed = len(chain) > 2 and _dist(chain[0], chain[-1]) <= eps
+                break
+            used[best] = True
+            chain.append(nxt)
+            tail_key = nxt_key
+            if _dist(chain[0], chain[-1]) <= eps:
+                closed = True
+                break
+        contour = _close(chain, closed, eps)
+        if contour is not None:
+            contours.append(contour)
     return contours
 
 
@@ -381,16 +561,73 @@ def triangle_soups(draw):
     return TriangleMesh(facets), SliceParams(layer_height=h, snap_eps=eps)
 
 
+@st.composite
+def cell_border_soups(draw):
+    """(segments, eps): endpoints near the borders of the chaining cells.
+
+    Each axis gets a few anchors: a multiple of the cell width w, negative
+    ones included, moved by 0, by +-eps, or by the interior margin lo * w from
+    either border, or by one ulp either side of it.  Endpoints sit on anchors,
+    moved by 0, +-eps, one ulp past eps, or up to 1.2 * eps, so a match within
+    eps straddles a border or sits just inside the margin.  Half the soups
+    also hold one endpoint 2**40 cells out, which makes w 2**-40 of it: there
+    x / w rounds by up to 2**-13 cell units."""
+    eps = draw(st.sampled_from([5e-324, 1e-300, 1e-7, 0.01, 1.0]) | st.floats(1e-9, 1.0))
+    far = draw(st.sampled_from([0.0, 2.0**40, -(2.0**40)])) * slicer._CELL * eps
+    w = max(slicer._CELL * eps, abs(far) * 2.0**-40)
+    margin = (eps / w + 2.0**-10) * w
+    offsets = [0.0, eps, -eps]
+    for m in (margin, math.nextafter(margin, 0.0), math.nextafter(margin, math.inf)):
+        offsets += [m, -m]
+    ulp = math.nextafter(eps, math.inf)
+    jitter = st.sampled_from([0.0, eps, -eps, ulp, -ulp]) | st.floats(-1.2, 1.2).map(
+        lambda f: f * eps
+    )
+    # near the far endpoint, so the cells there are 2**40 units out
+    base = draw(st.sampled_from([0.0, far]))
+
+    def anchors():
+        anchor = st.builds(
+            lambda i, off: base + i * w + off, st.integers(-3, 2), st.sampled_from(offsets)
+        )
+        return draw(st.lists(anchor, min_size=1, max_size=4))
+
+    xs, ys = anchors(), anchors()
+
+    def endpoint():
+        return (draw(st.sampled_from(xs)) + draw(jitter), draw(st.sampled_from(ys)) + draw(jitter))
+
+    segments = [(endpoint(), endpoint()) for _ in range(draw(st.integers(0, 40)))]
+    if far and segments:
+        segments.append(((far, far), segments[0][0]))
+    return segments, eps
+
+
 def broken_prism():
     prism = shapes.ngon_prism(24, radius=5.0, height=3.0)
     return TriangleMesh(prism.facets[:40] + prism.facets[44:])
 
 
 class TestMatchesScalarOracle:
-    @given(jittered_soups())
+    @given(jittered_soups() | cell_border_soups())
     def test_chaining(self, soup):
         segments, eps = soup
         assert same(_chain_segments(segments, eps), scalar_chain_segments(segments, eps))
+
+    @given(jittered_soups() | cell_border_soups())
+    def test_chaining_matches_the_3x3_grid(self, soup):
+        segments, eps = soup
+        assert same(_chain_segments(segments, eps), grid_chain_segments(segments, eps))
+
+    @given(
+        st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)), max_size=12),
+        st.booleans(),
+    )
+    def test_contour_math(self, vertices, closed):
+        contour = Contour(tuple(vertices), closed)
+        assert same(contour_perimeter(contour), scalar_perimeter(contour))
+        if closed:
+            assert same(contour_signed_area(contour), scalar_signed_area(contour))
 
     @given(triangle_soups())
     def test_random_meshes(self, case):
@@ -465,14 +702,17 @@ def test_chaining_stays_linear(monkeypatch):
     cuts = [_triangle_plane_segment(*facet_cache(f), 100.5 * h, 1e-9 * h) for f in mesh.facets]
     segments = [seg for seg in cuts if seg is not None]
     calls = 0
+    hypot = math.hypot
 
-    def counting_dist(a, b):
+    def counting_hypot(x, y):
         nonlocal calls
         calls += 1
-        return _dist(a, b)
+        return hypot(x, y)
 
-    monkeypatch.setattr(slicer, "_dist", counting_dist)
+    # the chainer and its contour pass bind math.hypot when called
+    monkeypatch.setattr(math, "hypot", counting_hypot)
     contours = _chain_segments(segments, 1e-7)
+    monkeypatch.undo()
     assert len(segments) == 1024
     assert [(c.closed, len(c.vertices)) for c in contours] == [(True, 512)]
-    assert calls < 20 * len(segments)
+    assert len(segments) < calls < 20 * len(segments)
