@@ -3,7 +3,8 @@
 Subcommands: stpa, stl, slice, gcode, simulate, campaign, report.
 Exit codes: 0 success, 1 validation findings, 2 usage or parse errors.
 Output paths accept "-" for standard output; files are written only after
-the full output is rendered, so failures leave no partial files.
+the full output is rendered, so failures leave no partial files.  JSON is
+strict both ways: no NaN or Infinity is read or written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 from . import shapes
@@ -45,16 +47,12 @@ from .report import build_report, render_json, render_markdown
 from .slicer import SliceParams, layers_from_dict, layers_to_dict, slice_mesh
 from .stpa_core import (
     ModelError,
-    attach_mitigations,
     builtin_am_reference_model,
-    builtin_catalog,
     candidates_to_dict,
     candidates_to_text,
     enumerate_candidates,
     load_model,
 )
-
-log = logging.getLogger(__name__)
 
 BUILTIN_MESHES = {
     "cube": lambda: shapes.box(),
@@ -93,11 +91,23 @@ def _write_output(path: str, data: str | bytes) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def _read_json(path: str):
+    """Parse a JSON input file, refusing NaN, Infinity and numbers past the double range."""
+    try:
+        data = _read_file(path).decode("utf-8")
+        return json.loads(data, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
+        raise CliError(f"{path}: not valid JSON: {exc}") from None
+
+
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _dump_strict_json(doc: dict) -> str:
     """JSON with no Infinity or NaN token, which strict readers reject."""
     try:
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
@@ -160,7 +170,7 @@ def _cmd_stpa(args) -> int:
         cs = load_model(_read_file(args.model))
     else:
         raise CliError("stpa needs --model FILE or --builtin-am")
-    hazards = attach_mitigations(enumerate_candidates(cs), builtin_catalog(), cs)
+    hazards = enumerate_candidates(cs)
     fmt = args.format or ("txt" if args.out.endswith(".txt") else "json")
     if fmt == "txt":
         _write_output(args.out, candidates_to_text(cs, hazards))
@@ -172,6 +182,7 @@ def _cmd_stpa(args) -> int:
 def _cmd_stl(args) -> int:
     mesh = _load_mesh_file(args.file)
     report = validate_mesh(mesh, area_tol=args.area_tol)
+    lo, hi = report.bbox_min, report.bbox_max
     doc = {
         "file": args.file,
         "encoding": mesh.source_encoding.value,
@@ -180,8 +191,9 @@ def _cmd_stl(args) -> int:
         "nonfinite_facets": list(report.nonfinite_facets),
         "nonmanifold_edges": report.nonmanifold_edges,
         "inverted_normals": list(report.inverted_normals),
-        "bbox_min": [report.bbox_min.x, report.bbox_min.y, report.bbox_min.z],
-        "bbox_max": [report.bbox_max.x, report.bbox_max.y, report.bbox_max.z],
+        # a non-finite coordinate leaves the bounding box undefined
+        "bbox_min": None if report.nonfinite_facets else [lo.x, lo.y, lo.z],
+        "bbox_max": None if report.nonfinite_facets else [hi.x, hi.y, hi.z],
         "watertight": report.watertight,
     }
     _write_output(args.out, _dump_json(doc))
@@ -215,12 +227,11 @@ def _toolpath_params(args) -> ToolpathParams:
 def _cmd_gcode(args) -> int:
     if args.action != "plan":
         raise CliError(f"unknown gcode action {args.action!r} (expected 'plan')")
+    doc = _read_json(args.layers)
     try:
-        doc = json.loads(_read_file(args.layers).decode("utf-8"))
         layers = layers_from_dict(doc)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: {args.layers}: not a layers file: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, KeyError, OverflowError, TypeError) as exc:
+        raise CliError(f"{args.layers}: not a layers file: {exc}") from None
     prog = plan_toolpath(layers, _toolpath_params(args))
     _write_output(args.out, emit_text(prog))
     return 0
@@ -272,7 +283,7 @@ def _cmd_simulate(args) -> int:
             "layers_missing": gd.layers_missing,
         },
     }
-    _write_output(args.out, _dump_strict_json(doc))
+    _write_output(args.out, _dump_json(doc))
     return 0 if outcome.status is JobStatus.COMPLETED else 1
 
 
@@ -369,17 +380,12 @@ def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int |
 
 
 def _cmd_campaign(args) -> int:
-    try:
-        doc = json.loads(_read_file(args.config).decode("utf-8"))
-    except ValueError as exc:
-        print(f"error: {args.config}: not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    cfg, specs, demo_count, base_mesh = _campaign_config(doc)
+    cfg, specs, demo_count, base_mesh = _campaign_config(_read_json(args.config))
     if demo_count is not None:
         result = run_demo_campaign(cfg, base_mesh, corruption_count=demo_count)
     else:
         result = run_campaign(cfg, specs, base_mesh)
-    _write_output(args.out, _dump_strict_json(result.to_dict()))
+    _write_output(args.out, _dump_json(result.to_dict()))
     return 0
 
 
@@ -388,14 +394,9 @@ def _cmd_report(args) -> int:
     campaign = None
     evidence = None
     for path in args.inputs or []:
-        try:
-            doc = json.loads(_read_file(path).decode("utf-8"))
-        except ValueError as exc:
-            print(f"error: {path}: not valid JSON: {exc}", file=sys.stderr)
-            return 2
+        doc = _read_json(path)
         if not isinstance(doc, dict):
-            print(f"error: {path}: not a known artifact", file=sys.stderr)
-            return 2
+            raise CliError(f"{path}: not a known artifact")
         try:
             if "candidates" in doc:
                 hazards = doc
@@ -405,11 +406,9 @@ def _cmd_report(args) -> int:
             elif "histogram" in doc:
                 campaign = CampaignResult.from_dict(doc)
             else:
-                print(f"error: {path}: not a known artifact", file=sys.stderr)
-                return 2
+                raise CliError(f"{path}: not a known artifact")
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            print(f"error: {path}: malformed campaign artifact: {exc!r}", file=sys.stderr)
-            return 2
+            raise CliError(f"{path}: malformed campaign artifact: {exc!r}") from None
     doc = build_report(hazards=hazards, campaign=campaign, evidence=evidence)
     fmt = args.format or ("md" if args.out.endswith(".md") else "json")
     _write_output(args.out, render_markdown(doc) if fmt == "md" else render_json(doc))

@@ -24,6 +24,8 @@ past the float range of binary STL, it lands in mesh validation.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -38,7 +40,7 @@ from .mesh_io import (
     parse_stl,
     validate_mesh,
 )
-from .netsim import ChannelParams, TransferMode, check_packet_size, splitmix64_next, transfer
+from .netsim import ChannelParams, TransferMode, check_packet_size, splitmix64_at, transfer
 from .printer_sim import (
     FailReason,
     JobStatus,
@@ -48,16 +50,6 @@ from .printer_sim import (
     run_job,
 )
 from .slicer import SliceParams, slice_mesh
-
-_MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-
-
-def _splitmix_at(seed: int, index: int) -> int:
-    """index-th output of the SplitMix64 stream that starts at `seed`."""
-    value, _ = splitmix64_next((seed + index * _GOLDEN) & _MASK)
-    return value
-
 
 class FaultKind(Enum):
     BIT_FLIP = "bit_flip"
@@ -101,9 +93,9 @@ class FaultSpec:
             raise ValueError(f"{self.kind.value} cannot be planted {self.stage.value}")
         number = (int, float)
         if self.kind is FaultKind.SCALE_COORDS and not (
-            isinstance(self.factor, number) and self.factor > 0.0
+            isinstance(self.factor, number) and 0.0 < self.factor <= sys.float_info.max
         ):
-            raise ValueError("scale_coords requires factor > 0")
+            raise ValueError("scale_coords requires a finite factor > 0")
         if self.kind is FaultKind.DROP_PACKETS and not (
             isinstance(self.loss_prob, number) and 0.0 <= self.loss_prob <= 1.0
         ):
@@ -175,23 +167,23 @@ def inject(target: bytes | TriangleMesh, spec: FaultSpec):
 
     if spec.kind is FaultKind.BIT_FLIP:
         limit = len(data) * 8
-        offset = spec.offset if spec.offset is not None else _splitmix_at(spec.seed, 0) % limit
+        offset = spec.offset if spec.offset is not None else splitmix64_at(spec.seed, 0) % limit
         data[offset // 8] ^= 1 << (offset % 8)
         return bytes(data)
 
     if spec.kind is FaultKind.BYTE_SET:
-        offset = spec.offset if spec.offset is not None else _splitmix_at(spec.seed, 0) % len(data)
+        offset = spec.offset if spec.offset is not None else splitmix64_at(spec.seed, 0) % len(data)
         if spec.value is not None:
             value = spec.value
         else:
-            value = _splitmix_at(spec.seed, 1) % 256
+            value = splitmix64_at(spec.seed, 1) % 256
             if value == data[offset]:
                 value ^= 0xFF
         data[offset] = value
         return bytes(data)
 
     # TRUNCATE
-    new_len = spec.new_len if spec.new_len is not None else _splitmix_at(spec.seed, 0) % len(data)
+    new_len = spec.new_len if spec.new_len is not None else splitmix64_at(spec.seed, 0) % len(data)
     return bytes(data[:new_len])
 
 
@@ -257,6 +249,8 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         check_packet_size(self.packet_size)
+        if not (0 <= self.geometry_tol_mm < math.inf):
+            raise ValueError("geometry_tol_mm must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -379,7 +373,7 @@ def _trials(cfg: PipelineConfig, specs: list[FaultSpec], pristine: _Pristine):
     concurrent evaluation produce identical results.
     """
     for i, spec in enumerate(specs):
-        channel = replace(cfg.channel, seed=_splitmix_at(cfg.campaign_seed, i))
+        channel = replace(cfg.channel, seed=splitmix64_at(cfg.campaign_seed, i))
         stage, outcome, _ = _run_trial(cfg, spec, pristine, channel)
         yield spec, stage, outcome
 
@@ -413,7 +407,7 @@ def run_campaign(
 def bit_flip_specs(count: int, stage: FaultStage, seed: int) -> list[FaultSpec]:
     """Single-bit (single-byte) corruptions at seed-derived offsets."""
     return [
-        FaultSpec(kind=FaultKind.BIT_FLIP, stage=stage, seed=_splitmix_at(seed, j))
+        FaultSpec(kind=FaultKind.BIT_FLIP, stage=stage, seed=splitmix64_at(seed, j))
         for j in range(count)
     ]
 
@@ -460,6 +454,9 @@ class DemoResult:
         return {"campaign": self.campaign.to_dict(), "evidence": self.evidence.to_dict()}
 
 
+# the loss the reliable-transfer probe runs under (mitigations 1 and 3)
+RELIABLE_LOSS_PROB = 0.1
+
 _LATE_STAGES = frozenset(
     {DetectionStage.PRINTER_OUTCOME, DetectionStage.GEOMETRY_DIFF, DetectionStage.UNDETECTED}
 )
@@ -475,7 +472,6 @@ def run_demo_campaign(
     cfg: PipelineConfig,
     base_mesh: TriangleMesh,
     corruption_count: int = 200,
-    reliable_loss_prob: float = 0.1,
 ) -> DemoResult:
     """Exercise the executable mitigations and collect the evidence.
 
@@ -512,7 +508,7 @@ def run_demo_campaign(
     lossy_lost = 0
     all_intact = True
     for j in range(16):
-        probe_seed = _splitmix_at(cfg.campaign_seed ^ 0x51CE, j)
+        probe_seed = splitmix64_at(cfg.campaign_seed ^ 0x51CE, j)
         lossless = transfer(
             job.sent,
             replace(cfg.channel, loss_prob=0.0, seed=probe_seed),
@@ -521,7 +517,7 @@ def run_demo_campaign(
         )
         lossy = transfer(
             job.sent,
-            replace(cfg.channel, loss_prob=reliable_loss_prob, seed=probe_seed),
+            replace(cfg.channel, loss_prob=RELIABLE_LOSS_PROB, seed=probe_seed),
             TransferMode.RELIABLE_ORDERED,
             probe_packet,
         )
@@ -531,7 +527,7 @@ def run_demo_campaign(
         all_intact = all_intact and lossy.intact
 
     evidence = MitigationEvidence(
-        reliable_loss_prob=reliable_loss_prob,
+        reliable_loss_prob=RELIABLE_LOSS_PROB,
         reliable_intact_under_loss=all_intact,
         lossless_elapsed_ms=lossless_ms,
         lossy_elapsed_ms=lossy_ms,

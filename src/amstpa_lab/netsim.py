@@ -16,16 +16,23 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 _MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 MAX_RETRIES = 64
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
     """One step of the published SplitMix64 recurrence: (output, new_state)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
+    state = (state + _GOLDEN) & _MASK
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)), state
+
+
+def splitmix64_at(seed: int, index: int) -> int:
+    """index-th output of the SplitMix64 stream that starts at `seed`."""
+    value, _ = splitmix64_next((seed + index * _GOLDEN) & _MASK)
+    return value
 
 
 def _u01(value: int) -> float:

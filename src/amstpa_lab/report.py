@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .faultlab import CampaignResult, MitigationEvidence
-from .stpa_core import MitigationCatalog, builtin_catalog
+from .stpa_core import builtin_catalog
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,7 @@ class MitigationStatus(Enum):
     CATALOG_ONLY = "CatalogOnly"
 
 
-def mitigation_statuses(
-    catalog: MitigationCatalog,
-    evidence: MitigationEvidence | None,
-) -> dict[int, MitigationStatus]:
+def mitigation_statuses(evidence: MitigationEvidence | None) -> dict[int, MitigationStatus]:
     """Status per mitigation id.
 
     Only the executable entries (1..5) can be Demonstrated, and only when
@@ -77,7 +74,7 @@ def mitigation_statuses(
     5. the envelope caught every seeded corruption while the raw pipeline
        let at least one past the integrity stage.
     """
-    status = {m.id: MitigationStatus.CATALOG_ONLY for m in catalog.entries}
+    status = {m.id: MitigationStatus.CATALOG_ONLY for m in builtin_catalog().entries}
     if evidence is None:
         return status
     ev = evidence
@@ -103,7 +100,6 @@ class ReportDoc:
     hazards: dict | None
     campaign: CampaignResult | None
     evidence: MitigationEvidence | None
-    catalog: MitigationCatalog
     statuses: dict[int, MitigationStatus]
 
 
@@ -111,16 +107,8 @@ def build_report(
     hazards: dict | None = None,
     campaign: CampaignResult | None = None,
     evidence: MitigationEvidence | None = None,
-    catalog: MitigationCatalog | None = None,
 ) -> ReportDoc:
-    catalog = catalog or builtin_catalog()
-    return ReportDoc(
-        hazards=hazards,
-        campaign=campaign,
-        evidence=evidence,
-        catalog=catalog,
-        statuses=mitigation_statuses(catalog, evidence),
-    )
+    return ReportDoc(hazards, campaign, evidence, mitigation_statuses(evidence))
 
 
 def _defect_block() -> dict:
@@ -158,7 +146,7 @@ def render_json(doc: ReportDoc) -> str:
                 "status": doc.statuses[m.id].value,
                 "text": m.text,
             }
-            for m in doc.catalog.entries
+            for m in builtin_catalog().entries
         ],
         "defect_rates": _defect_block(),
     }
@@ -200,7 +188,7 @@ def render_markdown(doc: ReportDoc) -> str:
     lines.append("")
     lines.append("| # | status | mitigation |")
     lines.append("|---|---|---|")
-    for m in doc.catalog.entries:
+    for m in builtin_catalog().entries:
         lines.append(f"| {m.id} | {doc.statuses[m.id].value} | {m.text} |")
     lines.append("")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -69,20 +69,8 @@ class Path:
 @dataclass(frozen=True)
 class ControlStructure:
     name: str
-    components: tuple[Component, ...] = field(default_factory=tuple)
-    paths: tuple[Path, ...] = field(default_factory=tuple)
-
-    def component_by_id(self, cid: str) -> Component:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
-    def path_by_id(self, pid: str) -> Path:
-        for p in self.paths:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
+    components: tuple[Component, ...] = ()
+    paths: tuple[Path, ...] = ()
 
 
 class PhraseSetId(Enum):
@@ -126,7 +114,7 @@ class CandidateHazard:
     phrase_set: PhraseSetId
     phrase_index: int  # 1..4
     generated_text: str
-    mitigation_ids: tuple[int, ...] = field(default_factory=tuple)
+    mitigation_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -294,6 +282,26 @@ def _parse_enum(cls, raw, what: str, where: str):
         raise ModelError(f"{where}: unknown {what} {raw!r} (expected one of: {valid})") from None
 
 
+def _entries(doc: dict, key: str, what: str):
+    """Yield (where, id, raw) for each entry of the list doc[key]: an object
+    whose id is a non-empty string not seen before in that list."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ModelError(f"model {key!r} must be a list")
+    seen: set[str] = set()
+    for i, raw in enumerate(entries):
+        where = f"{key}[{i}]"
+        if not isinstance(raw, dict):
+            raise ModelError(f"{where}: must be an object")
+        eid = raw.get("id")
+        if not isinstance(eid, str) or not eid:
+            raise ModelError(f"{where}: {what} id must be a non-empty string")
+        if eid in seen:
+            raise ModelError(f"{where}: duplicate {what} id {eid!r}")
+        seen.add(eid)
+        yield where, eid, raw
+
+
 def load_model(text: bytes) -> ControlStructure:
     """Load and validate a JSON control-structure model.
 
@@ -312,22 +320,8 @@ def load_model(text: bytes) -> ControlStructure:
     if not isinstance(name, str):
         raise ModelError("model 'name' must be a string")
 
-    for key in ("components", "paths"):
-        if not isinstance(doc.get(key, []), list):
-            raise ModelError(f"model {key!r} must be a list")
-
     components = []
-    seen_c: set[str] = set()
-    for i, raw in enumerate(doc.get("components", [])):
-        where = f"components[{i}]"
-        if not isinstance(raw, dict):
-            raise ModelError(f"{where}: must be an object")
-        cid = raw.get("id")
-        if not isinstance(cid, str) or not cid:
-            raise ModelError(f"{where}: component id must be a non-empty string")
-        if cid in seen_c:
-            raise ModelError(f"{where}: duplicate component id {cid!r}")
-        seen_c.add(cid)
+    for where, cid, raw in _entries(doc, "components", "component"):
         cname = raw.get("name")
         if not isinstance(cname, str):
             raise ModelError(f"{where} (id={cid!r}): 'name' must be a string")
@@ -335,25 +329,16 @@ def load_model(text: bytes) -> ControlStructure:
         subsystem = _parse_enum(Subsystem, raw.get("subsystem"), "subsystem", f"{where} (id={cid!r})")
         components.append(Component(cid, cname, kind, subsystem))
 
+    component_ids = {c.id for c in components}
     paths = []
-    seen_p: set[str] = set()
-    for i, raw in enumerate(doc.get("paths", [])):
-        where = f"paths[{i}]"
-        if not isinstance(raw, dict):
-            raise ModelError(f"{where}: must be an object")
-        pid = raw.get("id")
-        if not isinstance(pid, str) or not pid:
-            raise ModelError(f"{where}: path id must be a non-empty string")
-        if pid in seen_p:
-            raise ModelError(f"{where}: duplicate path id {pid!r}")
-        seen_p.add(pid)
+    for where, pid, raw in _entries(doc, "paths", "path"):
         kind = _parse_enum(PathKind, raw.get("kind"), "path kind", f"{where} (id={pid!r})")
         label = raw.get("label")
         if not isinstance(label, str):
             raise ModelError(f"{where} (id={pid!r}): 'label' must be a string")
         source, target = raw.get("source"), raw.get("target")
         for endpoint, role in ((source, "source"), (target, "target")):
-            if not isinstance(endpoint, str) or endpoint not in seen_c:
+            if not isinstance(endpoint, str) or endpoint not in component_ids:
                 raise ModelError(
                     f"{where} (id={pid!r}): {role} {endpoint!r} does not name a component"
                 )
@@ -395,14 +380,16 @@ def builtin_am_reference_model() -> ControlStructure:
 
 
 def enumerate_candidates(cs: ControlStructure) -> list[CandidateHazard]:
-    """Apply the guide phrases to every component, then every path.
+    """Apply the guide phrases to every component, then every path, linking
+    each candidate to its mitigations from the rule tables in the same pass.
 
     Yields exactly 4 * (len(components) + len(paths)) candidates, in
     declaration order with phrase_index ascending within each subject.
     """
     out: list[CandidateHazard] = []
+    phrases = PHRASE_SETS[PhraseSetId.NON_REAL_TIME]
     for comp in cs.components:
-        phrases = PHRASE_SETS[PhraseSetId.NON_REAL_TIME]
+        ids = tuple(sorted(COMPONENT_MITIGATIONS[comp.kind]))
         for idx, phrase in enumerate(phrases, start=1):
             out.append(
                 CandidateHazard(
@@ -411,14 +398,14 @@ def enumerate_candidates(cs: ControlStructure) -> list[CandidateHazard]:
                     phrase_set=PhraseSetId.NON_REAL_TIME,
                     phrase_index=idx,
                     generated_text=f"Component '{comp.name}' [{comp.kind.value}]: {phrase}",
+                    mitigation_ids=ids,
                 )
             )
+    names = {c.id: c.name for c in cs.components}
     for path in cs.paths:
         set_id = PATH_PHRASE_SET[path.kind]
-        phrases = PHRASE_SETS[set_id]
-        src = cs.component_by_id(path.source)
-        dst = cs.component_by_id(path.target)
-        for idx, phrase in enumerate(phrases, start=1):
+        path_class = classify_path(path)
+        for idx, phrase in enumerate(PHRASE_SETS[set_id], start=1):
             out.append(
                 CandidateHazard(
                     subject_kind="Path",
@@ -426,39 +413,12 @@ def enumerate_candidates(cs: ControlStructure) -> list[CandidateHazard]:
                     phrase_set=set_id,
                     phrase_index=idx,
                     generated_text=(
-                        f"Path '{path.label}' ({src.name} -> {dst.name}): {phrase}"
+                        f"Path '{path.label}' ({names[path.source]} -> {names[path.target]}): "
+                        f"{phrase}"
                     ),
+                    mitigation_ids=tuple(sorted(PATH_MITIGATIONS[path_class, idx])),
                 )
             )
-    return out
-
-
-def attach_mitigations(
-    hazards: list[CandidateHazard],
-    catalog: MitigationCatalog,
-    cs: ControlStructure,
-) -> list[CandidateHazard]:
-    """Fill mitigation_ids from the rule table; unmatched subjects get ()."""
-    if len(catalog.entries) != 25:
-        raise ValueError("catalog must have exactly 25 entries")
-    out = []
-    for hz in hazards:
-        ids: tuple[int, ...] = ()
-        if hz.subject_kind == "Component":
-            try:
-                comp = cs.component_by_id(hz.subject_id)
-            except KeyError:
-                comp = None
-            if comp is not None:
-                ids = COMPONENT_MITIGATIONS.get(comp.kind, ())
-        else:
-            try:
-                path = cs.path_by_id(hz.subject_id)
-            except KeyError:
-                path = None
-            if path is not None:
-                ids = PATH_MITIGATIONS.get((classify_path(path), hz.phrase_index), ())
-        out.append(replace(hz, mitigation_ids=tuple(sorted(ids))))
     return out
 
 

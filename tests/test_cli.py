@@ -352,6 +352,12 @@ def _one_fault(kind, stage, **params):
             id="layer-time-not-a-number",
         ),
         pytest.param("campaign", {**CUBE_FLIPS, "packet_size": 0}, id="config-packet-size-0"),
+        pytest.param(
+            "campaign", {**CUBE_FLIPS, "geometry_tol_mm": -1}, id="config-geometry-tol-negative"
+        ),
+        pytest.param(
+            "campaign", {**CUBE_FLIPS, "geometry_tol_mm": math.inf}, id="config-geometry-tol-inf"
+        ),
         pytest.param("campaign", {**CUBE_FLIPS, "seed": math.inf}, id="config-seed-inf"),
         pytest.param(
             "campaign", {**CUBE_FLIPS, "printer": {"buffer_capacity": math.inf}},
@@ -377,6 +383,11 @@ def _one_fault(kind, stage, **params):
         ),
         pytest.param(
             "campaign", _one_fault("scale_coords", "after_cad", factor=0), id="scale-factor-0"
+        ),
+        pytest.param(
+            "campaign",
+            _one_fault("scale_coords", "after_cad", factor=10**400),
+            id="scale-factor-int-past-double-range",
         ),
         pytest.param(
             "campaign", _one_fault("drop_packets", "in_transit"), id="drop-packets-no-loss-prob"
@@ -490,6 +501,52 @@ def test_campaign_mesh_beyond_float32_exits_2_before_any_trial(tmp_path, capsys,
         "facet 0 has a coordinate beyond 32-bit float range\n"
     )
     assert captured.out == "" and trials == []
+
+
+def test_slice_whose_crossings_overflow_exits_2(tmp_path, capsys):
+    # finite vertices, but the crossing points at z = 0.25 overflow a double
+    mesh = _one_facet(tmp_path, "-1e308 -1e308 0", "1e308 1e308 1", "1e308 -1e308 0.5")
+    out = tmp_path / "layers.json"
+    code = main(["slice", str(mesh), "--layer-height", "0.5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: the result has a number that overflows a double\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "number, error",
+    [
+        *((n, f"not valid JSON: {n} is not a finite number")
+          for n in ("Infinity", "-Infinity", "NaN", "1e400")),
+        ("1" + "0" * 400, "not a layers file: int too large to convert to float"),
+    ],
+    ids=["Infinity", "-Infinity", "NaN", "1e400", "int-past-double-range"],
+)
+def test_gcode_plan_refuses_a_non_finite_layers_file(tmp_path, capsys, number, error):
+    layers = tmp_path / "layers.json"
+    layers.write_text(
+        '{"layer_height": 0.5, "layers": [{"index": 0, "z": 0.25, "contours": '
+        f'[{{"closed": true, "vertices": [[0, 0], [{number}, 0], [0, 1]]}}]}}]}}'
+    )
+    code = main(["gcode", "plan", str(layers)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {layers}: {error}\n"
+    assert captured.out == ""
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"{token} in strict JSON output")
+
+
+def test_stl_validate_nan_mesh_writes_strict_json(tmp_path):
+    mesh = _one_facet(tmp_path, "0 0 0", "1 0 1", "nan 0 1")
+    code, out = run_cli(["stl", "validate", mesh])
+    assert code == 1
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    assert doc["nonfinite_facets"] == [0]
+    assert doc["bbox_min"] is None and doc["bbox_max"] is None
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,17 @@ class TestInject:
 
 
 class TestCampaign:
+    @pytest.mark.parametrize("tol", [-1.0, math.inf, -math.inf, math.nan])
+    def test_geometry_tolerance_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="geometry_tol_mm must be finite and >= 0"):
+            replace(pipeline(), geometry_tol_mm=tol)
+
+    def test_zero_geometry_tolerance_is_valid(self, cube):
+        # an after-slice byte set that changes the printed geometry
+        spec = FaultSpec(FaultKind.BYTE_SET, FaultStage.AFTER_SLICE, offset=48, value=53)
+        result = run_campaign(replace(pipeline(), geometry_tol_mm=0.0), [spec], cube)
+        assert result.histogram == {DetectionStage.GEOMETRY_DIFF: 1}
+
     def test_empty_specs(self, cube):
         result = run_campaign(pipeline(), [], cube)
         assert result.trials == 0

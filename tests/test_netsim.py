@@ -12,6 +12,7 @@ from amstpa_lab.netsim import (
     TransferMode,
     TransferResult,
     _attempt,
+    splitmix64_at,
     splitmix64_next,
     transfer,
 )
@@ -56,6 +57,13 @@ class TestSplitMix64:
                 out.append(v)
             seq.append(out)
         assert seq[0] == seq[1]
+
+    @given(st.integers(min_value=0, max_value=MASK), st.integers(min_value=0, max_value=300))
+    def test_at_is_the_index_th_output(self, seed, index):
+        state = seed
+        for _ in range(index + 1):
+            value, state = splitmix64_next(state)
+        assert splitmix64_at(seed, index) == value
 
     def test_uniform_mean(self):
         state = 2024

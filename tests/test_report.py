@@ -11,7 +11,6 @@ from amstpa_lab.report import (
     render_json,
     render_markdown,
 )
-from amstpa_lab.stpa_core import builtin_catalog
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -64,12 +63,12 @@ class TestDefectRates:
 
 class TestStatuses:
     def test_no_evidence_all_catalog_only(self):
-        statuses = mitigation_statuses(builtin_catalog(), None)
+        statuses = mitigation_statuses(None)
         assert all(s is MitigationStatus.CATALOG_ONLY for s in statuses.values())
         assert len(statuses) == 25
 
     def test_full_evidence_demonstrates_1_to_5(self):
-        statuses = mitigation_statuses(builtin_catalog(), evidence())
+        statuses = mitigation_statuses(evidence())
         assert all(
             statuses[i] is MitigationStatus.DEMONSTRATED for i in range(1, 6)
         )
@@ -83,14 +82,14 @@ class TestStatuses:
             streaming_scrapped_with_layers=0,
             raw_late_detections=0,
         )
-        statuses = mitigation_statuses(builtin_catalog(), ev)
+        statuses = mitigation_statuses(ev)
         assert statuses[1] is MitigationStatus.CATALOG_ONLY
         assert statuses[2] is MitigationStatus.CATALOG_ONLY
         assert statuses[3] is MitigationStatus.DEMONSTRATED
         assert statuses[5] is MitigationStatus.CATALOG_ONLY
 
     def test_scrapped_fullimage_blocks_mitigation_2(self):
-        statuses = mitigation_statuses(builtin_catalog(), evidence(fullimage_scrapped=3))
+        statuses = mitigation_statuses(evidence(fullimage_scrapped=3))
         assert statuses[2] is MitigationStatus.CATALOG_ONLY
 
 

@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,9 @@ from amstpa_lab.stpa_core import (
     EXECUTABLE_MITIGATIONS,
     MITIGATION_TEXTS,
     PATH_MITIGATIONS,
+    PATH_PHRASE_SET,
     PHRASE_SETS,
+    CandidateHazard,
     Component,
     ComponentKind,
     ControlStructure,
@@ -20,7 +23,6 @@ from amstpa_lab.stpa_core import (
     PathKind,
     PhraseSetId,
     Subsystem,
-    attach_mitigations,
     builtin_am_reference_model,
     builtin_catalog,
     candidates_to_dict,
@@ -260,7 +262,7 @@ class TestEnumerate:
 class TestMitigationRules:
     def test_network_link_component(self):
         cs = builtin_am_reference_model()
-        hazards = attach_mitigations(enumerate_candidates(cs), builtin_catalog(), cs)
+        hazards = enumerate_candidates(cs)
         for hz in hazards:
             if hz.subject_kind == "Component" and hz.subject_id == "upload_link":
                 assert {1, 3} <= set(hz.mitigation_ids)
@@ -268,18 +270,14 @@ class TestMitigationRules:
 
     def test_repository_component(self):
         cs = builtin_am_reference_model()
-        hazards = attach_mitigations(enumerate_candidates(cs), builtin_catalog(), cs)
+        hazards = enumerate_candidates(cs)
         for hz in hazards:
             if hz.subject_kind == "Component" and hz.subject_id == "design_repo":
                 assert set(hz.mitigation_ids) == {6, 7, 8}
 
-    def test_empty_input(self):
-        cs = builtin_am_reference_model()
-        assert attach_mitigations([], builtin_catalog(), cs) == []
-
     def test_ids_always_in_catalog_range(self):
         cs = builtin_am_reference_model()
-        hazards = attach_mitigations(enumerate_candidates(cs), builtin_catalog(), cs)
+        hazards = enumerate_candidates(cs)
         for hz in hazards:
             assert all(1 <= mid <= 25 for mid in hz.mitigation_ids)
 
@@ -340,6 +338,77 @@ def structures(draw):
     return ControlStructure(draw(st.text(min_size=0, max_size=10)), components, tuple(paths))
 
 
+# The two passes that enumerate_candidates replaced, kept as its oracle: the
+# first enumerates with no links, looking each endpoint name up by a linear
+# scan; the second finds each subject again and links it from the rule tables.
+
+
+def _by_id(items, item_id):
+    for item in items:
+        if item.id == item_id:
+            return item
+    raise KeyError(item_id)
+
+
+def unlinked_candidates(cs):
+    out = []
+    for comp in cs.components:
+        for idx, phrase in enumerate(PHRASE_SETS[PhraseSetId.NON_REAL_TIME], start=1):
+            out.append(CandidateHazard(
+                "Component", comp.id, PhraseSetId.NON_REAL_TIME, idx,
+                f"Component '{comp.name}' [{comp.kind.value}]: {phrase}", (),
+            ))
+    for path in cs.paths:
+        set_id = PATH_PHRASE_SET[path.kind]
+        src = _by_id(cs.components, path.source)
+        dst = _by_id(cs.components, path.target)
+        for idx, phrase in enumerate(PHRASE_SETS[set_id], start=1):
+            out.append(CandidateHazard(
+                "Path", path.id, set_id, idx,
+                f"Path '{path.label}' ({src.name} -> {dst.name}): {phrase}", (),
+            ))
+    return out
+
+
+def attach_mitigations(hazards, catalog, cs):
+    """Fill mitigation_ids from the rule table; unmatched subjects get ()."""
+    if len(catalog.entries) != 25:
+        raise ValueError("catalog must have exactly 25 entries")
+    out = []
+    for hz in hazards:
+        ids = ()
+        if hz.subject_kind == "Component":
+            try:
+                comp = _by_id(cs.components, hz.subject_id)
+            except KeyError:
+                comp = None
+            if comp is not None:
+                ids = COMPONENT_MITIGATIONS.get(comp.kind, ())
+        else:
+            try:
+                path = _by_id(cs.paths, hz.subject_id)
+            except KeyError:
+                path = None
+            if path is not None:
+                ids = PATH_MITIGATIONS.get((classify_path(path), hz.phrase_index), ())
+        out.append(replace(hz, mitigation_ids=tuple(sorted(ids))))
+    return out
+
+
+def two_pass_candidates(cs):
+    return attach_mitigations(unlinked_candidates(cs), builtin_catalog(), cs)
+
+
+@given(structures())
+def test_one_pass_matches_two_passes(cs):
+    assert enumerate_candidates(cs) == two_pass_candidates(cs)
+
+
+def test_one_pass_matches_two_passes_bundled():
+    cs = builtin_am_reference_model()
+    assert enumerate_candidates(cs) == two_pass_candidates(cs)
+
+
 @given(structures())
 def test_counting_law_random_structures(cs):
     assert len(enumerate_candidates(cs)) == 4 * (len(cs.components) + len(cs.paths))
@@ -352,7 +421,7 @@ def test_model_round_trip(cs):
 
 def test_renderings_smoke():
     cs = builtin_am_reference_model()
-    hazards = attach_mitigations(enumerate_candidates(cs), builtin_catalog(), cs)
+    hazards = enumerate_candidates(cs)
     doc = candidates_to_dict(cs, hazards)
     assert doc["candidate_count"] == 80
     assert len(doc["candidates"]) == 80
