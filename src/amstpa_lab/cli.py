@@ -294,6 +294,13 @@ def _block(doc: dict, key: str, default: dict | None = None) -> dict:
     return block
 
 
+def _flag(doc: dict, key: str, default: bool) -> bool:
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
 def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int | None, object]:
     """Check a whole campaign config before any trial runs.
 
@@ -345,13 +352,13 @@ def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int |
             printer=printer,
             mode=TransferMode(doc.get("mode", "reliable")),
             packet_size=int(doc.get("packet_size", 256)),
-            enveloped=bool(doc.get("envelope", True)),
-            ecc=bool(doc.get("ecc", False)),
+            enveloped=_flag(doc, "envelope", True),
+            ecc=_flag(doc, "ecc", False),
             geometry_tol_mm=float(doc.get("geometry_tol_mm", 1e-6)),
             campaign_seed=int(doc.get("seed", 0)),
         )
         demo_count = None
-        if doc.get("demo", False):
+        if _flag(doc, "demo", False):
             check_demo(cfg)
             demo_count = int(_block(doc, "generate").get("count", 200))
     except (TypeError, ValueError, OverflowError) as exc:

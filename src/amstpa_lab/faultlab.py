@@ -141,17 +141,13 @@ def inject(target: bytes | TriangleMesh, spec: FaultSpec):
             raise TypeError(f"{spec.kind.value} applies to a mesh, not bytes")
         if spec.kind is FaultKind.FLIP_NORMALS:
             flipped = tuple(
-                Facet(Vec3(-f.normal.x, -f.normal.y, -f.normal.z), f.v0, f.v1, f.v2)
-                for f in target.facets
+                Facet(Vec3(-nx, -ny, -nz), a, b, c) for (nx, ny, nz), a, b, c in target.facets
             )
             return TriangleMesh(flipped, target.source_encoding)
         factor = spec.factor
-
-        def scale(v: Vec3) -> Vec3:
-            return Vec3(v.x * factor, v.y * factor, v.z * factor)
-
         scaled = tuple(
-            Facet(f.normal, scale(f.v0), scale(f.v1), scale(f.v2)) for f in target.facets
+            Facet(n, *(Vec3(x * factor, y * factor, z * factor) for x, y, z in vertices))
+            for n, *vertices in target.facets
         )
         return TriangleMesh(scaled, target.source_encoding)
 

@@ -11,8 +11,8 @@ line as LF, CR and CRLF do.  `;` starts a comment that runs to the end of
 its line.  A record is a line that still holds code once its comment and
 surrounding whitespace are removed; each record is one command.  `scan`
 applies the line rule and parses each line, and `fold` applies the layer
-rule and checks the program invariants in the same pass; `parse_text`,
-`check_program`, `count_records` and `path_length` are views over the two.
+rule and checks the program invariants in the same pass; `count_records`
+and `path_length` are views over the two.
 
 Commands are tuple records: the two moves are NamedTuples, and the four
 commands without arguments are empty tuples equal only to their own kind.
@@ -116,16 +116,6 @@ class ToolpathParams:
         for name in ("feed_rate", "extrusion_per_mm"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be > 0")
-
-
-def check_program(prog: GCodeProgram) -> None:
-    """Raise GCodeError unless the program satisfies its invariants.
-
-    The invariants are those `fold` checks as it reads (`Reading.invalid`).
-    """
-    invalid = fold((0, 0, c) for c in prog.commands).invalid
-    if invalid is not None:
-        raise invalid
 
 
 # builds a record from its full field tuple, skipping the keyword __new__
@@ -431,14 +421,6 @@ def _invalid(commands: list[Command], ends: int, broken: GCodeError | None) -> G
     if ends > 1:
         return GCodeError("M2 before end of program")
     return broken
-
-
-def parse_text(data: bytes) -> GCodeProgram:
-    """Parse dialect text strictly; raise GCodeError for the first bad line."""
-    reading = fold(scan(data))
-    if reading.error is not None:
-        raise reading.error
-    return GCodeProgram(reading.commands)
 
 
 def path_length(prog: GCodeProgram) -> Reading:

@@ -3,6 +3,10 @@
 Supports both ASCII and binary STL with bit-exact binary round-trips.
 Coordinates are millimeters, stored as 64-bit floats in memory; binary STL
 carries 32-bit floats on the wire (widened on parse, rounded on emit).
+
+Mesh records are tuples: `Vec3` and `Facet` are NamedTuples, so a facet
+flattens to its 12 floats by unpacking or concatenation (`n + a + b + c`),
+and the binary reader builds each facet straight from its unpacked record.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -37,8 +42,7 @@ class Encoding(Enum):
     BINARY = "binary"
 
 
-@dataclass(frozen=True)
-class Vec3:
+class Vec3(NamedTuple):
     x: float
     y: float
     z: float
@@ -60,8 +64,7 @@ class Vec3:
         return math.sqrt(self.dot(self))
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     normal: Vec3
     v0: Vec3
     v1: Vec3
@@ -69,7 +72,7 @@ class Facet:
 
     @property
     def vertices(self) -> tuple[Vec3, Vec3, Vec3]:
-        return (self.v0, self.v1, self.v2)
+        return self[1:]
 
 
 @dataclass(frozen=True)
@@ -196,17 +199,10 @@ def parse_stl_binary(data: bytes) -> TriangleMesh:
             f"truncated or oversized binary STL: {count} facets declared, "
             f"expected {expected} bytes, got {len(data)}"
         )
-    facets = []
-    for i in range(count):
-        values = _RECORD.unpack_from(data, 84 + 50 * i)
-        facets.append(
-            Facet(
-                Vec3(*values[0:3]),
-                Vec3(*values[3:6]),
-                Vec3(*values[6:9]),
-                Vec3(*values[9:12]),
-            )
-        )
+    facets = [
+        Facet(Vec3(nx, ny, nz), Vec3(ax, ay, az), Vec3(bx, by, bz), Vec3(cx, cy, cz))
+        for nx, ny, nz, ax, ay, az, bx, by, bz, cx, cy, cz, _ in _RECORD.iter_unpack(data[84:])
+    ]
     return TriangleMesh(tuple(facets), Encoding.BINARY)
 
 
@@ -236,8 +232,8 @@ def parse_stl(data: bytes) -> TriangleMesh:
 
 def require_finite(mesh: TriangleMesh) -> None:
     """Raise ValueError naming the first facet with a NaN or infinite coordinate."""
-    for i, f in enumerate(mesh.facets):
-        if not _finite(_coords(f)):
+    for i, (n, a, b, c) in enumerate(mesh.facets):
+        if not _finite(n + a + b + c):
             raise ValueError(f"facet {i} has a non-finite coordinate")
 
 
@@ -246,9 +242,9 @@ def emit_stl_binary(mesh: TriangleMesh) -> bytes:
     require_finite(mesh)
     out = bytearray(BINARY_HEADER)
     out += _COUNT.pack(len(mesh.facets))
-    for i, f in enumerate(mesh.facets):
+    for i, (n, a, b, c) in enumerate(mesh.facets):
         try:
-            out += _RECORD.pack(*_coords(f), 0)
+            out += _RECORD.pack(*n, *a, *b, *c, 0)
         except OverflowError:
             raise ValueError(f"facet {i} has a coordinate beyond 32-bit float range") from None
     return bytes(out)
@@ -280,12 +276,6 @@ def emit_stl_ascii(mesh: TriangleMesh, precision: int = 6) -> bytes:
     return "".join(parts).encode("ascii")
 
 
-def _coords(f: Facet) -> tuple[float, ...]:
-    """The facet's 12 floats: normal, then v0, v1 and v2, each x, y, z."""
-    n, a, b, c = f.normal, f.v0, f.v1, f.v2
-    return (n.x, n.y, n.z, a.x, a.y, a.z, b.x, b.y, b.z, c.x, c.y, c.z)
-
-
 def _finite(coords: tuple[float, ...]) -> bool:
     return all(map(math.isfinite, coords))
 
@@ -305,8 +295,8 @@ def validate_mesh(mesh: TriangleMesh, area_tol: float = 1e-12) -> MeshReport:
     edges: list[tuple[bytes, bytes]] = []
     points: list[float] = []  # x, y, z of every vertex in facet order
     pack = _VERTICES.pack
-    for i, f in enumerate(mesh.facets):
-        coords = _coords(f)
+    for i, (n, a, b, c) in enumerate(mesh.facets):
+        coords = n + a + b + c
         nx, ny, nz, ax, ay, az, bx, by, bz, cx, cy, cz = coords
         # right-hand-rule normal (v1 - v0) x (v2 - v0)
         ux, uy, uz = bx - ax, by - ay, bz - az

@@ -234,8 +234,8 @@ def slice_mesh(mesh: TriangleMesh, params: SliceParams) -> list[LayerPlan]:
     require_finite(mesh)
     h = params.layer_height
     tris = [
-        (f.v0.z, f.v1.z, f.v2.z, f.v0.x, f.v0.y, f.v1.x, f.v1.y, f.v2.x, f.v2.y)
-        for f in mesh.facets
+        (z0, z1, z2, x0, y0, x1, y1, x2, y2)
+        for _, (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) in mesh.facets
     ]
     if not tris:
         return []

@@ -373,6 +373,9 @@ def _one_fault(kind, stage, **params):
         pytest.param(
             "campaign", {**CUBE_FLIPS, "demo": True, "envelope": False}, id="demo-without-envelope"
         ),
+        pytest.param("campaign", {**CUBE_FLIPS, "demo": "false"}, id="config-demo-string"),
+        pytest.param("campaign", {**CUBE_FLIPS, "ecc": "false"}, id="config-ecc-string"),
+        pytest.param("campaign", {**CUBE_FLIPS, "envelope": "no"}, id="config-envelope-string"),
         pytest.param(
             "campaign",
             _one_fault("drop_packets", "after_slice", loss_prob=0.5),

@@ -20,12 +20,10 @@ from amstpa_lab.gcode import (
     UseMillimeters,
     _emit_command,
     _parse_line,
-    check_program,
     count_records,
     emit_text,
     fold,
     intended_perimeters,
-    parse_text,
     path_length,
     plan_toolpath,
     scan,
@@ -53,7 +51,7 @@ class TestPlan:
     def test_zero_layers_prologue_epilogue_only(self):
         prog = plan_toolpath([], ToolpathParams())
         assert prog.commands == PROLOGUE + (ProgramEnd(),)
-        check_program(prog)
+        assert fold((0, 0, c) for c in prog.commands).invalid is None
 
     def test_single_square_final_e(self):
         prog = plan_toolpath([square_layer()], ToolpathParams(extrusion_per_mm=0.05))
@@ -69,7 +67,7 @@ class TestPlan:
         assert len(cube_program.commands) == 24
         es = [c.e for c in linear]
         assert es == sorted(es)
-        check_program(cube_program)
+        assert fold((0, 0, c) for c in cube_program.commands).invalid is None
 
     def test_open_contour_skipped_with_warning(self, caplog):
         open_layer = LayerPlan(
@@ -90,49 +88,51 @@ class TestPlan:
 
 class TestTextFormat:
     def test_minimal_program(self):
-        prog = parse_text(b"G21\nG90\nG28\nM2\n")
-        assert prog.commands == PROLOGUE + (ProgramEnd(),)
+        reading = fold(scan(b"G21\nG90\nG28\nM2\n"))
+        assert reading.error is None and reading.commands == PROLOGUE + (ProgramEnd(),)
 
     def test_linear_move_fields(self):
-        prog = parse_text(b"G1 X1.00000 Y0.00000 E0.05000 F1800.00000\n")
-        assert prog.commands == (LinearMove(x=1.0, y=0.0, e=0.05, f=1800.0),)
+        reading = fold(scan(b"G1 X1.00000 Y0.00000 E0.05000 F1800.00000\n"))
+        assert reading.error is None
+        assert reading.commands == (LinearMove(x=1.0, y=0.0, e=0.05, f=1800.0),)
 
     def test_comments_and_blanks_ignored(self):
-        prog = parse_text(b"; job start\nG21\n\nG90 ; absolute\nG28\nM2\n")
-        assert prog.commands == PROLOGUE + (ProgramEnd(),)
+        reading = fold(scan(b"; job start\nG21\n\nG90 ; absolute\nG28\nM2\n"))
+        assert reading.error is None and reading.commands == PROLOGUE + (ProgramEnd(),)
 
     def test_unknown_code_rejected_with_line(self):
         with pytest.raises(GCodeError, match="line 2"):
-            parse_text(b"G21\nG2 X1 Y1\n")
+            raise fold(scan(b"G21\nG2 X1 Y1\n")).error
 
     def test_malformed_number_rejected(self):
         with pytest.raises(GCodeError, match="malformed number"):
-            parse_text(b"G1 Xabc\n")
+            raise fold(scan(b"G1 Xabc\n")).error
 
     def test_nonfinite_number_rejected(self):
         with pytest.raises(GCodeError, match="non-finite"):
-            parse_text(b"G1 X1e309\n")
+            raise fold(scan(b"G1 X1e309\n")).error
         with pytest.raises(GCodeError, match="non-finite"):
-            parse_text(b"G1 Xnan\n")
+            raise fold(scan(b"G1 Xnan\n")).error
 
     def test_unknown_word_rejected(self):
         with pytest.raises(GCodeError, match="unknown word"):
-            parse_text(b"T0\n")
+            raise fold(scan(b"T0\n")).error
 
     def test_e_on_rapid_rejected(self):
         with pytest.raises(GCodeError, match="unknown word"):
-            parse_text(b"G0 X1.0 E0.5\n")
+            raise fold(scan(b"G0 X1.0 E0.5\n")).error
 
     def test_duplicate_word_rejected(self):
         with pytest.raises(GCodeError, match="duplicate"):
-            parse_text(b"G1 X1.0 X2.0\n")
+            raise fold(scan(b"G1 X1.0 X2.0\n")).error
 
     def test_arguments_on_plain_words_rejected(self):
         with pytest.raises(GCodeError, match="no arguments"):
-            parse_text(b"G28 X0\n")
+            raise fold(scan(b"G28 X0\n")).error
 
     def test_cube_round_trip(self, cube_program, cube_text):
-        assert parse_text(cube_text) == cube_program
+        reading = fold(scan(cube_text))
+        assert reading.error is None and reading.commands == cube_program.commands
 
     def test_emitted_text_shape(self, cube_text):
         lines = cube_text.decode().splitlines()
@@ -156,7 +156,7 @@ class TestTextFormat:
 
     def test_invalid_utf8_rejected_whole(self):
         with pytest.raises(GCodeError, match="not valid UTF-8"):
-            parse_text(b"G21\nG90\nG28\nM2 ; \xff\n")
+            raise fold(scan(b"G21\nG90\nG28\nM2 ; \xff\n")).error
         assert count_records(b"G21\n; \xff\nG1 X\xfe\n") == 2
 
     def test_count_records(self, cube_text, cube_program):
@@ -167,11 +167,11 @@ class TestTextFormat:
 class TestProgramInvariants:
     def test_missing_prologue(self):
         with pytest.raises(GCodeError, match="begin"):
-            check_program(GCodeProgram((UseMillimeters(), ProgramEnd())))
+            raise fold((0, 0, c) for c in (UseMillimeters(), ProgramEnd())).invalid
 
     def test_missing_end(self):
         with pytest.raises(GCodeError, match="end with M2"):
-            check_program(GCodeProgram(PROLOGUE + (RapidMove(x=0.0),)))
+            raise fold((0, 0, c) for c in PROLOGUE + (RapidMove(x=0.0),)).invalid
 
     def test_decreasing_extrusion(self):
         prog = GCodeProgram(
@@ -179,22 +179,22 @@ class TestProgramInvariants:
             + (LinearMove(x=1.0, e=0.5), LinearMove(x=2.0, e=0.25), ProgramEnd())
         )
         with pytest.raises(GCodeError, match="decreased"):
-            check_program(prog)
+            raise fold((0, 0, c) for c in prog.commands).invalid
 
     def test_nonpositive_feed(self):
         prog = GCodeProgram(PROLOGUE + (LinearMove(x=1.0, f=0.0), ProgramEnd()))
         with pytest.raises(GCodeError, match="feed"):
-            check_program(prog)
+            raise fold((0, 0, c) for c in prog.commands).invalid
 
     def test_interior_m2(self):
         prog = GCodeProgram(PROLOGUE + (ProgramEnd(), ProgramEnd()))
         with pytest.raises(GCodeError, match="before end"):
-            check_program(prog)
+            raise fold((0, 0, c) for c in prog.commands).invalid
 
     def test_nonfinite_coordinate(self):
         prog = GCodeProgram(PROLOGUE + (RapidMove(x=float("inf")), ProgramEnd()))
         with pytest.raises(GCodeError, match="non-finite"):
-            check_program(prog)
+            raise fold((0, 0, c) for c in prog.commands).invalid
 
 
 class TestPathLength:
@@ -281,17 +281,20 @@ def programs(draw):
 
 @given(programs())
 def test_parse_emit_identity(prog):
-    check_program(prog)
-    assert parse_text(emit_text(prog)) == prog
+    assert fold((0, 0, c) for c in prog.commands).invalid is None
+    reading = fold(scan(emit_text(prog)))
+    assert reading.error is None and reading.commands == prog.commands
 
 
 @given(programs())
 def test_parse_emit_parse_round_trip(prog):
     text = emit_text(prog)
-    reparsed = parse_text(text)
-    assert emit_text(reparsed) == text
-    again = parse_text(emit_text(reparsed))
-    assert again == reparsed == prog
+    reparsed = fold(scan(text))
+    assert reparsed.error is None
+    assert emit_text(GCodeProgram(reparsed.commands)) == text
+    again = fold(scan(emit_text(GCodeProgram(reparsed.commands))))
+    assert again.error is None
+    assert again.commands == reparsed.commands == prog.commands
     assert [type(c) for c in again.commands] == [type(c) for c in prog.commands]
 
 
@@ -332,9 +335,9 @@ class TestRecordEquality:
     )
     def test_permuted_prologue_rejected(self, text, message):
         with pytest.raises(GCodeError, match=message):
-            check_program(parse_text(text))
+            raise fold(scan(text)).invalid
         with pytest.raises(GCodeError, match=message):
-            oracle_check_program(parse_text(text))
+            oracle_check_program(GCodeProgram(fold(scan(text)).commands))
 
     def test_repr_and_fields(self):
         assert repr(LinearMove(x=1.0, e=0.5)) == "LinearMove(x=1.0, y=None, z=None, e=0.5, f=None)"

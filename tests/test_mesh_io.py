@@ -356,7 +356,7 @@ def awkward_meshes(draw):
             elif edit == "collapse":
                 facets[i] = Facet(f.normal, f.v0, f.v0, f.v2)
             else:
-                facets[i] = dataclasses.replace(f, **{edit: draw(vec3s(st.sampled_from(SPECIAL)))})
+                facets[i] = f._replace(**{edit: draw(vec3s(st.sampled_from(SPECIAL)))})
         return TriangleMesh(tuple(facets))
     pool = draw(st.lists(vec3s(st.sampled_from(SPECIAL)), min_size=1, max_size=6))
     vertex = st.sampled_from(pool)
@@ -401,3 +401,87 @@ class TestValidateMatchesScalarOracle:
         report = validate_mesh(mesh)
         assert exact(report) == exact(scalar_validate_mesh(mesh))
         assert math.isnan(report.bbox_min.x) and math.isnan(report.bbox_max.x)
+
+
+# ---------------------------------------------------------------------------
+# Per-record oracle: the binary reader the one-pass comprehension replaced.
+# ---------------------------------------------------------------------------
+
+
+def record_loop_parse_stl_binary(data: bytes) -> TriangleMesh:
+    (count,) = struct.unpack_from("<I", data, 80)
+    facets = []
+    for i in range(count):
+        values = struct.unpack_from("<12fH", data, 84 + 50 * i)
+        facets.append(
+            Facet(
+                Vec3(*values[0:3]),
+                Vec3(*values[3:6]),
+                Vec3(*values[6:9]),
+                Vec3(*values[9:12]),
+            )
+        )
+    return TriangleMesh(tuple(facets), Encoding.BINARY)
+
+
+def mesh_bits(mesh: TriangleMesh) -> list[bytes]:
+    """Each facet's 12 coordinates as bit patterns, so a NaN equals itself."""
+    return [struct.pack("<12d", *f.normal, *f.v0, *f.v1, *f.v2) for f in mesh.facets]
+
+
+# float32 bit patterns: NaNs of both signs and several payloads, signed
+# zeros, infinities, the smallest subnormal and the largest finite value
+SPECIAL32 = [0x7FC00000, 0xFFC00000, 0x7F800001, 0x7FBFFFFF, 0x00000000, 0x80000000,
+             0x7F800000, 0xFF800000, 0x00000001, 0x7F7FFFFF]
+float32_bits = st.sampled_from(SPECIAL32) | st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def binary_stl_files(draw):
+    records = draw(st.lists(
+        st.tuples(st.lists(float32_bits, min_size=12, max_size=12), st.integers(0, 0xFFFF)),
+        max_size=8,
+    ))
+    body = b"".join(struct.pack("<12IH", *words, attr) for words, attr in records)
+    header = draw(st.binary(min_size=80, max_size=80))
+    return header + struct.pack("<I", len(records)) + body
+
+
+class TestBinaryReaderMatchesRecordLoop:
+    @given(binary_stl_files())
+    def test_random_records(self, data):
+        mesh = parse_stl_binary(data)
+        oracle = record_loop_parse_stl_binary(data)
+        assert mesh_bits(mesh) == mesh_bits(oracle)
+        assert mesh.source_encoding is oracle.source_encoding
+        assert all(type(f) is Facet and all(type(v) is Vec3 for v in f) for f in mesh.facets)
+
+
+# ---------------------------------------------------------------------------
+# Tuple mesh records: repr, construction and hashing as the frozen
+# dataclasses had them
+# ---------------------------------------------------------------------------
+
+
+class TestMeshRecords:
+    def test_repr_unchanged(self):
+        f = Facet(Vec3(0.0, 0.0, 1.0), Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0),
+                  Vec3(0.0, -0.0, 0.0))
+        assert repr(f.v2) == "Vec3(x=0.0, y=-0.0, z=0.0)"
+        assert repr(f) == (
+            "Facet(normal=Vec3(x=0.0, y=0.0, z=1.0), v0=Vec3(x=0.0, y=0.0, z=0.0), "
+            "v1=Vec3(x=1.0, y=0.0, z=0.0), v2=Vec3(x=0.0, y=-0.0, z=0.0))"
+        )
+
+    def test_keyword_construction(self):
+        v = Vec3(z=3.0, x=1.0, y=2.0)
+        assert (v.x, v.y, v.z) == (1.0, 2.0, 3.0) and v == Vec3(1.0, 2.0, 3.0)
+        f = Facet(v2=v, v1=v, v0=Vec3(0.0, 0.0, 0.0), normal=Vec3(0.0, 0.0, 1.0))
+        assert f.vertices == (Vec3(0.0, 0.0, 0.0), v, v)
+        assert Vec3._fields == ("x", "y", "z") and Facet._fields == ("normal", "v0", "v1", "v2")
+
+    def test_equal_records_hash_equal(self, cube):
+        again = parse_stl_binary(emit_stl_binary(cube))
+        assert again.facets == cube.facets
+        assert [hash(f) for f in again.facets] == [hash(f) for f in cube.facets]
+        assert len(set(cube.facets) | set(again.facets)) == 12
