@@ -20,22 +20,33 @@ runs.  A trial whose fault leaves nothing to send is still classified: the
 printer never receives a job.  So is an after-CAD fault that leaves a mesh
 the slicer refuses (more than `slicer.MAX_LAYERS` layers): like one scaled
 past the float range of binary STL, it lands in mesh validation.
+
+After-CAD byte faults are judged against the parsed pristine STL, not the
+base mesh (binary STL rounds to float32): a fault that keeps the file's
+length and count word is read and validated only in the records it changes,
+and one that moves no vertex sends the parsed pristine's job, built once per
+configuration.  Every other after-CAD fault is parsed, validated and built
+whole.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from itertools import chain
 
 from .gcode import GCodeProgram, ToolpathParams, count_records, emit_text, plan_toolpath
 from .integrity import wrap
 from .mesh_io import (
     Facet,
+    MeshTally,
     StlError,
     TriangleMesh,
     Vec3,
+    binary_delta,
     emit_stl_binary,
     parse_stl,
     validate_mesh,
@@ -271,24 +282,93 @@ def _wrap_stage(cfg: PipelineConfig, text: bytes) -> bytes:
     return wrap(text, count_records(text), with_ecc=cfg.ecc)
 
 
+def _build_sent(cfg: PipelineConfig, mesh: TriangleMesh) -> bytes | DetectionStage:
+    try:
+        return build_job(cfg, mesh).sent
+    except ValueError:  # the slicer refuses it: too many layers
+        return DetectionStage.MESH_VALIDATION
+
+
+def _read(stl: bytes) -> TriangleMesh | DetectionStage:
+    """Parse and validate `stl`: the mesh, or the stage that stops it."""
+    try:
+        mesh = parse_stl(stl)
+    except StlError:
+        return DetectionStage.PARSE_ERROR
+    if not validate_mesh(mesh).is_clean():
+        return DetectionStage.MESH_VALIDATION
+    return mesh
+
+
+def _bits(mesh: TriangleMesh) -> bytes:
+    """Every coordinate's float64 bits, in facet order: -0.0 is not 0.0."""
+    return array("d", chain.from_iterable(chain.from_iterable(mesh.facets))).tobytes()
+
+
+class _CadIntake:
+    """`_read` for after-CAD byte faults, from the records a fault changes.
+
+    Holds `mesh`, parse_stl(pristine STL), and its MeshTally.  A fault that
+    keeps the STL's length and count word and reads as binary (see
+    binary_delta) is judged from its changed facets; if it moves no vertex,
+    the intake returns `mesh` itself (the slicer never reads normals).  When
+    the base mesh is `mesh` bit for bit, as any mesh read from binary STL
+    is, `mesh` is the base mesh and the trial sends its pristine job.  Every
+    other fault takes `_read`.  The intake holds no config: each trial
+    builds what it returns with its own.
+    """
+
+    def __init__(self, base_mesh: TriangleMesh, stl: bytes):
+        self.stl = stl
+        self.mesh = parse_stl(stl)
+        if _bits(self.mesh) == _bits(base_mesh):
+            self.mesh = base_mesh
+        self.tally = MeshTally(self.mesh)
+        self._sent: dict[PipelineConfig, bytes | DetectionStage] = {}  # for `mesh`
+
+    def __call__(self, stl: bytes) -> TriangleMesh | DetectionStage:
+        delta = binary_delta(self.stl, stl)
+        if delta is None:
+            return _read(stl)
+        replaced, moved = delta
+        if not self.tally.is_clean_with(replaced):
+            return DetectionStage.MESH_VALIDATION
+        return parse_stl(stl) if moved else self.mesh
+
+    def build(self, cfg: PipelineConfig, mesh: TriangleMesh) -> bytes | DetectionStage:
+        """`_build_sent(cfg, mesh)`, built once per config for `mesh` itself."""
+        if mesh is not self.mesh:
+            return _build_sent(cfg, mesh)
+        if cfg not in self._sent:
+            self._sent[cfg] = _build_sent(cfg, mesh)
+        return self._sent[cfg]
+
+
 @dataclass(frozen=True)
 class _Pristine:
     mesh: TriangleMesh
     stl: bytes
     job: Job
+    cad: _CadIntake | None = None  # only for campaigns with after-CAD byte faults
 
 
 class CampaignError(ValueError):
     """A campaign that cannot start; raised before any trial runs."""
 
 
-def _prepare(cfg: PipelineConfig, base_mesh: TriangleMesh) -> _Pristine:
+def _prepare(cfg: PipelineConfig, base_mesh: TriangleMesh, specs: list[FaultSpec]) -> _Pristine:
+    """The pristine STL and job, with every explicit target in `specs`
+    checked against them, and the after-CAD intake if `specs` needs it."""
     try:
         stl = emit_stl_binary(base_mesh)
         job = build_job(cfg, base_mesh)
     except ValueError as exc:  # no binary STL form, or too tall to slice
         raise CampaignError(f"cannot prepare the pristine job: {exc}") from None
-    return _Pristine(base_mesh, stl, job)
+    pristine = _Pristine(base_mesh, stl, job)
+    _check_targets(specs, pristine)
+    if any(s.stage is FaultStage.AFTER_CAD and s.kind in _BYTE_KINDS for s in specs):
+        pristine = replace(pristine, cad=_CadIntake(base_mesh, stl))
+    return pristine
 
 
 def _check_targets(specs: list[FaultSpec], pristine: _Pristine) -> None:
@@ -320,18 +400,19 @@ def _run_trial(
                 stl_bytes = emit_stl_binary(inject(pristine.mesh, spec))
             except ValueError:  # scaled past the float range of binary STL
                 return DetectionStage.MESH_VALIDATION, None, None
+            mesh = _read(stl_bytes)
         else:
-            stl_bytes = inject(pristine.stl, spec)
-        try:
-            mesh = parse_stl(stl_bytes)
-        except StlError:
-            return DetectionStage.PARSE_ERROR, None, None
-        if not validate_mesh(mesh).is_clean():
-            return DetectionStage.MESH_VALIDATION, None, None
-        try:
-            sent = reference = build_job(cfg, mesh).sent
-        except ValueError:  # the slicer refuses it: too many layers
-            return DetectionStage.MESH_VALIDATION, None, None
+            mesh = pristine.cad(inject(pristine.stl, spec))
+        if isinstance(mesh, DetectionStage):
+            return mesh, None, None
+        if mesh is not pristine.mesh:  # else the pristine job is sent as is
+            if pristine.cad is None:
+                sent = _build_sent(cfg, mesh)
+            else:
+                sent = pristine.cad.build(cfg, mesh)
+            if isinstance(sent, DetectionStage):
+                return sent, None, None
+            reference = sent
     elif spec.stage is FaultStage.AFTER_SLICE:
         sent = reference = _wrap_stage(cfg, inject(pristine.job.text, spec))
     elif spec.kind is FaultKind.DROP_PACKETS:  # in transit, through the channel
@@ -395,8 +476,7 @@ def run_campaign(
     Raises CampaignError, before any trial runs, if the pristine job cannot
     be built or a fault's explicit offset or length lies past its target.
     """
-    pristine = _prepare(cfg, base_mesh)
-    _check_targets(specs, pristine)
+    pristine = _prepare(cfg, base_mesh, specs)
     return _tally(_trials(cfg, specs, pristine))
 
 
@@ -483,7 +563,7 @@ def run_demo_campaign(
     raw_cfg = replace(full_cfg, enveloped=False)
     # the policy is not part of the job, so all three runs share one pristine
     # job; the raw run sends its text without the envelope
-    pristine = _prepare(cfg, base_mesh)
+    pristine = _prepare(cfg, base_mesh, specs)
 
     # full image + envelope, tracking outcomes for the buffering contrast
     full_trials = list(_trials(full_cfg, specs, pristine))

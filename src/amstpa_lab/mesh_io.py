@@ -7,6 +7,12 @@ carries 32-bit floats on the wire (widened on parse, rounded on emit).
 Mesh records are tuples: `Vec3` and `Facet` are NamedTuples, so a facet
 flattens to its 12 floats by unpacking or concatenation (`n + a + b + c`),
 and the binary reader builds each facet straight from its unpacked record.
+
+A binary STL that differs from a known one in a few records need not be read
+or validated whole: `binary_delta` finds and reads only the records that
+differ, and a `MeshTally` of the known mesh answers whether the changed mesh
+is clean from those facets alone, by the same per-facet rules as
+`validate_mesh`.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import countOf
 from typing import NamedTuple
 
 log = logging.getLogger(__name__)
@@ -25,6 +32,10 @@ BINARY_HEADER = b"amstpa-lab".ljust(80, b"\x00")
 _RECORD = struct.Struct("<12fH")
 _COUNT = struct.Struct("<I")
 _VERTICES = struct.Struct("<9d")
+# validate_mesh's and MeshTally's default degenerate-facet area, mm^2
+_AREA_TOL = 1e-12
+# records compared at once by binary_delta before it looks at single records
+_BLOCK = 64 * _RECORD.size
 
 
 class StlError(ValueError):
@@ -199,11 +210,19 @@ def parse_stl_binary(data: bytes) -> TriangleMesh:
             f"truncated or oversized binary STL: {count} facets declared, "
             f"expected {expected} bytes, got {len(data)}"
         )
-    facets = [
+    return TriangleMesh(tuple(_facets(data[84:])), Encoding.BINARY)
+
+
+def _facets(records: bytes) -> list[Facet]:
+    """One facet per 50-byte binary STL record; the attribute word is dropped."""
+    return [
         Facet(Vec3(nx, ny, nz), Vec3(ax, ay, az), Vec3(bx, by, bz), Vec3(cx, cy, cz))
-        for nx, ny, nz, ax, ay, az, bx, by, bz, cx, cy, cz, _ in _RECORD.iter_unpack(data[84:])
+        for nx, ny, nz, ax, ay, az, bx, by, bz, cx, cy, cz, _ in _RECORD.iter_unpack(records)
     ]
-    return TriangleMesh(tuple(facets), Encoding.BINARY)
+
+
+def _opens_with_solid(data: bytes) -> bool:
+    return data.lstrip()[:5].lower() == b"solid"
 
 
 def parse_stl(data: bytes) -> TriangleMesh:
@@ -213,7 +232,7 @@ def parse_stl(data: bytes) -> TriangleMesh:
     they are retried as binary (a common real-world malformation), with the
     fallback logged.
     """
-    if data.lstrip()[:5].lower() == b"solid":
+    if _opens_with_solid(data):
         try:
             return parse_stl_ascii(data)
         except StlError as ascii_err:
@@ -228,6 +247,31 @@ def parse_stl(data: bytes) -> TriangleMesh:
             )
             return mesh
     return parse_stl_binary(data)
+
+
+def binary_delta(pristine: bytes, data: bytes) -> tuple[dict[int, Facet], bool] | None:
+    """The facets `data` changes in `pristine`, a well-formed binary STL.
+
+    Returns None unless parse_stl reads `data` as binary STL with the
+    length and the count word of `pristine`.  Otherwise parse_stl(data) is
+    parse_stl(pristine) with some facets replaced: returns those facets by
+    index, read from only the records that differ, and whether any of those
+    records differs in its 36 vertex bytes.
+    """
+    if len(data) != len(pristine) or data[80:84] != pristine[80:84] or _opens_with_solid(data):
+        return None
+    size = _RECORD.size
+    changed: list[int] = []  # byte offsets of the records that differ
+    for block in range(84, len(data), _BLOCK):
+        end = block + _BLOCK
+        if data[block:end] != pristine[block:end]:
+            changed += (
+                at for at in range(block, min(end, len(data)), size)
+                if data[at:at + size] != pristine[at:at + size]
+            )
+    moved = any(data[at + 12:at + 48] != pristine[at + 12:at + 48] for at in changed)
+    facets = _facets(b"".join(data[at:at + size] for at in changed))
+    return {(at - 84) // size: f for at, f in zip(changed, facets)}, moved
 
 
 def require_finite(mesh: TriangleMesh) -> None:
@@ -280,22 +324,20 @@ def _finite(coords: tuple[float, ...]) -> bool:
     return all(map(math.isfinite, coords))
 
 
-def validate_mesh(mesh: TriangleMesh, area_tol: float = 1e-12) -> MeshReport:
-    """Produce a validation report; never raises.
+def _facet_checks(facets, area_tol: float):
+    """validate_mesh's per-facet rules, over `facets` in order.
 
-    Degenerate facets have area < area_tol (mm^2).  Non-finite facets have a
-    NaN or infinite coordinate in a vertex or the normal.  Manifoldness counts
-    undirected edges (on bit-identical vertices) not shared by exactly two
-    facets.  Inverted facets have a stored normal opposing the computed
-    right-hand-rule normal.
+    Returns the positions in `facets` of the degenerate, the non-finite and
+    the inverted facets, the keys of each facet's three undirected edges, and
+    x, y, z of every vertex.
     """
     degenerate: list[int] = []
     nonfinite: list[int] = []
     inverted: list[int] = []
-    edges: list[tuple[bytes, bytes]] = []
+    edges: list[bytes] = []
     points: list[float] = []  # x, y, z of every vertex in facet order
     pack = _VERTICES.pack
-    for i, (n, a, b, c) in enumerate(mesh.facets):
+    for i, (n, a, b, c) in enumerate(facets):
         coords = n + a + b + c
         nx, ny, nz, ax, ay, az, bx, by, bz, cx, cy, cz = coords
         # right-hand-rule normal (v1 - v0) x (v2 - v0)
@@ -310,18 +352,36 @@ def validate_mesh(mesh: TriangleMesh, area_tol: float = 1e-12) -> MeshReport:
         if norm > 0.0 and nx * px + ny * py + nz * pz < 0.0:
             inverted.append(i)
         # vertex keys are their exact bit patterns, deliberately stricter
-        # than epsilon snapping: -0.0 and 0.0 differ, a NaN matches its bits
+        # than epsilon snapping: -0.0 and 0.0 differ, a NaN matches its bits;
+        # an edge's key is its two vertex keys, the lesser first
         vertices = coords[3:]
         keys = pack(*vertices)
         k0, k1, k2 = keys[:24], keys[24:48], keys[48:]
         edges += (
-            (k0, k1) if k0 < k1 else (k1, k0),
-            (k1, k2) if k1 < k2 else (k2, k1),
-            (k2, k0) if k2 < k0 else (k0, k2),
+            k0 + k1 if k0 < k1 else k1 + k0,
+            k1 + k2 if k1 < k2 else k2 + k1,
+            k2 + k0 if k2 < k0 else k0 + k2,
         )
         points += vertices
+    return degenerate, nonfinite, inverted, edges, points
 
-    nonmanifold = sum(1 for c in Counter(edges).values() if c != 2)
+
+def _nonmanifold_edges(uses: Counter) -> int:
+    """Edges not shared by exactly two facets; `uses` counts each edge's facets."""
+    return len(uses) - countOf(uses.values(), 2)
+
+
+def validate_mesh(mesh: TriangleMesh, area_tol: float = _AREA_TOL) -> MeshReport:
+    """Produce a validation report; never raises.
+
+    Degenerate facets have area < area_tol (mm^2).  Non-finite facets have a
+    NaN or infinite coordinate in a vertex or the normal.  Manifoldness counts
+    undirected edges (on bit-identical vertices) not shared by exactly two
+    facets.  Inverted facets have a stored normal opposing the computed
+    right-hand-rule normal.
+    """
+    degenerate, nonfinite, inverted, edges, points = _facet_checks(mesh.facets, area_tol)
+    nonmanifold = _nonmanifold_edges(Counter(edges))
     if points:
         xs, ys, zs = points[0::3], points[1::3], points[2::3]
         bbox_min = Vec3(min(xs), min(ys), min(zs))
@@ -338,3 +398,38 @@ def validate_mesh(mesh: TriangleMesh, area_tol: float = 1e-12) -> MeshReport:
         bbox_max=bbox_max,
         watertight=(nonmanifold == 0 and len(mesh.facets) > 0),
     )
+
+
+class MeshTally:
+    """validate_mesh's per-facet findings on one mesh, kept to judge meshes
+    that replace a few of its facets.
+
+    `is_clean_with(replaced)` equals validate_mesh(the mesh with `replaced`
+    swapped in, same area_tol).is_clean(), worked out from the replaced
+    facets alone.
+    """
+
+    def __init__(self, mesh: TriangleMesh, area_tol: float = _AREA_TOL):
+        degenerate, nonfinite, inverted, edges, _ = _facet_checks(mesh.facets, area_tol)
+        self.facets = mesh.facets
+        self.area_tol = area_tol
+        self.flagged = frozenset(degenerate + nonfinite + inverted)
+        self.edges = Counter(edges)
+        self.nonmanifold = _nonmanifold_edges(self.edges)
+
+    def is_clean_with(self, replaced: dict[int, Facet]) -> bool:
+        if not self.facets or not self.flagged.issubset(replaced):
+            return False
+        degenerate, nonfinite, inverted, added, _ = _facet_checks(replaced.values(), self.area_tol)
+        if degenerate or nonfinite or inverted:
+            return False
+        removed = _facet_checks([self.facets[i] for i in replaced], self.area_tol)[3]
+        change = Counter(added)
+        change.subtract(removed)
+        nonmanifold = self.nonmanifold
+        for edge, d in change.items():
+            before = self.edges[edge]
+            # an edge no facet uses any more drops out, as it does from
+            # validate_mesh's count
+            nonmanifold += (before + d not in (0, 2)) - (before not in (0, 2))
+        return nonmanifold == 0

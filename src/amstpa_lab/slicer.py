@@ -327,13 +327,6 @@ def _shoelace(vertices: list[Point2] | tuple[Point2, ...]) -> float:
     return 0.5 * (total + (x0 * y1 - x1 * y0))
 
 
-def contour_signed_area(c: Contour) -> float:
-    """Shoelace area; positive for counter-clockwise winding."""
-    if not c.closed:
-        raise ValueError("signed area is defined only for closed contours")
-    return _shoelace(c.vertices)
-
-
 def contour_perimeter(c: Contour) -> float:
     """Sum of edge lengths; closed contours include the closing edge."""
     v = c.vertices

@@ -128,9 +128,6 @@ class Mitigation:
 class MitigationCatalog:
     entries: tuple[Mitigation, ...]
 
-    def by_id(self, mid: int) -> Mitigation:
-        return self.entries[mid - 1]
-
 
 MITIGATION_TEXTS: tuple[str, ...] = (
     "Assuring the network protocol used for AM is TCP/IP and not UDP which does not "
@@ -347,22 +344,6 @@ def load_model(text: bytes) -> ControlStructure:
         paths.append(Path(pid, source, target, kind, label))
 
     return ControlStructure(name, tuple(components), tuple(paths))
-
-
-def emit_model(cs: ControlStructure) -> bytes:
-    doc = {
-        "name": cs.name,
-        "components": [
-            {"id": c.id, "name": c.name, "kind": c.kind.value, "subsystem": c.subsystem.value}
-            for c in cs.components
-        ],
-        "paths": [
-            {"id": p.id, "source": p.source, "target": p.target,
-             "kind": p.kind.value, "label": p.label}
-            for p in cs.paths
-        ],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
 @functools.cache

@@ -47,7 +47,7 @@ from amstpa_lab.printer_sim import (
     run_job,
 )
 from amstpa_lab.report import DEFECT_RATE_TABLE, FOLLOWUP_2016_AUTOMATION, build_report, render_json, render_markdown
-from amstpa_lab.slicer import SliceParams, contour_signed_area, slice_mesh
+from amstpa_lab.slicer import SliceParams, _shoelace, slice_mesh
 from amstpa_lab.stpa_core import (
     Component,
     ComponentKind,
@@ -150,10 +150,11 @@ def test_criterion_3_slicer_oracle():
         for layer in layers:
             assert len(layer.contours) == 1
             assert layer.contours[0].closed
-            assert contour_signed_area(layer.contours[0]) == pytest.approx(1.0, abs=1e-9)
+            assert _shoelace(layer.contours[0].vertices) == pytest.approx(1.0, abs=1e-9)
 
         tetra_layers = slice_mesh(shapes.corner_tetrahedron(), SliceParams(layer_height=0.5))
-        area = contour_signed_area(tetra_layers[0].contours[0])
+        assert tetra_layers[0].contours[0].closed
+        area = _shoelace(tetra_layers[0].contours[0].vertices)
         legs = 1.0 - tetra_layers[0].z  # cross-section of x+y+z<=1 at z
         assert area == pytest.approx(legs * legs / 2.0, abs=1e-9)
         assert area == pytest.approx(0.28125, abs=1e-9)
@@ -290,9 +291,9 @@ def test_criterion_9_report_pinning():
         catalog = builtin_catalog()
         assert len(catalog.entries) == 25
         assert [m.id for m in catalog.entries] == list(range(1, 26))
-        assert catalog.by_id(1).text.startswith("Assuring the network protocol used for AM")
-        assert "high Quality of Service" in catalog.by_id(3).text
-        assert "integrity check (EDC/ECC codes, word count)" in catalog.by_id(5).text
+        assert catalog.entries[0].text.startswith("Assuring the network protocol used for AM")
+        assert "high Quality of Service" in catalog.entries[2].text
+        assert "integrity check (EDC/ECC codes, word count)" in catalog.entries[4].text
         assert {m.id for m in catalog.entries if m.executable} == {1, 2, 3, 4, 5}
 
         doc = build_report()

@@ -5,8 +5,10 @@ import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from amstpa_lab import faultlab, printer_sim
+from amstpa_lab import faultlab, printer_sim, shapes
 from amstpa_lab.faultlab import (
     CampaignResult,
     DetectionStage,
@@ -15,6 +17,7 @@ from amstpa_lab.faultlab import (
     FaultStage,
     PipelineConfig,
     bit_flip_specs,
+    build_job,
     inject,
     run_campaign,
     run_demo_campaign,
@@ -22,14 +25,23 @@ from amstpa_lab.faultlab import (
 from amstpa_lab.gcode import ToolpathParams, fold
 from amstpa_lab.mesh_io import (
     Facet,
+    StlError,
     TriangleMesh,
     Vec3,
+    emit_stl_ascii,
     emit_stl_binary,
     parse_stl,
     validate_mesh,
 )
-from amstpa_lab.netsim import ChannelParams, TransferMode
-from amstpa_lab.printer_sim import PrinterConfig, PrintPolicy
+from amstpa_lab.netsim import ChannelParams, TransferMode, splitmix64_at
+from amstpa_lab.printer_sim import (
+    FailReason,
+    JobStatus,
+    PrinterConfig,
+    PrintPolicy,
+    geometry_diff,
+    run_job,
+)
 from amstpa_lab.slicer import SliceParams, slice_mesh
 
 
@@ -265,7 +277,7 @@ class TestFaultTargets:
         # and on its 807-byte raw text
         derived = FaultSpec(FaultKind.TRUNCATE, FaultStage.IN_TRANSIT,
                             seed=481 if enveloped else 944)
-        sent = faultlab._prepare(pipeline(enveloped=enveloped), cube).job.sent
+        sent = faultlab._prepare(pipeline(enveloped=enveloped), cube, []).job.sent
         assert inject(sent, derived) == b""
         result = run_campaign(pipeline(enveloped=enveloped), [explicit, derived], cube)
         assert result.histogram == {stage: 2}
@@ -426,3 +438,227 @@ class TestTrialLoop:
         printer_sim._reference_layers.cache_clear()
         assert demo.evidence.streaming_scrapped == 8
         assert calls.count(True) == 1
+
+
+# ---------------------------------------------------------------------------
+# Whole-file oracle: every after-CAD fault parsed, validated and built whole,
+# as trials did before the intake judged byte faults by the records they
+# change.
+# ---------------------------------------------------------------------------
+
+
+def whole_file_trial(cfg, spec, pristine, channel):
+    """An after-CAD trial through parse_stl -> validate_mesh -> build_job."""
+    if spec.kind in (FaultKind.SCALE_COORDS, FaultKind.FLIP_NORMALS):
+        try:
+            stl = emit_stl_binary(inject(pristine.mesh, spec))
+        except ValueError:
+            return DetectionStage.MESH_VALIDATION, None, None
+    else:
+        stl = inject(pristine.stl, spec)
+    try:
+        mesh = parse_stl(stl)
+    except StlError:
+        return DetectionStage.PARSE_ERROR, None, None
+    if not validate_mesh(mesh).is_clean():
+        return DetectionStage.MESH_VALIDATION, None, None
+    try:
+        sent = build_job(cfg, mesh).sent
+    except ValueError:
+        return DetectionStage.MESH_VALIDATION, None, None
+    outcome, trace = run_job(
+        sent, cfg.printer, channel, cfg.mode,
+        packet_size=cfg.packet_size, enveloped=cfg.enveloped, reference=sent,
+    )
+    if outcome.reason is FailReason.INTEGRITY_FAILURE or trace.integrity_corrected_bits > 0:
+        return DetectionStage.INTEGRITY_VERIFY, outcome, trace
+    if outcome.status is not JobStatus.COMPLETED:
+        return DetectionStage.PRINTER_OUTCOME, outcome, trace
+    gd = geometry_diff(pristine.job.layers, trace)
+    if gd.layers_missing > 0 or gd.max_extrusion_error_mm > cfg.geometry_tol_mm:
+        return DetectionStage.GEOMETRY_DIFF, outcome, trace
+    return DetectionStage.UNDETECTED, outcome, trace
+
+
+def verdict(run, *args) -> str:
+    """The trial's (stage, outcome, trace) repr, or the ValueError it raised."""
+    try:
+        return repr(run(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _bent_cube() -> TriangleMesh:
+    """The unit cube with the y of facet 4's first vertex moved from 0.0 to
+    2.0, one bit away in float32: four edges are used once, so it is not
+    watertight, and it slices to other contours."""
+    cube = shapes.box()
+    f = cube.facets[4]
+    assert f.v0.y == 0.0
+    two = struct.unpack("<f", struct.pack("<I", 1 << 30))[0]
+    return TriangleMesh(cube.facets[:4] + (f._replace(v0=f.v0._replace(y=two)),) + cube.facets[5:])
+
+
+def _collapsed_cube() -> TriangleMesh:
+    """The unit cube with facet 5 collapsed onto an edge: degenerate."""
+    cube = shapes.box()
+    f = cube.facets[5]
+    return TriangleMesh(cube.facets[:5] + (f._replace(v1=f.v0),) + cube.facets[6:])
+
+
+# the bit that bends facet 4's vertex back: bit 30 of the float32 at byte 16
+# of record 4, its y
+UNBEND = FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_CAD, offset=8 * (84 + 50 * 4 + 16) + 30)
+
+CAD_MESHES = {
+    "clean": shapes.box(),
+    "bent": _bent_cube(),
+    "collapsed": _collapsed_cube(),
+    # read from ASCII STL: its coordinates are not float32-exact, so the
+    # parsed pristine is not the base mesh
+    "ascii": parse_stl(emit_stl_ascii(shapes.ngon_prism(6, 1.0, 1.0), precision=17)),
+}
+CAD_CFG = pipeline(ecc=True, seed=5)
+REGIONS = ("header", "count", "normal", "vertex", "attribute", "past_end")
+
+
+@st.composite
+def after_cad_faults(draw, size: int):
+    """After-CAD faults of every kind; byte faults land in each region of a
+    binary STL of `size` bytes, or past its end, or where their seed says."""
+    kind = draw(st.sampled_from(sorted(faultlab._STAGE_KINDS[FaultStage.AFTER_CAD],
+                                       key=lambda k: k.value)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    if kind is FaultKind.FLIP_NORMALS:
+        return FaultSpec(kind, FaultStage.AFTER_CAD, seed=seed)
+    if kind is FaultKind.SCALE_COORDS:
+        factor = draw(st.sampled_from([1.0, 0.5, 1.001, 1e39]) | st.floats(0.01, 100.0))
+        return FaultSpec(kind, FaultStage.AFTER_CAD, factor=factor, seed=seed)
+    if draw(st.booleans()):
+        return FaultSpec(kind, FaultStage.AFTER_CAD, seed=seed)
+    record = 84 + 50 * draw(st.integers(0, (size - 84) // 50 - 1))
+    at = draw({
+        "header": st.integers(0, 79),
+        "count": st.integers(80, 83),
+        "normal": st.integers(record, record + 11),
+        "vertex": st.integers(record + 12, record + 47),
+        "attribute": st.integers(record + 48, record + 49),
+        "past_end": st.integers(size, size + 60),
+    }[draw(st.sampled_from(REGIONS))])
+    if kind is FaultKind.BIT_FLIP:
+        return FaultSpec(kind, FaultStage.AFTER_CAD, offset=8 * at + draw(st.integers(0, 7)))
+    if kind is FaultKind.BYTE_SET:
+        value = draw(st.none() | st.integers(0, 255))
+        return FaultSpec(kind, FaultStage.AFTER_CAD, offset=at, value=value, seed=seed)
+    return FaultSpec(kind, FaultStage.AFTER_CAD, new_len=at, seed=seed)
+
+
+class TestCadIntakeMatchesWholeFile:
+    """After-CAD trials judged from the records a fault changes give the
+    stage, outcome and trace of the whole-file path."""
+
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        # one intake per mesh for every example: its job, once built, must
+        # not change a later trial
+        byte_fault = [FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_CAD)]
+        return {name: faultlab._prepare(CAD_CFG, mesh, byte_fault)
+                for name, mesh in CAD_MESHES.items()}
+
+    @pytest.mark.parametrize("name", list(CAD_MESHES))
+    @given(data=st.data())
+    def test_random_faults(self, prepared, name, data):
+        pristine = prepared[name]
+        spec = data.draw(after_cad_faults(len(pristine.stl)))
+        channel = replace(CAD_CFG.channel, seed=data.draw(st.integers(0, 2**64 - 1)))
+        args = (CAD_CFG, spec, pristine, channel)
+        assert verdict(faultlab._run_trial, *args) == verdict(whole_file_trial, *args)
+
+    def test_unbending_a_vertex_reaches_the_printer(self, prepared):
+        # the fault drops the bent vertex's two edges (used once each) and
+        # makes the two edges it had broken manifold again, so the mesh is
+        # clean and its job is built from the changed record
+        assert prepared["bent"].job.sent != prepared["clean"].job.sent
+        channel = replace(CAD_CFG.channel, seed=1)
+        args = (CAD_CFG, UNBEND, prepared["bent"], channel)
+        stage, _, _ = faultlab._run_trial(*args)
+        assert stage not in (DetectionStage.PARSE_ERROR, DetectionStage.MESH_VALIDATION)
+        assert verdict(faultlab._run_trial, *args) == verdict(whole_file_trial, *args)
+
+    def test_pristine_job_reused_only_for_a_float32_exact_base(self):
+        # a float32-exact base is the parsed pristine: its trials send the
+        # pristine job; any other base's job is built by the first trial
+        for name, reused in (("clean", True), ("ascii", False)):
+            pristine = faultlab._prepare(CAD_CFG, CAD_MESHES[name], [UNBEND])
+            assert (pristine.cad.mesh is pristine.mesh) is reused
+            assert not pristine.cad._sent
+
+    @pytest.mark.parametrize("name", ["clean", "ascii"])
+    def test_one_pristine_serves_every_config(self, name):
+        # as run_demo_campaign does: one pristine, prepared with the
+        # enveloped config, also runs an unenveloped campaign that sends
+        # the pristine text; a vertex-keeping fault follows the trial's
+        # config and pristine, whichever config built the job first
+        raw_cfg = replace(CAD_CFG, enveloped=False)
+        header = FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_CAD, offset=8 * 5 + 1)
+        pristine = faultlab._prepare(CAD_CFG, CAD_MESHES[name], [header])
+        raw = replace(pristine, job=replace(pristine.job, sent=pristine.job.text))
+        channel = replace(CAD_CFG.channel, seed=3)
+        for cfg, p in ((CAD_CFG, pristine), (raw_cfg, raw), (CAD_CFG, pristine)):
+            args = (cfg, header, p, channel)
+            assert verdict(faultlab._run_trial, *args) == verdict(whole_file_trial, *args)
+
+
+class TestCadIntakeLifetime:
+    # no trial but the header flip builds the parsed pristine's job
+    OTHERS = [
+        FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_CAD, offset=8 * (84 + 20) + 3),
+        FaultSpec(FaultKind.BYTE_SET, FaultStage.AFTER_CAD, offset=81, value=9),
+        FaultSpec(FaultKind.TRUNCATE, FaultStage.AFTER_CAD, seed=3),
+        FaultSpec(FaultKind.SCALE_COORDS, FaultStage.AFTER_CAD, factor=1.01),
+        FaultSpec(FaultKind.FLIP_NORMALS, FaultStage.AFTER_CAD),
+        FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_SLICE, seed=4),
+        FaultSpec(FaultKind.BIT_FLIP, FaultStage.IN_TRANSIT, seed=5),
+        FaultSpec(FaultKind.DROP_PACKETS, FaultStage.IN_TRANSIT, loss_prob=0.3),
+    ]
+    HEADER = FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_CAD, offset=8 * 5 + 1)
+
+    @pytest.mark.parametrize("first", [True, False], ids=["built-by-first", "built-by-last"])
+    def test_each_trial_equals_a_fresh_run(self, first):
+        base = CAD_MESHES["ascii"]
+        specs = [self.HEADER] + self.OTHERS if first else self.OTHERS + [self.HEADER]
+        cfg = CAD_CFG
+        pristine = faultlab._prepare(cfg, base, specs)
+        built = []
+        for i, (spec, stage, outcome) in enumerate(faultlab._trials(cfg, specs, pristine)):
+            built.append(cfg in pristine.cad._sent)
+            channel = replace(cfg.channel, seed=splitmix64_at(cfg.campaign_seed, i))
+            fresh = faultlab._prepare(cfg, base, specs)
+            assert (stage, outcome) == faultlab._run_trial(cfg, spec, fresh, channel)[:2]
+        last = len(specs) - 1
+        assert built == ([True] * len(specs) if first else [False] * last + [True])
+
+    def test_only_after_cad_byte_faults_build_it(self, cube, monkeypatch):
+        def refuse(data):
+            raise AssertionError("parse_stl was called")
+
+        monkeypatch.setattr(faultlab, "parse_stl", refuse)
+        run_demo_campaign(pipeline(seed=42), cube, corruption_count=4)
+        specs = [
+            FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_SLICE, seed=1),
+            FaultSpec(FaultKind.TRUNCATE, FaultStage.IN_TRANSIT, seed=2),
+            FaultSpec(FaultKind.DROP_PACKETS, FaultStage.IN_TRANSIT, loss_prob=0.5),
+        ]
+        assert run_campaign(pipeline(seed=7), specs, cube).trials == 3
+
+    def test_header_faults_parse_the_pristine_once(self, cube, monkeypatch):
+        calls = []
+
+        def counting_parse_stl(data):
+            calls.append(len(data))
+            return parse_stl(data)
+
+        monkeypatch.setattr(faultlab, "parse_stl", counting_parse_stl)
+        specs = [FaultSpec(FaultKind.BYTE_SET, FaultStage.AFTER_CAD, offset=i) for i in range(8)]
+        result = run_campaign(pipeline(seed=7), specs, cube)
+        assert result.trials == 8 and calls == [len(emit_stl_binary(cube))]

@@ -13,9 +13,11 @@ from amstpa_lab.mesh_io import (
     Encoding,
     Facet,
     MeshReport,
+    MeshTally,
     StlError,
     TriangleMesh,
     Vec3,
+    binary_delta,
     emit_stl_ascii,
     emit_stl_binary,
     parse_stl,
@@ -343,20 +345,24 @@ CLOSED = [shapes.box(), shapes.corner_tetrahedron(), shapes.octahedron(), shapes
 
 
 @st.composite
+def edited(draw, f: Facet) -> Facet:
+    """`f` with its normal flipped or replaced, a vertex replaced, or collapsed."""
+    edit = draw(st.sampled_from(["flip", "normal", "v0", "v1", "v2", "collapse"]))
+    if edit == "flip":
+        return Facet(Vec3(-f.normal.x, -f.normal.y, -f.normal.z), f.v0, f.v1, f.v2)
+    if edit == "collapse":
+        return Facet(f.normal, f.v0, f.v0, f.v2)
+    return f._replace(**{edit: draw(vec3s(st.sampled_from(SPECIAL)))})
+
+
+@st.composite
 def awkward_meshes(draw):
     """A closed solid with some facets edited, or a soup over a small vertex pool."""
     if draw(st.booleans()):
         facets = list(draw(st.sampled_from(CLOSED)).facets)
         for _ in range(draw(st.integers(0, 4))):
             i = draw(st.integers(0, len(facets) - 1))
-            f = facets[i]
-            edit = draw(st.sampled_from(["flip", "normal", "v0", "v1", "v2", "collapse"]))
-            if edit == "flip":
-                facets[i] = Facet(Vec3(-f.normal.x, -f.normal.y, -f.normal.z), f.v0, f.v1, f.v2)
-            elif edit == "collapse":
-                facets[i] = Facet(f.normal, f.v0, f.v0, f.v2)
-            else:
-                facets[i] = f._replace(**{edit: draw(vec3s(st.sampled_from(SPECIAL)))})
+            facets[i] = draw(edited(facets[i]))
         return TriangleMesh(tuple(facets))
     pool = draw(st.lists(vec3s(st.sampled_from(SPECIAL)), min_size=1, max_size=6))
     vertex = st.sampled_from(pool)
@@ -455,6 +461,106 @@ class TestBinaryReaderMatchesRecordLoop:
         assert mesh_bits(mesh) == mesh_bits(oracle)
         assert mesh.source_encoding is oracle.source_encoding
         assert all(type(f) is Facet and all(type(v) is Vec3 for v in f) for f in mesh.facets)
+
+
+# ---------------------------------------------------------------------------
+# Delta oracle: a binary STL that differs from a known one in a few records,
+# read and validated whole.
+# ---------------------------------------------------------------------------
+
+
+def swapped(mesh: TriangleMesh, replaced: dict[int, Facet]) -> TriangleMesh:
+    facets = list(mesh.facets)
+    for i, f in replaced.items():
+        facets[i] = f
+    return TriangleMesh(tuple(facets), mesh.source_encoding)
+
+
+@st.composite
+def facet_swaps(draw):
+    """A mesh and some of its facets replaced: edited, copied from another of
+    its facets, or put back as they were in the closed solid it came from."""
+    solid = draw(st.sampled_from(CLOSED))
+    facets = list(solid.facets)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(facets) - 1))
+        facets[i] = draw(edited(facets[i]))
+    mesh = TriangleMesh(tuple(facets))
+    replaced = {}
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(facets) - 1))
+        replaced[i] = draw(
+            st.just(solid.facets[i]) | edited(facets[i]) | st.sampled_from(facets)
+        )
+    return mesh, replaced
+
+
+@st.composite
+def record_edits(draw):
+    """A binary STL and a copy of it with some bytes overwritten."""
+    pristine = draw(binary_stl_files())
+    data = bytearray(pristine)
+    for _ in range(draw(st.integers(0, 4))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    if draw(st.booleans()):  # sometimes open with "solid", as an ASCII file does
+        data[:6] = b"solid "
+    return pristine, bytes(data)
+
+
+class TestDeltaMatchesWholeRead:
+    @given(record_edits())
+    def test_binary_delta(self, case):
+        pristine, data = case
+        delta = binary_delta(pristine, data)
+        if data[80:84] != pristine[80:84] or data.lstrip()[:5].lower() == b"solid":
+            assert delta is None
+            return
+        replaced, moved = delta
+        changed = [i for i in range((len(data) - 84) // 50)
+                   if data[84 + 50 * i:134 + 50 * i] != pristine[84 + 50 * i:134 + 50 * i]]
+        assert sorted(replaced) == changed
+        assert moved == any(data[96 + 50 * i:132 + 50 * i] != pristine[96 + 50 * i:132 + 50 * i]
+                            for i in changed)
+        assert mesh_bits(swapped(parse_stl(pristine), replaced)) == mesh_bits(parse_stl(data))
+
+    def test_other_lengths_have_no_delta(self, cube):
+        pristine = emit_stl_binary(cube)
+        assert binary_delta(pristine, pristine[:-1]) is None
+        assert binary_delta(pristine, pristine + b"\x00") is None
+        assert binary_delta(pristine, pristine) == ({}, False)
+
+    def test_changes_in_several_blocks(self):
+        # 200 records: more than one block of compares, and a last block
+        # shorter than the others
+        mesh = TriangleMesh(shapes.ngon_prism(50).facets * 2)
+        pristine = emit_stl_binary(mesh)
+        data = bytearray(pristine)
+        for i, at in [(0, 0), (63, 49), (64, 12), (150, 47), (199, 20)]:
+            data[84 + 50 * i + at] ^= 0x40
+        replaced, moved = binary_delta(pristine, bytes(data))
+        assert sorted(replaced) == [0, 63, 64, 150, 199] and moved
+        assert mesh_bits(swapped(parse_stl(pristine), replaced)) == mesh_bits(parse_stl(data))
+
+    @given(facet_swaps(), st.sampled_from([1e-12, 0.0, 0.5]))
+    def test_tally(self, case, area_tol):
+        mesh, replaced = case
+        oracle = scalar_validate_mesh(swapped(mesh, replaced), area_tol).is_clean()
+        assert MeshTally(mesh, area_tol).is_clean_with(replaced) == oracle
+
+    def test_tally_drops_an_edge_no_facet_uses(self, cube):
+        # bend one vertex: its two new edges are used once, and the two
+        # edges they replace are used once too; bending it back takes the
+        # first pair's count from 1 to 0 and the second's from 1 to 2
+        f = cube.facets[0]
+        bent = TriangleMesh((f._replace(v0=Vec3(0.5, f.v0.y, f.v0.z)),) + cube.facets[1:])
+        tally = MeshTally(bent)
+        assert tally.nonmanifold == 4
+        assert tally.is_clean_with({0: f})
+        assert not tally.is_clean_with({})
+        assert not tally.is_clean_with({1: cube.facets[1]})
+
+    def test_tally_of_no_facets(self):
+        assert not MeshTally(TriangleMesh(())).is_clean_with({})
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,26 @@ from amstpa_lab.stpa_core import (
     candidates_to_dict,
     candidates_to_text,
     classify_path,
-    emit_model,
     enumerate_candidates,
     load_model,
 )
+
+
+def emit_model(cs: ControlStructure) -> bytes:
+    """The model file load_model reads, in the layout of the bundled one."""
+    doc = {
+        "name": cs.name,
+        "components": [
+            {"id": c.id, "name": c.name, "kind": c.kind.value, "subsystem": c.subsystem.value}
+            for c in cs.components
+        ],
+        "paths": [
+            {"id": p.id, "source": p.source, "target": p.target,
+             "kind": p.kind.value, "label": p.label}
+            for p in cs.paths
+        ],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
 class TestPhraseSets:
@@ -65,12 +81,13 @@ class TestCatalog:
 
     def test_key_texts(self):
         catalog = builtin_catalog()
-        assert catalog.by_id(1).text.startswith(
+        # mitigation k is entry k - 1
+        assert catalog.entries[0].text.startswith(
             "Assuring the network protocol used for AM is TCP/IP"
         )
-        assert "high Quality of Service" in catalog.by_id(3).text
-        assert "integrity check (EDC/ECC codes, word count)" in catalog.by_id(5).text
-        assert catalog.by_id(25).text.endswith("a safe distance from the printer.")
+        assert "high Quality of Service" in catalog.entries[2].text
+        assert "integrity check (EDC/ECC codes, word count)" in catalog.entries[4].text
+        assert catalog.entries[24].text.endswith("a safe distance from the printer.")
         assert len(MITIGATION_TEXTS) == 25
 
 
