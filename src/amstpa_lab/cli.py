@@ -17,6 +17,7 @@ import sys
 
 from . import shapes
 from .faultlab import (
+    CAMPAIGN_KEYS,
     CampaignError,
     CampaignResult,
     FaultSpec,
@@ -26,7 +27,7 @@ from .faultlab import (
     PipelineConfig,
     bit_flip_specs,
     build_job,
-    check_demo,
+    read_doc,
     run_campaign,
     run_demo_campaign,
 )
@@ -287,103 +288,57 @@ def _cmd_simulate(args) -> int:
     return 0 if outcome.status is JobStatus.COMPLETED else 1
 
 
-def _block(doc: dict, key: str, default: dict | None = None) -> dict:
-    block = doc.get(key, {} if default is None else default)
-    if not isinstance(block, dict):
-        raise CliError(f"campaign config {key!r} must be an object")
-    return block
-
-
-def _flag(doc: dict, key: str, default: bool) -> bool:
-    value = doc.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key!r} must be true or false, got {value!r}")
-    return value
-
-
 def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int | None, object]:
     """Check a whole campaign config before any trial runs.
 
     Returns (config, fault specs, demo corruption count or None, base mesh).
-    Unknown keys are ignored.
+    Every key is read by its rule in faultlab.CAMPAIGN_KEYS.
     """
-    if not isinstance(doc, dict):
-        raise CliError("campaign config must be a JSON object")
-    mesh_spec = _block(doc, "mesh", {"builtin": "cube"})
-    if "builtin" in mesh_spec:
-        name = mesh_spec["builtin"]
-        if not isinstance(name, str) or name not in BUILTIN_MESHES:
+    try:
+        c = read_doc(doc, CAMPAIGN_KEYS)
+        cfg = PipelineConfig(
+            slice_params=SliceParams(**c["slice"]),
+            toolpath=ToolpathParams(**c["toolpath"]),
+            channel=ChannelParams(**c["channel"]),
+            printer=PrinterConfig(**c["printer"]),
+            mode=c["mode"],
+            packet_size=c["packet_size"],
+            enveloped=c["envelope"],
+            ecc=c["ecc"],
+            geometry_tol_mm=c["geometry_tol_mm"],
+            campaign_seed=c["seed"],
+        )
+        specs = None if c["faults"] is None else [FaultSpec(**f) for f in c["faults"]]
+        gen, count = c["generate"], c["generate"]["count"]
+        if count is not None and count < 0:
+            raise ValueError("generate.count must be >= 0")
+        if gen["kind"] is not FaultKind.BIT_FLIP:
+            raise ValueError("generate currently supports kind 'bit_flip' only")
+        if c["demo"]:
+            if specs is not None:
+                raise ValueError("the demonstration campaign plants its own faults: drop 'faults'")
+            if gen["stage"] is not FaultStage.IN_TRANSIT:
+                raise ValueError("the demonstration campaign plants its faults in_transit")
+    except (ValueError, OverflowError) as exc:
+        raise CliError(f"bad campaign config: {exc}") from None
+
+    name, path = c["mesh"]["builtin"], c["mesh"]["path"]
+    if name is not None:
+        if name not in BUILTIN_MESHES:
             raise CliError(f"unknown builtin mesh {name!r} (use {'/'.join(BUILTIN_MESHES)})")
         base_mesh = BUILTIN_MESHES[name]()
-    elif "path" in mesh_spec:
-        base_mesh = _load_finite_mesh(str(mesh_spec["path"]))
+    elif path is not None:
+        base_mesh = _load_finite_mesh(path)
     else:
         raise CliError("campaign config 'mesh' needs 'builtin' or 'path'")
 
-    try:
-        slice_doc = _block(doc, "slice")
-        slice_params = SliceParams(
-            layer_height=float(slice_doc.get("layer_height", 0.25)),
-            snap_eps=float(slice_doc.get("snap_eps", 1e-7)),
-        )
-        tp_doc = _block(doc, "toolpath")
-        toolpath = ToolpathParams(
-            feed_rate=float(tp_doc.get("feed_rate", 1800.0)),
-            extrusion_per_mm=float(tp_doc.get("extrusion_per_mm", 0.05)),
-        )
-        ch_doc = _block(doc, "channel")
-        channel = ChannelParams(
-            latency_ms=float(ch_doc.get("latency_ms", 1.0)),
-            jitter_ms=float(ch_doc.get("jitter_ms", 0.0)),
-            bandwidth_bytes_per_s=float(ch_doc.get("bandwidth_bytes_per_s", 125000.0)),
-            loss_prob=float(ch_doc.get("loss_prob", 0.0)),
-        )
-        pr_doc = _block(doc, "printer")
-        printer = PrinterConfig(
-            buffer_capacity=int(pr_doc.get("buffer_capacity", 1 << 20)),
-            policy=PrintPolicy(pr_doc.get("policy", "fullimage")),
-            technology=PrinterTechnology(pr_doc.get("technology", "material_extrusion")),
-            nominal_layer_time_ms=pr_doc.get("nominal_layer_time_ms"),
-        )
-        cfg = PipelineConfig(
-            slice_params=slice_params,
-            toolpath=toolpath,
-            channel=channel,
-            printer=printer,
-            mode=TransferMode(doc.get("mode", "reliable")),
-            packet_size=int(doc.get("packet_size", 256)),
-            enveloped=_flag(doc, "envelope", True),
-            ecc=_flag(doc, "ecc", False),
-            geometry_tol_mm=float(doc.get("geometry_tol_mm", 1e-6)),
-            campaign_seed=int(doc.get("seed", 0)),
-        )
-        demo_count = None
-        if _flag(doc, "demo", False):
-            check_demo(cfg)
-            demo_count = int(_block(doc, "generate").get("count", 200))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CliError(f"bad campaign config: {exc}") from None
-
-    specs: list[FaultSpec] | None = None
-    if "faults" in doc:
-        try:
-            specs = [FaultSpec.from_dict(d) for d in doc["faults"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CliError(f"bad fault spec: {exc}") from None
-    elif "generate" in doc:
-        gen = _block(doc, "generate")
-        try:
-            kind = FaultKind(gen.get("kind", "bit_flip"))
-            stage = FaultStage(gen.get("stage", "in_transit"))
-            count = int(gen.get("count", 100))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CliError(f"bad generate block: {exc}") from None
-        if kind is not FaultKind.BIT_FLIP:
-            raise CliError("generate currently supports kind 'bit_flip' only")
-        specs = bit_flip_specs(count, stage, cfg.campaign_seed)
-    if specs is None and demo_count is None:
-        raise CliError("campaign config needs 'faults', 'generate', or 'demo': true")
-    return cfg, specs, demo_count, base_mesh
+    if c["demo"]:
+        return cfg, None, 200 if count is None else count, base_mesh
+    if specs is None:
+        if "generate" not in doc:
+            raise CliError("campaign config needs 'faults', 'generate', or 'demo': true")
+        specs = bit_flip_specs(100 if count is None else count, gen["stage"], cfg.campaign_seed)
+    return cfg, specs, None, base_mesh
 
 
 def _cmd_campaign(args) -> int:

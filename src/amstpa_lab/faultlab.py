@@ -31,11 +31,12 @@ whole.
 
 from __future__ import annotations
 
+import logging
 import math
 import sys
 from array import array
 from dataclasses import asdict, dataclass, replace
-from enum import Enum
+from enum import Enum, EnumMeta
 from itertools import chain
 
 from .gcode import GCodeProgram, ToolpathParams, count_records, emit_text, plan_toolpath
@@ -56,11 +57,15 @@ from .printer_sim import (
     FailReason,
     JobStatus,
     PrinterConfig,
+    PrinterTechnology,
     PrintPolicy,
     geometry_diff,
     run_job,
 )
 from .slicer import SliceParams, slice_mesh
+
+log = logging.getLogger(__name__)
+
 
 class FaultKind(Enum):
     BIT_FLIP = "bit_flip"
@@ -102,13 +107,12 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in _STAGE_KINDS[self.stage]:
             raise ValueError(f"{self.kind.value} cannot be planted {self.stage.value}")
-        number = (int, float)
         if self.kind is FaultKind.SCALE_COORDS and not (
-            isinstance(self.factor, number) and 0.0 < self.factor <= sys.float_info.max
+            isinstance(self.factor, NUMBER) and 0.0 < self.factor <= sys.float_info.max
         ):
             raise ValueError("scale_coords requires a finite factor > 0")
         if self.kind is FaultKind.DROP_PACKETS and not (
-            isinstance(self.loss_prob, number) and 0.0 <= self.loss_prob <= 1.0
+            isinstance(self.loss_prob, NUMBER) and 0.0 <= self.loss_prob <= 1.0
         ):
             raise ValueError("drop_packets requires loss_prob within [0, 1]")
         if self.value is not None and not (isinstance(self.value, int) and 0 <= self.value <= 255):
@@ -128,16 +132,93 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FaultSpec":
-        return cls(
-            kind=FaultKind(doc["kind"]),
-            stage=FaultStage(doc["stage"]),
-            offset=doc.get("offset"),
-            value=doc.get("value"),
-            new_len=doc.get("new_len"),
-            factor=doc.get("factor"),
-            loss_prob=doc.get("loss_prob"),
-            seed=int(doc.get("seed", 0)),
-        )
+        return cls(**read_doc(doc, FAULT_FIELDS))
+
+
+# A table maps each key of a JSON object to (rule, default).  The rules:
+# int, a JSON integer; float, a JSON number, read as a float; NUMBER, a JSON
+# number, kept as read; bool, true or false; str, a string; an Enum, a
+# string that names a member, read as the member; a table, an object read by
+# that table; [table], an array of such objects.  No number rule takes a bool.
+NUMBER = (int, float)
+REQUIRED = object()  # the default of a key that must be given
+
+FAULT_FIELDS = {
+    "kind": (FaultKind, REQUIRED), "stage": (FaultStage, REQUIRED),
+    "offset": (int, None), "value": (int, None), "new_len": (int, None),
+    "factor": (NUMBER, None), "loss_prob": (NUMBER, None),  # kept as read: to_dict echoes them
+    "seed": (int, 0),
+}
+
+# every key of a campaign config; each block's keys are its dataclass's fields
+CAMPAIGN_KEYS = {
+    "seed": (int, 0),
+    "mesh": ({"builtin": (str, None), "path": (str, None)}, {"builtin": "cube"}),
+    "slice": ({"layer_height": (float, 0.25), "snap_eps": (float, 1e-7)}, {}),
+    "toolpath": ({"feed_rate": (float, 1800.0), "extrusion_per_mm": (float, 0.05)}, {}),
+    "channel": ({"latency_ms": (float, 1.0), "jitter_ms": (float, 0.0),
+                 "bandwidth_bytes_per_s": (float, 125000.0), "loss_prob": (float, 0.0)}, {}),
+    # a null nominal_layer_time_ms takes the technology's own
+    "printer": ({"buffer_capacity": (int, 1 << 20), "policy": (PrintPolicy, "fullimage"),
+                 "technology": (PrinterTechnology, "material_extrusion"),
+                 "nominal_layer_time_ms": (float, None)}, {}),
+    "mode": (TransferMode, "reliable"),
+    "packet_size": (int, 256),
+    "envelope": (bool, True),
+    "ecc": (bool, False),
+    "geometry_tol_mm": (float, 1e-6),
+    "demo": (bool, False),
+    "faults": ([FAULT_FIELDS], None),
+    # a null count is 100, or 200 with demo
+    "generate": ({"kind": (FaultKind, "bit_flip"), "stage": (FaultStage, "in_transit"),
+                  "count": (int, None)}, {}),
+}
+
+_RULE_NAMES = {int: "an integer", float: "a number", NUMBER: "a number", bool: "true or false",
+               str: "a string"}
+
+
+def read_doc(doc, table: dict, where: str = "") -> dict:
+    """Every key of `table` read from the JSON object `doc` by its rule.
+
+    A key `doc` leaves out takes its default, read by the same rule; a key
+    whose default is null also takes null.  A key the table does not name is
+    ignored, with a warning that names it by its dotted path, `where` + key.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where[:-1] or 'the document'} must be an object, got {doc!r}")
+    for key in doc:
+        if key not in table:
+            log.warning("ignoring unknown key %s%s", where, key)
+    values = {}
+    for key, (rule, default) in table.items():
+        value = doc.get(key, default)
+        values[key] = value if value is default is None else read_value(value, rule, where + key)
+    return values
+
+
+def read_value(value, rule, path: str):
+    """`value` read by one table rule (see above); ValueError names `path`."""
+    if value is REQUIRED:
+        raise ValueError(f"{path} is required")
+    if isinstance(rule, dict):
+        return read_doc(value, rule, path + ".")
+    if isinstance(rule, list):
+        if isinstance(value, list):
+            return [read_doc(item, rule[0], f"{path}.{i}.") for i, item in enumerate(value)]
+        expected = "an array"
+    elif isinstance(rule, EnumMeta):
+        members = {m.value: m for m in rule}
+        if isinstance(value, str) and value in members:
+            return members[value]
+        expected = "one of " + ", ".join(members)
+    elif isinstance(value, NUMBER if rule is float else rule) and (
+        isinstance(value, bool) == (rule is bool)
+    ):
+        return float(value) if rule is float else value
+    else:
+        expected = _RULE_NAMES[rule]
+    raise ValueError(f"{path} must be {expected}, got {value!r}")
 
 
 def inject(target: bytes | TriangleMesh, spec: FaultSpec):
@@ -235,8 +316,11 @@ class CampaignResult:
     @classmethod
     def from_dict(cls, doc: dict) -> "CampaignResult":
         return cls(
-            trials=int(doc["trials"]),
-            histogram={DetectionStage(k): int(v) for k, v in doc["histogram"].items()},
+            trials=read_value(doc["trials"], int, "trials"),
+            histogram={
+                DetectionStage(k): read_value(n, int, f"histogram.{k}")
+                for k, n in doc["histogram"].items()
+            },
             undetected_trials=tuple(FaultSpec.from_dict(d) for d in doc["undetected_trials"]),
         )
 
@@ -349,7 +433,7 @@ class _Pristine:
     mesh: TriangleMesh
     stl: bytes
     job: Job
-    cad: _CadIntake | None = None  # only for campaigns with after-CAD byte faults
+    cad: _CadIntake | None = None  # only for campaigns with after-CAD faults
 
 
 class CampaignError(ValueError):
@@ -366,7 +450,7 @@ def _prepare(cfg: PipelineConfig, base_mesh: TriangleMesh, specs: list[FaultSpec
         raise CampaignError(f"cannot prepare the pristine job: {exc}") from None
     pristine = _Pristine(base_mesh, stl, job)
     _check_targets(specs, pristine)
-    if any(s.stage is FaultStage.AFTER_CAD and s.kind in _BYTE_KINDS for s in specs):
+    if any(s.stage is FaultStage.AFTER_CAD for s in specs):
         pristine = replace(pristine, cad=_CadIntake(base_mesh, stl))
     return pristine
 
@@ -406,10 +490,7 @@ def _run_trial(
         if isinstance(mesh, DetectionStage):
             return mesh, None, None
         if mesh is not pristine.mesh:  # else the pristine job is sent as is
-            if pristine.cad is None:
-                sent = _build_sent(cfg, mesh)
-            else:
-                sent = pristine.cad.build(cfg, mesh)
+            sent = pristine.cad.build(cfg, mesh)
             if isinstance(sent, DetectionStage):
                 return sent, None, None
             reference = sent
@@ -474,9 +555,13 @@ def run_campaign(
     """Run every fault spec through the pipeline and tally detection stages.
 
     Raises CampaignError, before any trial runs, if the pristine job cannot
-    be built or a fault's explicit offset or length lies past its target.
+    be built, a fault's explicit offset or length lies past its target, or
+    an after-CAD fault is planted while the pristine STL, as parsed back,
+    fails mesh validation: every such trial would land there.
     """
     pristine = _prepare(cfg, base_mesh, specs)
+    if pristine.cad and not pristine.cad.tally.is_clean_with({}):
+        raise CampaignError("after-CAD faults need a base mesh that passes mesh validation")
     return _tally(_trials(cfg, specs, pristine))
 
 
@@ -538,12 +623,6 @@ _LATE_STAGES = frozenset(
 )
 
 
-def check_demo(cfg: PipelineConfig) -> None:
-    """Raise ValueError unless `cfg` can run the demonstration campaign."""
-    if not cfg.enveloped:
-        raise ValueError("the demonstration campaign needs the envelope enabled")
-
-
 def run_demo_campaign(
     cfg: PipelineConfig,
     base_mesh: TriangleMesh,
@@ -554,9 +633,11 @@ def run_demo_campaign(
     Runs the same in-transit corruption set under full-image and streaming
     policies (buffering contrast), reruns it with the envelope stripped
     (integrity-check necessity), and probes the channel with and without
-    loss under reliable transfer (protocol and QoS evidence).
+    loss under reliable transfer (protocol and QoS evidence).  Raises
+    CampaignError, before any trial runs, if `cfg` sends no envelope.
     """
-    check_demo(cfg)
+    if not cfg.enveloped:
+        raise CampaignError("the demonstration campaign needs the envelope enabled")
     specs = bit_flip_specs(corruption_count, FaultStage.IN_TRANSIT, cfg.campaign_seed)
     full_cfg = replace(cfg, printer=replace(cfg.printer, policy=PrintPolicy.FULL_IMAGE))
     stream_cfg = replace(cfg, printer=replace(cfg.printer, policy=PrintPolicy.STREAMING))

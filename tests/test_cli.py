@@ -419,6 +419,45 @@ def _one_fault(kind, stage, **params):
             _one_fault("truncate", "after_cad", new_len=1 << 40),
             id="truncate-len-past-target",
         ),
+        # a wrongly typed value is refused, not coerced into another experiment
+        pytest.param("campaign", {**CUBE_FLIPS, "packet_size": True}, id="config-packet-size-true"),
+        pytest.param("campaign", {**CUBE_FLIPS, "seed": "7"}, id="config-seed-string"),
+        pytest.param("campaign", {"generate": {"count": 2.9}}, id="generate-count-fraction"),
+        pytest.param(
+            "campaign", {**CUBE_FLIPS, "slice": {"layer_height": "0.5"}},
+            id="config-layer-height-string",
+        ),
+        pytest.param(
+            "campaign", {**CUBE_FLIPS, "printer": {"nominal_layer_time_ms": "12"}},
+            id="config-layer-time-string",
+        ),
+        pytest.param(
+            "campaign", {**CUBE_FLIPS, "printer": {"buffer_capacity": 4096.7}},
+            id="config-buffer-fraction",
+        ),
+        pytest.param(
+            "campaign", _one_fault("byte_set", "in_transit", offset=True), id="fault-offset-true"
+        ),
+        pytest.param(
+            "campaign", _one_fault("byte_set", "in_transit", value=True), id="fault-value-true"
+        ),
+        pytest.param(
+            "campaign", _one_fault("byte_set", "in_transit", seed=2.5), id="fault-seed-fraction"
+        ),
+        pytest.param(
+            "campaign", _one_fault("scale_coords", "after_cad", factor=True), id="scale-factor-true"
+        ),
+        pytest.param("campaign", {"generate": {"count": -4}}, id="generate-count-negative"),
+        pytest.param(
+            "campaign",
+            {"demo": True, "generate": {"count": 1},
+             "faults": [{"kind": "truncate", "stage": "in_transit"}]},
+            id="demo-with-faults",
+        ),
+        pytest.param(
+            "campaign", {"demo": True, "generate": {"count": 1, "stage": "after_cad"}},
+            id="demo-stage-after-cad",
+        ),
         pytest.param(
             "report",
             {"trials": 1, "histogram": {"bogus": 1}, "undetected_trials": []},
@@ -438,6 +477,14 @@ def _one_fault(kind, stage, **params):
                 "evidence": dict.fromkeys(EVIDENCE_FIELDS, "abc"),
             },
             id="report-evidence-not-numbers",
+        ),
+        pytest.param(
+            "report", {"trials": "5", "histogram": {"undetected": 2}, "undetected_trials": []},
+            id="report-trials-string",
+        ),
+        pytest.param(
+            "report", {"trials": 5, "histogram": {"undetected": 2.9}, "undetected_trials": []},
+            id="report-count-fraction",
         ),
     ],
 )
@@ -477,6 +524,42 @@ def test_nonfinite_mesh_exits_2_without_traceback(tmp_path, capsys, command, ver
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"error: {mesh}: facet 0 has a non-finite coordinate\n"
+    assert captured.out == ""
+
+
+def test_unknown_key_is_named_on_stderr_and_changes_no_output(tmp_path):
+    def campaign(name, doc):
+        config, result = tmp_path / f"{name}.json", tmp_path / f"{name}-result.json"
+        config.write_text(json.dumps(doc))
+        argv = [sys.executable, "-m", "amstpa_lab", "campaign", "--config", str(config)]
+        to_stdout = subprocess.run(argv, capture_output=True, text=True)
+        to_file = subprocess.run(argv + ["--out", str(result)], capture_output=True, text=True)
+        assert to_stdout.returncode == to_file.returncode == 0
+        return to_stdout.stdout, result.read_bytes(), to_stdout.stderr + to_file.stderr
+
+    plain = campaign("plain", CUBE_FLIPS)
+    misspelled = campaign("misspelled", {**CUBE_FLIPS, "chanel": {"loss_prob": 0.5}})
+    assert misspelled[:2] == plain[:2]
+    assert plain[2] == ""
+    assert misspelled[2] == "ignoring unknown key chanel\n" * 2
+
+
+def test_after_cad_faults_on_an_invalid_base_mesh_exit_2(tmp_path, capsys, cube):
+    # the unit cube less one facet fails mesh validation, so every after-CAD
+    # trial would land there, whatever its fault changed
+    mesh = tmp_path / "open-cube.stl"
+    mesh.write_bytes(emit_stl_binary(TriangleMesh(cube.facets[1:])))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mesh": {"path": str(mesh)}, "faults": [
+        {"kind": "byte_set", "stage": "after_cad", "offset": 3, "value": 65},
+        {"kind": "flip_normals", "stage": "after_cad"},
+    ]}))
+    code = main(["campaign", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: after-CAD faults need a base mesh that passes mesh validation\n"
+    )
     assert captured.out == ""
 
 

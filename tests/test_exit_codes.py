@@ -13,13 +13,16 @@ import os
 import tempfile
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
+from enum import EnumMeta
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amstpa_lab import shapes
 from amstpa_lab.cli import main
+from amstpa_lab.faultlab import CAMPAIGN_KEYS, FAULT_FIELDS, NUMBER
 from amstpa_lab.mesh_io import Vec3, emit_stl_ascii, emit_stl_binary
 
 CUBE_STL = emit_stl_binary(shapes.box())
@@ -179,6 +182,64 @@ def campaign_configs(draw, mesh_path):
         doc["demo"] = draw(either(True, False))
         doc["generate"] = {"count": draw(st.integers(0, 3))}
     return doc
+
+
+def table_entries(table: dict, where: str = ""):
+    """(dotted path, rule, default) for every key of a config table, nested
+    blocks included."""
+    for key, (rule, default) in table.items():
+        yield where + key, rule, default
+        if isinstance(rule, dict):
+            yield from table_entries(rule, where + key + ".")
+
+
+def wrong_typed(rule, default) -> list:
+    """JSON values that break `rule`; null breaks it unless null is the default."""
+    if isinstance(rule, dict):
+        values = [[], "x", 5, True]
+    elif isinstance(rule, list):
+        values = [{}, "x", 5, True, [5], [[]]]
+    elif isinstance(rule, EnumMeta):
+        values = ["bogus", "", 1, True, [], {}]
+    else:
+        values = {
+            int: [True, False, 2.5, 2.0, "7", [], {}],
+            float: [True, False, "0.5", "1", [], {}],
+            NUMBER: [True, False, "0.5", "1", [], {}],
+            bool: [0, 1, "false", "true", [], {}],
+            str: [5, True, ["cube"], {}],
+        }[rule]
+    return values + ([] if default is None else [None])
+
+
+CAMPAIGN_BASE = {"mesh": {"builtin": "cube"}, "generate": {"count": 1}}
+ENTRIES = [
+    pytest.param(CAMPAIGN_BASE, (), path, rule, default, id=path)
+    for path, rule, default in table_entries(CAMPAIGN_KEYS)
+] + [
+    pytest.param(CAMPAIGN_BASE | {"faults": [{"kind": "bit_flip", "stage": "in_transit"}]},
+                 ("faults", 0), path, rule, default, id=f"faults.0.{path}")
+    for path, rule, default in table_entries(FAULT_FIELDS)
+]
+
+
+@pytest.mark.parametrize("base, at, path, rule, default", ENTRIES)
+@settings(max_examples=10)
+@given(st.data())
+def test_each_table_entry_refuses_a_wrong_type(base, at, path, rule, default, data):
+    doc = json.loads(json.dumps(base))
+    block = doc
+    for key in at:
+        block = block[key]
+    *outer, key = path.split(".")
+    for name in outer:
+        block = block.setdefault(name, {})
+    block[key] = data.draw(st.sampled_from(wrong_typed(rule, default)))
+    with tempfile.TemporaryDirectory() as d:
+        code, err = run(["campaign", "--config", _write(d, "config.json", doc)])
+    assert code == 2, (doc, err)
+    assert err.startswith("error: bad campaign config: ") and "Traceback" not in err, err
+    assert ".".join(map(str, at + (path,))) in err, err
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from amstpa_lab import faultlab, printer_sim, shapes
 from amstpa_lab.faultlab import (
+    CAMPAIGN_KEYS,
     CampaignResult,
     DetectionStage,
     FaultKind,
@@ -19,6 +20,7 @@ from amstpa_lab.faultlab import (
     bit_flip_specs,
     build_job,
     inject,
+    read_doc,
     run_campaign,
     run_demo_campaign,
 )
@@ -132,10 +134,63 @@ class TestInject:
             FaultSpec(FaultKind.BIT_FLIP, FaultStage.IN_TRANSIT, offset=7, seed=3),
             FaultSpec(FaultKind.SCALE_COORDS, FaultStage.AFTER_CAD, factor=1.001),
             FaultSpec(FaultKind.DROP_PACKETS, FaultStage.IN_TRANSIT, loss_prob=0.25),
+            # numbers are kept as read, so an integer factor echoes as one
+            FaultSpec(FaultKind.SCALE_COORDS, FaultStage.AFTER_CAD, factor=2),
         ]
         for spec in specs:
             blob = json.dumps(spec.to_dict())
             assert FaultSpec.from_dict(json.loads(blob)) == spec
+            assert json.dumps(FaultSpec.from_dict(json.loads(blob)).to_dict()) == blob
+
+
+class TestConfigReader:
+    def test_defaults_fill_what_a_config_leaves_out(self):
+        doc = read_doc({"generate": {}}, CAMPAIGN_KEYS)
+        assert doc["mesh"] == {"builtin": "cube", "path": None}
+        assert doc["mode"] is TransferMode.RELIABLE_ORDERED
+        assert doc["printer"]["nominal_layer_time_ms"] is None
+        assert doc["generate"] == {
+            "kind": FaultKind.BIT_FLIP, "stage": FaultStage.IN_TRANSIT, "count": None
+        }
+
+    def test_campaign_numbers_are_read_as_floats(self):
+        doc = read_doc({"toolpath": {"feed_rate": 1800}, "geometry_tol_mm": 0}, CAMPAIGN_KEYS)
+        assert type(doc["toolpath"]["feed_rate"]) is float
+        assert type(doc["geometry_tol_mm"]) is float
+
+    def test_unknown_keys_are_named_by_dotted_path(self, caplog):
+        doc = {
+            "chanel": {"loss_prob": 0.5},
+            "channel": {"seed": 7},
+            "toolpath": {"travel_rate": 3000},
+            "faults": [{"kind": "bit_flip", "stage": "in_transit", "ofset": 3}],
+        }
+        with caplog.at_level("WARNING", logger="amstpa_lab.faultlab"):
+            read_doc(doc, CAMPAIGN_KEYS)
+        assert [r.getMessage() for r in caplog.records] == [
+            "ignoring unknown key chanel",
+            "ignoring unknown key toolpath.travel_rate",
+            "ignoring unknown key channel.seed",
+            "ignoring unknown key faults.0.ofset",
+        ]
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"stage": "in_transit"}, "kind is required"),
+            ({"kind": "bit_flip", "stage": None}, "stage must be one of after_cad, "),
+            ({"kind": "bit_flip", "stage": "in_transit", "seed": None},
+             "seed must be an integer, got None"),
+            ({"kind": "scale_coords", "stage": "after_cad", "factor": "2"},
+             "factor must be a number, got '2'"),
+            ([], "the document must be an object, got []"),
+        ],
+        ids=["missing-kind", "null-stage", "null-seed", "string-factor", "not-an-object"],
+    )
+    def test_fault_spec_fields_by_rule(self, doc, message):
+        with pytest.raises(ValueError) as err:
+            FaultSpec.from_dict(doc)
+        assert str(err.value).startswith(message)
 
 
 class TestCampaign:
@@ -320,6 +375,31 @@ class TestFaultTargets:
             FaultSpec(FaultKind.TRUNCATE, FaultStage.AFTER_CAD, new_len=684),
         ]
         assert run_campaign(pipeline(), specs, cube).trials == 3
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FaultSpec(FaultKind.BYTE_SET, FaultStage.AFTER_CAD, offset=3, value=65),
+            FaultSpec(FaultKind.FLIP_NORMALS, FaultStage.AFTER_CAD),
+        ],
+        ids=["header-byte", "flip-normals"],
+    )
+    def test_after_cad_fault_on_an_invalid_base_refused_before_any_trial(
+        self, cube, monkeypatch, spec
+    ):
+        # the unit cube less one facet: every after-CAD trial would land in
+        # mesh_validation, whatever its fault changed
+        open_cube = TriangleMesh(cube.facets[1:])
+        trials = []
+        monkeypatch.setattr(faultlab, "_run_trial", lambda *args: trials.append(args))
+        with pytest.raises(faultlab.CampaignError, match="base mesh that passes mesh validation"):
+            run_campaign(pipeline(), [spec], open_cube)
+        assert trials == []
+
+    def test_invalid_base_takes_faults_planted_past_cad(self, cube):
+        open_cube = TriangleMesh(cube.facets[1:])
+        specs = bit_flip_specs(3, FaultStage.IN_TRANSIT, seed=0)
+        assert run_campaign(pipeline(), specs, open_cube).trials == 3
 
     def test_mesh_beyond_float32_refused_before_any_trial(self):
         mesh = TriangleMesh(
