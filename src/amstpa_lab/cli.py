@@ -309,6 +309,8 @@ def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int |
             campaign_seed=c["seed"],
         )
         specs = None if c["faults"] is None else [FaultSpec(**f) for f in c["faults"]]
+        if specs is not None and "generate" in doc:
+            raise ValueError("give 'faults' or 'generate', not both")
         gen, count = c["generate"], c["generate"]["count"]
         if count is not None and count < 0:
             raise ValueError("generate.count must be >= 0")
@@ -323,6 +325,8 @@ def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int |
         raise CliError(f"bad campaign config: {exc}") from None
 
     name, path = c["mesh"]["builtin"], c["mesh"]["path"]
+    if name is not None and path is not None:
+        raise CliError("campaign config 'mesh' needs 'builtin' or 'path', not both")
     if name is not None:
         if name not in BUILTIN_MESHES:
             raise CliError(f"unknown builtin mesh {name!r} (use {'/'.join(BUILTIN_MESHES)})")

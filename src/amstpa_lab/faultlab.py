@@ -35,7 +35,7 @@ import logging
 import math
 import sys
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum, EnumMeta
 from itertools import chain
 
@@ -600,10 +600,14 @@ class MitigationEvidence:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MitigationEvidence":
-        values = {k: doc[k] for k in cls.__dataclass_fields__}
-        if not all(isinstance(v, (int, float)) for v in values.values()):
-            raise ValueError("evidence fields must be numbers or booleans")
-        return cls(**values)
+        return cls(**read_doc(doc, _EVIDENCE_FIELDS, "evidence."))
+
+
+# every evidence field is required and read by the rule of its annotation
+_EVIDENCE_FIELDS = {
+    f.name: ({"float": float, "int": int, "bool": bool}[f.type], REQUIRED)
+    for f in fields(MitigationEvidence)
+}
 
 
 @dataclass(frozen=True)

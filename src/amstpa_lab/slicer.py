@@ -361,12 +361,32 @@ def layers_to_dict(layers: list[LayerPlan], layer_height: float) -> dict:
     }
 
 
+def _number(value, path: str) -> float:
+    """A JSON number read as a float; ValueError for a bool or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path} must be a number, got {value!r}")
+    return float(value)
+
+
 def layers_from_dict(doc: dict) -> list[LayerPlan]:
+    """The layers of a `layers_to_dict` document, read by type, not coerced.
+
+    `index` must be a JSON integer, `z` and every coordinate a JSON number,
+    `closed` true or false; ValueError names the first field that is not.
+    """
     layers = []
-    for entry in doc["layers"]:
-        contours = tuple(
-            Contour(tuple((float(x), float(y)) for x, y in c["vertices"]), bool(c["closed"]))
-            for c in entry["contours"]
-        )
-        layers.append(LayerPlan(index=int(entry["index"]), z=float(entry["z"]), contours=contours))
+    for i, entry in enumerate(doc["layers"]):
+        index = entry["index"]
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise ValueError(f"layers.{i}.index must be an integer, got {index!r}")
+        contours = []
+        for j, c in enumerate(entry["contours"]):
+            where = f"layers.{i}.contours.{j}"
+            if not isinstance(c["closed"], bool):
+                raise ValueError(f"{where}.closed must be true or false, got {c['closed']!r}")
+            at = where + ".vertices"
+            vertices = tuple((_number(x, at), _number(y, at)) for x, y in c["vertices"])
+            contours.append(Contour(vertices, c["closed"]))
+        z = _number(entry["z"], f"layers.{i}.z")
+        layers.append(LayerPlan(index=index, z=z, contours=tuple(contours)))
     return layers

@@ -299,6 +299,16 @@ def _one_fault(kind, stage, **params):
     return {"mesh": {"builtin": "cube"}, "faults": [{"kind": kind, "stage": stage, **params}]}
 
 
+def _demo_artifact(**evidence):
+    """A demo campaign artifact whose evidence is well typed but for `evidence`."""
+    typed = {"float": 0.5, "int": 3, "bool": True}
+    fields = {f.name: typed[f.type] for f in dataclasses.fields(MitigationEvidence)}
+    return {
+        "campaign": {"trials": 0, "histogram": {}, "undetected_trials": []},
+        "evidence": fields | evidence,
+    }
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -482,6 +492,31 @@ def _one_fault(kind, stage, **params):
             "report", {"trials": "5", "histogram": {"undetected": 2}, "undetected_trials": []},
             id="report-trials-string",
         ),
+        pytest.param("report", _demo_artifact(raw_trials=True), id="report-evidence-count-true"),
+        pytest.param(
+            "report", _demo_artifact(raw_trials=2.5), id="report-evidence-count-fraction"
+        ),
+        pytest.param(
+            "report", _demo_artifact(reliable_intact_under_loss=1), id="report-evidence-flag-1"
+        ),
+        pytest.param(
+            "campaign",
+            {"mesh": {"builtin": "cube", "path": "/nonexistent.stl"},
+             "faults": [{"kind": "bit_flip", "stage": "in_transit", "seed": 1}],
+             "generate": {"count": 5}},
+            id="config-faults-and-generate-and-two-meshes",
+        ),
+        pytest.param(
+            "campaign",
+            {"faults": [{"kind": "bit_flip", "stage": "in_transit", "seed": 1}],
+             "generate": {"count": 5}},
+            id="config-faults-and-generate",
+        ),
+        pytest.param(
+            "campaign",
+            {"mesh": {"builtin": "cube", "path": "/nonexistent.stl"}, "generate": {"count": 1}},
+            id="config-mesh-builtin-and-path",
+        ),
         pytest.param(
             "report", {"trials": 5, "histogram": {"undetected": 2.9}, "undetected_trials": []},
             id="report-count-fraction",
@@ -620,6 +655,65 @@ def test_gcode_plan_refuses_a_non_finite_layers_file(tmp_path, capsys, number, e
     assert code == 2
     assert captured.err == f"error: {layers}: {error}\n"
     assert captured.out == ""
+
+
+LAYERS_DOC = {
+    "layer_height": 0.5,
+    "layers": [
+        {"index": 0, "z": 0.25,
+         "contours": [{"closed": True, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}]},
+    ],
+}
+
+
+def _layers_with(path, value):
+    doc = json.loads(json.dumps(LAYERS_DOC))
+    *outer, key = path
+    block = doc
+    for name in outer:
+        block = block[name]
+    block[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("layers", 0, "contours", 0, "closed"), "false", "layers.0.contours.0.closed"),
+        (("layers", 0, "contours", 0, "closed"), 1, "layers.0.contours.0.closed"),
+        (("layers", 0, "index"), 2.9, "layers.0.index"),
+        (("layers", 0, "index"), True, "layers.0.index"),
+        (("layers", 0, "index"), "0", "layers.0.index"),
+        (("layers", 0, "z"), "0.25", "layers.0.z"),
+        (("layers", 0, "z"), False, "layers.0.z"),
+        (("layers", 0, "contours", 0, "vertices", 1, 0), True, "layers.0.contours.0.vertices"),
+        (("layers", 0, "contours", 0, "vertices", 2, 1), "1", "layers.0.contours.0.vertices"),
+    ],
+    ids=["closed-string", "closed-1", "index-fraction", "index-true", "index-string",
+         "z-string", "z-false", "vertex-true", "vertex-string"],
+)
+def test_gcode_plan_refuses_a_mistyped_layers_file(tmp_path, capsys, path, value, named):
+    layers = tmp_path / "layers.json"
+    layers.write_text(json.dumps(_layers_with(path, value)))
+    code = main(["gcode", "plan", str(layers)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {layers}: not a layers file: {named} must be ")
+    assert captured.out == ""
+
+
+def test_gcode_plan_reads_integral_numbers_as_floats(tmp_path, capsys):
+    # a JSON integer is a number: it plans exactly as the same float
+    written = {}
+    for name, doc in (
+        ("floats", LAYERS_DOC),
+        ("ints", _layers_with(("layers", 0, "contours", 0, "vertices"), [[0, 0], [1, 0], [0, 1]])),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gcode", "plan", str(path)]) == 0
+        written[name] = capsys.readouterr().out
+    assert written["ints"] == written["floats"] != ""
 
 
 def _refuse_constant(token):

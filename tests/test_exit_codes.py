@@ -217,7 +217,8 @@ ENTRIES = [
     pytest.param(CAMPAIGN_BASE, (), path, rule, default, id=path)
     for path, rule, default in table_entries(CAMPAIGN_KEYS)
 ] + [
-    pytest.param(CAMPAIGN_BASE | {"faults": [{"kind": "bit_flip", "stage": "in_transit"}]},
+    pytest.param({"mesh": {"builtin": "cube"},
+                  "faults": [{"kind": "bit_flip", "stage": "in_transit"}]},
                  ("faults", 0), path, rule, default, id=f"faults.0.{path}")
     for path, rule, default in table_entries(FAULT_FIELDS)
 ]

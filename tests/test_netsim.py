@@ -1,3 +1,4 @@
+import inspect
 import math
 import statistics
 
@@ -11,7 +12,7 @@ from amstpa_lab.netsim import (
     ChannelParams,
     TransferMode,
     TransferResult,
-    _attempt,
+    schedule,
     splitmix64_at,
     splitmix64_next,
     transfer,
@@ -217,69 +218,63 @@ class TestDeterminism:
             transfer(b"x", ChannelParams(), TransferMode.BEST_EFFORT, 0)
 
 
-def two_loop_transfer(payload, ch, mode, packet_size):
-    """The former `transfer`, one packet loop per mode (scalar oracle)."""
+def _u01(value):
+    return value / 2.0**64
+
+
+def _attempt(state, ch, nbytes):
+    """One transmission attempt: (lost, elapsed_ms, new_state)."""
+    u_loss, state = splitmix64_next(state)
+    u_jit, state = splitmix64_next(state)
+    lost = _u01(u_loss) < ch.loss_prob
+    jitter = (2.0 * _u01(u_jit) - 1.0) * ch.jitter_ms
+    elapsed = ch.latency_ms + jitter + nbytes / ch.bandwidth_bytes_per_s * 1000.0
+    return lost, elapsed, state
+
+
+def oracle_transfer(payload, ch, mode, packet_size):
+    """The former `transfer`: one call per attempt, a copy of every packet
+    into a fresh buffer (scalar oracle for the fate schedule)."""
     if packet_size < 1:
         raise ValueError("packet_size must be >= 1")
     if not payload:
         raise ValueError("payload must be non-empty")
 
-    offsets = list(range(0, len(payload), packet_size))
+    reliable = mode is TransferMode.RELIABLE_ORDERED
+    budget = 1 + MAX_RETRIES if reliable else 1
+    offsets = range(0, len(payload), packet_size)
     state = ch.seed & MASK
     elapsed = 0.0
-    sent = lost = retrans = 0
-
-    if mode is TransferMode.RELIABLE_ORDERED:
-        delivered = bytearray()
-        for off in offsets:
-            packet = payload[off : off + packet_size]
-            for attempt in range(1 + MAX_RETRIES):
-                was_lost, dt, state = _attempt(state, ch, len(packet))
-                sent += 1
-                elapsed += dt
-                if attempt > 0:
-                    retrans += 1
-                if not was_lost:
-                    break
-                lost += 1
-            else:
-                partial = bytes(delivered)
-                raise ChannelDownError(
-                    TransferResult(
-                        delivered=partial,
-                        intact=False,
-                        elapsed_ms=elapsed,
-                        packets_sent=sent,
-                        packets_lost=lost,
-                        retransmissions=retrans,
-                        gap_map=((len(partial), len(payload) - len(partial)),),
-                    )
-                )
-            delivered += packet
-        return TransferResult(
-            delivered=bytes(delivered),
-            intact=True,
-            elapsed_ms=elapsed,
-            packets_sent=sent,
-            packets_lost=lost,
-            retransmissions=retrans,
-        )
-
+    sent = lost = 0
     delivered = bytearray(len(payload))
     gaps = []
     for off in offsets:
         packet = payload[off : off + packet_size]
-        was_lost, dt, state = _attempt(state, ch, len(packet))
-        sent += 1
-        elapsed += dt
-        if was_lost:
+        for _ in range(budget):
+            was_lost, dt, state = _attempt(state, ch, len(packet))
+            sent += 1
+            elapsed += dt
+            if not was_lost:
+                delivered[off : off + len(packet)] = packet
+                break
             lost += 1
-            if gaps and gaps[-1][0] + gaps[-1][1] == off:
-                gaps[-1][1] += len(packet)
-            else:
-                gaps.append([off, len(packet)])
         else:
-            delivered[off : off + len(packet)] = packet
+            if reliable:
+                raise ChannelDownError(
+                    TransferResult(
+                        delivered=bytes(delivered[:off]),
+                        intact=False,
+                        elapsed_ms=elapsed,
+                        packets_sent=sent,
+                        packets_lost=lost,
+                        retransmissions=sent - (off // packet_size + 1),
+                        gap_map=((off, len(payload) - off),),
+                    )
+                )
+            if gaps and gaps[-1][0] + gaps[-1][1] == off:
+                gaps[-1] = (gaps[-1][0], gaps[-1][1] + len(packet))
+            else:
+                gaps.append((off, len(packet)))
     final = bytes(delivered)
     return TransferResult(
         delivered=final,
@@ -287,41 +282,100 @@ def two_loop_transfer(payload, ch, mode, packet_size):
         elapsed_ms=elapsed,
         packets_sent=sent,
         packets_lost=lost,
-        retransmissions=0,
-        gap_map=tuple((o, n) for o, n in gaps),
+        retransmissions=sent - len(offsets),
+        gap_map=tuple(gaps),
     )
 
 
 def _outcome(fn, *args):
-    """A transfer's result, or the result and message of its ChannelDownError."""
+    """A transfer's result with its elapsed time as exact float text, or the
+    same for the result of its ChannelDownError, with the error message."""
     try:
-        return "ok", fn(*args), None
+        kind, result, message = "ok", fn(*args), None
     except ChannelDownError as err:
-        return "down", err.result, str(err)
+        kind, result, message = "down", err.result, str(err)
+    return kind, result, float.hex(result.elapsed_ms), message
 
 
-class TestOneLoop:
-    """The one packet loop matches the former per-mode loops exactly."""
+# payloads made of literal runs and zero runs, so a lost packet can be all zeros
+_payloads = st.lists(
+    st.one_of(st.binary(min_size=1, max_size=40), st.integers(1, 90).map(bytes)),
+    min_size=1,
+    max_size=12,
+).map(b"".join)
+
+
+class TestFateSchedule:
+    """The schedule applied to a payload matches the per-attempt oracle exactly."""
 
     @given(
-        payload=st.binary(min_size=1, max_size=600),
+        payload=_payloads,
         packet_size=st.integers(min_value=1, max_value=80),
-        loss=st.sampled_from([0.0, 0.3, 0.97, 1.0]),
-        jitter=st.sampled_from([0.0, 0.7, 5.0]),
-        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        loss=st.sampled_from([0.0, 0.05, 0.3, 0.97, 1.0]),
+        latency=st.sampled_from([0.0, -0.0, 0.7]),
+        jitter=st.sampled_from([0.0, -0.0, 0.7]),
+        bandwidth=st.sampled_from([125_000.0, 3.3, 1e308]),
+        seed=st.integers(min_value=-5, max_value=2**65),
         mode=st.sampled_from(list(TransferMode)),
     )
-    @settings(max_examples=300)
-    def test_matches_two_loop_oracle(self, payload, packet_size, loss, jitter, seed, mode):
-        ch = ChannelParams(latency_ms=1.0, jitter_ms=jitter, loss_prob=loss, seed=seed)
+    @settings(max_examples=400)
+    def test_matches_per_attempt_oracle(
+        self, payload, packet_size, loss, latency, jitter, bandwidth, seed, mode
+    ):
+        ch = ChannelParams(
+            latency_ms=latency,
+            jitter_ms=jitter,
+            bandwidth_bytes_per_s=bandwidth,
+            loss_prob=loss,
+            seed=seed,
+        )
         args = (payload, ch, mode, packet_size)
-        assert _outcome(transfer, *args) == _outcome(two_loop_transfer, *args)
+        assert _outcome(transfer, *args) == _outcome(oracle_transfer, *args)
 
     def test_channel_down_matches_oracle_mid_payload(self):
         # a late packet spends its budget after earlier ones got through
         payload = bytes(range(256)) * 4
         ch = ChannelParams(loss_prob=0.97, seed=11)
         args = (payload, ch, TransferMode.RELIABLE_ORDERED, 7)
-        kind, result, message = _outcome(two_loop_transfer, *args)
+        kind, result, elapsed, message = _outcome(oracle_transfer, *args)
         assert kind == "down" and result.delivered
-        assert _outcome(transfer, *args) == (kind, result, message)
+        assert _outcome(transfer, *args) == (kind, result, elapsed, message)
+
+    def test_lost_zero_packet_is_intact(self):
+        # a best-effort gap over bytes that were zero anyway changes nothing
+        payload = bytes(64)
+        ch = ChannelParams(loss_prob=0.5, seed=3)
+        result = transfer(payload, ch, TransferMode.BEST_EFFORT, 8)
+        assert result.gap_map and result.intact
+        assert result == oracle_transfer(payload, ch, TransferMode.BEST_EFFORT, 8)
+
+    def test_reliable_delivery_is_the_payload(self):
+        payload = b"G1 X1 Y2\n" * 50
+        for ch in (ChannelParams(seed=5), ChannelParams(loss_prob=0.2, jitter_ms=0.5, seed=5)):
+            assert transfer(payload, ch, TransferMode.RELIABLE_ORDERED, 16).delivered is payload
+
+    @given(
+        nbytes=st.integers(min_value=1, max_value=700),
+        packet_size=st.integers(min_value=1, max_value=80),
+        loss=st.sampled_from([0.0, 0.3, 0.97]),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        mode=st.sampled_from(list(TransferMode)),
+    )
+    @settings(max_examples=100)
+    def test_schedule_takes_no_payload(self, nbytes, packet_size, loss, seed, mode):
+        assert "payload" not in inspect.signature(schedule).parameters
+        ch = ChannelParams(jitter_ms=0.3, loss_prob=loss, seed=seed)
+        fates = schedule(ch, mode, nbytes, packet_size)
+        try:
+            result = transfer((bytes(range(256)) * 3)[:nbytes], ch, mode, packet_size)
+        except ChannelDownError as err:
+            result = err.result
+            assert fates.down_at == len(result.delivered)
+        else:
+            assert fates.down_at is None
+            assert fates.gap_map == result.gap_map
+        assert (fates.elapsed_ms, fates.packets_sent, fates.packets_lost) == (
+            result.elapsed_ms,
+            result.packets_sent,
+            result.packets_lost,
+        )
