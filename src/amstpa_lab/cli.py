@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 
 from . import shapes
@@ -52,6 +51,7 @@ from .stpa_core import (
     candidates_to_dict,
     candidates_to_text,
     enumerate_candidates,
+    finite_float,
     load_model,
 )
 
@@ -92,19 +92,12 @@ def _write_output(path: str, data: str | bytes) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
-
-
 def _read_json(path: str):
     """Parse a JSON input file, refusing NaN, Infinity and numbers past the double range."""
     try:
         data = _read_file(path).decode("utf-8")
-        return json.loads(data, parse_float=_finite, parse_constant=_finite)
-    except ValueError as exc:
+        return json.loads(data, parse_float=finite_float, parse_constant=finite_float)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CliError(f"{path}: not valid JSON: {exc}") from None
 
 
@@ -233,7 +226,10 @@ def _cmd_gcode(args) -> int:
         layers = layers_from_dict(doc)
     except (ValueError, KeyError, OverflowError, TypeError) as exc:
         raise CliError(f"{args.layers}: not a layers file: {exc}") from None
-    prog = plan_toolpath(layers, _toolpath_params(args))
+    try:
+        prog = plan_toolpath(layers, _toolpath_params(args))
+    except ValueError as exc:  # the extrusion total overflows
+        raise CliError(f"{args.layers}: {exc}") from None
     _write_output(args.out, emit_text(prog))
     return 0
 

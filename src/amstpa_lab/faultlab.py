@@ -369,7 +369,7 @@ def _wrap_stage(cfg: PipelineConfig, text: bytes) -> bytes:
 def _build_sent(cfg: PipelineConfig, mesh: TriangleMesh) -> bytes | DetectionStage:
     try:
         return build_job(cfg, mesh).sent
-    except ValueError:  # the slicer refuses it: too many layers
+    except ValueError:  # too many layers, or an extrusion total past a double
         return DetectionStage.MESH_VALIDATION
 
 
@@ -446,7 +446,7 @@ def _prepare(cfg: PipelineConfig, base_mesh: TriangleMesh, specs: list[FaultSpec
     try:
         stl = emit_stl_binary(base_mesh)
         job = build_job(cfg, base_mesh)
-    except ValueError as exc:  # no binary STL form, or too tall to slice
+    except ValueError as exc:  # no binary STL form, too tall to slice, or E overflows
         raise CampaignError(f"cannot prepare the pristine job: {exc}") from None
     pristine = _Pristine(base_mesh, stl, job)
     _check_targets(specs, pristine)

@@ -14,8 +14,9 @@ applies the line rule and parses each line, and `fold` applies the layer
 rule and checks the program invariants in the same pass; `count_records`
 and `path_length` are views over the two.
 
-Commands are tuple records: the two moves are NamedTuples, and the four
-commands without arguments are empty tuples equal only to their own kind.
+Commands are tuple records: the two moves are NamedTuples, and each of the
+four commands without arguments is a `Word` holding its code, so words are
+equal exactly when their codes are.
 The planner writes every move in one of two canonical forms, `G1 X Y E F`
 and `G0 X Y Z`.  `emit_text` renders each with one f-string, and `scan`
 matches each line against one compiled regex per form; a line that matches
@@ -60,46 +61,17 @@ class LinearMove(NamedTuple):
     f: float | None = None
 
 
-class _Word(tuple):
-    """A command without arguments, equal only to a command of its own kind.
+class Word(NamedTuple):
+    """A command without arguments, named by its code."""
 
-    As plain empty tuples, UseMillimeters() and Home() would compare equal.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self)
-
-    def __ne__(self, other: object) -> bool:
-        return type(other) is not type(self)
-
-    def __hash__(self) -> int:
-        return hash(type(self).__name__)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
+    code: str
 
 
-class UseMillimeters(_Word):
-    __slots__ = ()
+G21, G90, G28, M2 = Word("G21"), Word("G90"), Word("G28"), Word("M2")
 
+Command = RapidMove | LinearMove | Word
 
-class AbsolutePositioning(_Word):
-    __slots__ = ()
-
-
-class Home(_Word):
-    __slots__ = ()
-
-
-class ProgramEnd(_Word):
-    __slots__ = ()
-
-
-Command = RapidMove | LinearMove | UseMillimeters | AbsolutePositioning | Home | ProgramEnd
-
-PROLOGUE: tuple[Command, ...] = (UseMillimeters(), AbsolutePositioning(), Home())
+PROLOGUE: tuple[Command, ...] = (G21, G90, G28)
 
 
 @dataclass(frozen=True)
@@ -113,9 +85,11 @@ class ToolpathParams:
     extrusion_per_mm: float = 0.05  # filament mm per toolpath mm
 
     def __post_init__(self) -> None:
-        for name in ("feed_rate", "extrusion_per_mm"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be > 0")
+        # the planner writes F rounded to 5 decimals, and the reader wants it > 0
+        if not (0.0 < self.feed_rate < math.inf and round(self.feed_rate, 5) > 0.0):
+            raise ValueError("feed_rate must be finite and > 0 at 5 decimals")
+        if not (0.0 < self.extrusion_per_mm < math.inf):
+            raise ValueError("extrusion_per_mm must be finite and > 0")
 
 
 # builds a record from its full field tuple, skipping the keyword __new__
@@ -127,7 +101,8 @@ def plan_toolpath(layers: list[LayerPlan], p: ToolpathParams) -> GCodeProgram:
 
     Open contours are skipped with a logged warning.  All emitted values are
     quantized to 5 decimals, so the planned program reparses identically
-    from its own text emission.
+    from its own text emission.  Raises ValueError when the running
+    extrusion total overflows a double, which no reader would accept.
     """
     cmds: list[Command] = list(PROLOGUE)
     add = cmds.append
@@ -150,22 +125,16 @@ def plan_toolpath(layers: list[LayerPlan], p: ToolpathParams) -> GCodeProgram:
                 e_total += hypot(nx - px, ny - py) * ratio
                 add(_record(LinearMove, (nx, ny, None, round(e_total, 5), feed)))
                 px, py = nx, ny
-    add(ProgramEnd())
+    if e_total == math.inf:
+        raise ValueError("the extrusion total overflows a double")
+    add(M2)
     return GCodeProgram(tuple(cmds))
-
-
-_PLAIN_WORDS = {
-    UseMillimeters: "G21",
-    AbsolutePositioning: "G90",
-    Home: "G28",
-    ProgramEnd: "M2",
-}
 
 
 def _emit_command(c: Command) -> str:
     kind = type(c)
-    if kind in _PLAIN_WORDS:
-        return _PLAIN_WORDS[kind]
+    if kind is Word:
+        return c.code
     parts = ["G0" if kind is RapidMove else "G1"]
     for name, v in zip(c._fields, c):
         if v is not None:
@@ -197,7 +166,7 @@ def emit_text(prog: GCodeProgram) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-_PLAIN_COMMANDS = {word: kind() for kind, word in _PLAIN_WORDS.items()}
+_WORDS = {w.code: w for w in (G21, G90, G28, M2)}
 _MOVE_KINDS = {"G0": RapidMove, "G1": LinearMove}
 
 
@@ -215,10 +184,10 @@ def _parse_line(line: str, line_no: int) -> Command | None:
         raise GCodeError(f"malformed number {head[1:]!r} in word {word!r}", line_no) from None
     head = f"{head[0]}{number}"
 
-    if head in _PLAIN_COMMANDS:
+    if head in _WORDS:
         if len(tokens) > 1:
             raise GCodeError(f"{head} takes no arguments", line_no)
-        return _PLAIN_COMMANDS[head]
+        return _WORDS[head]
     if head not in _MOVE_KINDS:
         raise GCodeError(f"unknown G/M code {word!r}", line_no)
 
@@ -366,9 +335,9 @@ def fold(lines: Iterable[Line], tolerant: bool = False) -> Reading:
             break
         else:
             add(cmd)
-            if kind is Home:
+            if cmd == G28:
                 x = y = z = 0.0
-            elif kind is ProgramEnd:
+            elif cmd == M2:
                 ends += 1
             continue
         add(cmd)
@@ -416,7 +385,7 @@ def _invalid(commands: list[Command], ends: int, broken: GCodeError | None) -> G
     """The first program invariant broken, in the order they are checked."""
     if len(commands) < 4 or tuple(commands[:3]) != PROLOGUE:
         return GCodeError("program must begin with G21, G90, G28")
-    if type(commands[-1]) is not ProgramEnd:
+    if commands[-1] != M2:
         return GCodeError("program must end with M2")
     if ends > 1:
         return GCodeError("M2 before end of program")

@@ -7,7 +7,8 @@ per transmission attempt (loss, then jitter), so results are reproducible
 bit for bit on any platform.  The payload's bytes play no part in it.
 Both transfer modes run through its one packet loop: reliable and
 best-effort differ only in each packet's attempt budget and in what a
-packet that spends it becomes (the channel going down, or a gap).
+packet that spends it becomes (the channel going down, or a gap).  A
+transfer always returns: a downed channel is a result with `down_at` set.
 
 Every attempt advances the stream by its two draws, but a draw whose value
 cannot change the result is not mixed: a zero loss probability loses
@@ -80,24 +81,12 @@ class TransferResult:
     packets_lost: int
     retransmissions: int
     gap_map: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-
-
-class ChannelDownError(Exception):
-    """A packet exceeded MAX_RETRIES; carries delivery progress so far."""
-
-    def __init__(self, result: TransferResult):
-        super().__init__(
-            f"packet exceeded {MAX_RETRIES} retries "
-            f"({result.packets_sent} attempts, {result.packets_lost} lost)"
-        )
-        self.result = result
+    down_at: int | None = None  # the offset where the channel went down
 
 
 def check_packet_size(packet_size: int) -> None:
     if packet_size < 1:
         raise ValueError("packet_size must be >= 1")
-
-
 
 
 class Schedule(NamedTuple):
@@ -190,41 +179,33 @@ def transfer(
 ) -> TransferResult:
     """Simulate sending `payload` split into fixed-size packets.
 
-    ReliableOrdered raises ChannelDownError, carrying the prefix delivered
-    so far, when a packet exceeds MAX_RETRIES.  BestEffort's lost packets
-    become zero-filled gaps recorded in gap_map, so the delivered buffer
-    always has the original length.  Retransmissions are the attempts after
-    each packet's first.
+    When a ReliableOrdered packet exceeds MAX_RETRIES the channel goes
+    down: the result delivers the prefix before that packet, marks the rest
+    as one gap, and sets `down_at` to the packet's offset.  BestEffort's
+    lost packets become zero-filled gaps recorded in gap_map, so the
+    delivered buffer always has the original length.  Retransmissions are
+    the attempts after each packet's first.
     """
     s = schedule(ch, mode, len(payload), packet_size)
-    if s.down_at is not None:
-        off = s.down_at
-        raise ChannelDownError(
-            TransferResult(
-                delivered=bytes(payload[:off]),
-                intact=False,
-                elapsed_ms=s.elapsed_ms,
-                packets_sent=s.packets_sent,
-                packets_lost=s.packets_lost,
-                retransmissions=s.packets_sent - (off // packet_size + 1),
-                gap_map=((off, len(payload) - off),),
-            )
-        )
-    if s.gap_map:
+    down, gaps = s.down_at, s.gap_map
+    if down is not None:  # nothing from `down` on arrives
+        final, gaps = bytes(payload[:down]), ((down, len(payload) - down),)
+    elif gaps:
         buf = bytearray(payload)
-        for off, size in s.gap_map:
+        for off, size in gaps:
             buf[off : off + size] = bytes(size)
         final = bytes(buf)
-        # a lost packet of zero bytes leaves the delivery intact
-        intact = final == payload
     else:
-        final, intact = bytes(payload), True
+        final = bytes(payload)
+    attempted = (len(payload) - 1 if down is None else down) // packet_size + 1
     return TransferResult(
         delivered=final,
-        intact=intact,
+        # a prefix is not intact; a lost packet of zero bytes changes nothing
+        intact=final == payload,
         elapsed_ms=s.elapsed_ms,
         packets_sent=s.packets_sent,
         packets_lost=s.packets_lost,
-        retransmissions=s.packets_sent - ((len(payload) - 1) // packet_size + 1),
-        gap_map=s.gap_map,
+        retransmissions=s.packets_sent - attempted,
+        gap_map=gaps,
+        down_at=down,
     )

@@ -23,7 +23,7 @@ from enum import Enum
 
 from . import integrity
 from .gcode import Layer, fold, intended_perimeters, scan
-from .netsim import ChannelDownError, ChannelParams, TransferMode, transfer
+from .netsim import ChannelParams, TransferMode, transfer
 from .slicer import LayerPlan
 
 
@@ -186,16 +186,15 @@ def run_job(
         reference = wrapped_toolpath
     header_size = integrity.HEADER_SIZE if enveloped else 0
 
-    try:
-        tr = transfer(wrapped_toolpath, ch, mode, packet_size)
-    except ChannelDownError as err:
+    tr = transfer(wrapped_toolpath, ch, mode, packet_size)
+    if tr.down_at is not None:
         printed: tuple[Layer, ...] = ()
         if streaming:
             # a layer counts as printed once its last move line has fully arrived
-            arrived = len(err.result.delivered) - header_size
+            arrived = tr.down_at - header_size
             ref_layers, _ = _reference_layers(reference, enveloped)
             printed = tuple(lay for lay in ref_layers if lay.end_offset <= arrived)
-        return _stopped(FailReason.CHANNEL_DOWN, err.result.elapsed_ms, layer_time, printed)
+        return _stopped(FailReason.CHANNEL_DOWN, tr.elapsed_ms, layer_time, printed)
 
     delivered = tr.delivered
     if not streaming and len(delivered) > cfg.buffer_capacity:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .faultlab import CampaignResult, MitigationEvidence
-from .stpa_core import builtin_catalog
+from .stpa_core import MITIGATIONS
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def mitigation_statuses(evidence: MitigationEvidence | None) -> dict[int, Mitiga
     5. the envelope caught every seeded corruption while the raw pipeline
        let at least one past the integrity stage.
     """
-    status = {m.id: MitigationStatus.CATALOG_ONLY for m in builtin_catalog().entries}
+    status = {m.id: MitigationStatus.CATALOG_ONLY for m in MITIGATIONS}
     if evidence is None:
         return status
     ev = evidence
@@ -146,7 +146,7 @@ def render_json(doc: ReportDoc) -> str:
                 "status": doc.statuses[m.id].value,
                 "text": m.text,
             }
-            for m in builtin_catalog().entries
+            for m in MITIGATIONS
         ],
         "defect_rates": _defect_block(),
     }
@@ -188,7 +188,7 @@ def render_markdown(doc: ReportDoc) -> str:
     lines.append("")
     lines.append("| # | status | mitigation |")
     lines.append("|---|---|---|")
-    for m in builtin_catalog().entries:
+    for m in MITIGATIONS:
         lines.append(f"| {m.id} | {doc.statuses[m.id].value} | {m.text} |")
     lines.append("")
 

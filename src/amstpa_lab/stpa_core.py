@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -124,11 +125,6 @@ class Mitigation:
     executable: bool
 
 
-@dataclass(frozen=True)
-class MitigationCatalog:
-    entries: tuple[Mitigation, ...]
-
-
 MITIGATION_TEXTS: tuple[str, ...] = (
     "Assuring the network protocol used for AM is TCP/IP and not UDP which does not "
     "guarantee error free transmissions. UDP is commonly used for voice over IP and "
@@ -191,13 +187,11 @@ MITIGATION_TEXTS: tuple[str, ...] = (
 EXECUTABLE_MITIGATIONS = frozenset({1, 2, 3, 4, 5})
 
 
-def builtin_catalog() -> MitigationCatalog:
-    return MitigationCatalog(
-        tuple(
-            Mitigation(i + 1, text, (i + 1) in EXECUTABLE_MITIGATIONS)
-            for i, text in enumerate(MITIGATION_TEXTS)
-        )
-    )
+# the 25-entry mitigation catalog, in id order
+MITIGATIONS: tuple[Mitigation, ...] = tuple(
+    Mitigation(i, text, i in EXECUTABLE_MITIGATIONS)
+    for i, text in enumerate(MITIGATION_TEXTS, 1)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +293,26 @@ def _entries(doc: dict, key: str, what: str):
         yield where, eid, raw
 
 
+def finite_float(text: str) -> float:
+    """A JSON number as a float, refusing NaN, Infinity and numbers past the double range."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_model(text: bytes) -> ControlStructure:
     """Load and validate a JSON control-structure model.
 
     Syntax errors report the JSON line/column; structural errors report the
-    offending id and its position in the file.
+    offending id and its position in the file.  Like every JSON the CLI
+    reads, the model holds no NaN or Infinity.
     """
     try:
-        doc = json.loads(text.decode("utf-8"))
+        doc = json.loads(text.decode("utf-8"), parse_float=finite_float, parse_constant=finite_float)
     except UnicodeDecodeError as exc:
         raise ModelError(f"model file is not UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, nesting or number
         raise ModelError(f"model file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelError("model file must be a JSON object")

@@ -49,6 +49,7 @@ from amstpa_lab.printer_sim import (
 from amstpa_lab.report import DEFECT_RATE_TABLE, FOLLOWUP_2016_AUTOMATION, build_report, render_json, render_markdown
 from amstpa_lab.slicer import SliceParams, _shoelace, slice_mesh
 from amstpa_lab.stpa_core import (
+    MITIGATIONS,
     Component,
     ComponentKind,
     ControlStructure,
@@ -56,7 +57,6 @@ from amstpa_lab.stpa_core import (
     PathKind,
     Subsystem,
     builtin_am_reference_model,
-    builtin_catalog,
     candidates_to_dict,
     enumerate_candidates,
 )
@@ -288,13 +288,12 @@ def test_criterion_9_report_pinning():
         assert FOLLOWUP_2016_AUTOMATION == 2
         assert len(DEFECT_RATE_TABLE) == 16
 
-        catalog = builtin_catalog()
-        assert len(catalog.entries) == 25
-        assert [m.id for m in catalog.entries] == list(range(1, 26))
-        assert catalog.entries[0].text.startswith("Assuring the network protocol used for AM")
-        assert "high Quality of Service" in catalog.entries[2].text
-        assert "integrity check (EDC/ECC codes, word count)" in catalog.entries[4].text
-        assert {m.id for m in catalog.entries if m.executable} == {1, 2, 3, 4, 5}
+        assert len(MITIGATIONS) == 25
+        assert [m.id for m in MITIGATIONS] == list(range(1, 26))
+        assert MITIGATIONS[0].text.startswith("Assuring the network protocol used for AM")
+        assert "high Quality of Service" in MITIGATIONS[2].text
+        assert "integrity check (EDC/ECC codes, word count)" in MITIGATIONS[4].text
+        assert {m.id for m in MITIGATIONS if m.executable} == {1, 2, 3, 4, 5}
 
         doc = build_report()
         assert render_markdown(doc).encode() == (GOLDEN / "empty_report.md").read_bytes()

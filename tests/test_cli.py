@@ -71,6 +71,14 @@ class TestStpaCommand:
     def test_missing_source_exits_2(self):
         assert run_cli(["stpa", "--out", "-"])[0] == 2
 
+    def test_non_finite_model_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"name": "m", "components": [], "paths": [], "x": NaN, "y": Infinity}')
+        assert main(["stpa", "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: model file is not valid JSON: NaN is not a finite number\n"
+        assert captured.out == ""
+
 
 class TestStlCommand:
     def test_clean_cube(self, cube_file):
@@ -165,8 +173,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--buffer", "0"], ["--packet-size", "0"], ["--channel", "loss=abc"]],
-        ids=["buffer-0", "packet-size-0", "channel-loss-not-a-number"],
+        [["--buffer", "0"], ["--packet-size", "0"], ["--channel", "loss=abc"],
+         ["--feed-rate", "inf"]],
+        ids=["buffer-0", "packet-size-0", "channel-loss-not-a-number", "feed-rate-inf"],
     )
     def test_bad_flag_exits_2_before_slicing(self, cube_file, monkeypatch, capsys, flags):
         calls = []
@@ -539,6 +548,24 @@ def test_bad_input_exits_2_without_traceback(tmp_path, cube_file, capsys, comman
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["stpa", "gcode", "campaign", "report"])
+def test_deeply_nested_json_exits_2_without_traceback(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "stpa": ["stpa", "--model"],
+        "gcode": ["gcode", "plan"],
+        "campaign": ["campaign", "--config"],
+        "report": ["report", "--inputs"],
+    }[command]
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "recursion depth" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("vertex", ["0 0 inf", "0 0 nan", "nan 0 1"])
 @pytest.mark.parametrize("command", ["slice", "simulate", "campaign"])
 def test_nonfinite_mesh_exits_2_without_traceback(tmp_path, capsys, command, vertex):
@@ -714,6 +741,26 @@ def test_gcode_plan_reads_integral_numbers_as_floats(tmp_path, capsys):
         assert main(["gcode", "plan", str(path)]) == 0
         written[name] = capsys.readouterr().out
     assert written["ints"] == written["floats"] != ""
+
+
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--feed-rate", "inf"], "feed_rate must be finite and > 0 at 5 decimals"),
+        (["--feed-rate", "1e-320"], "feed_rate must be finite and > 0 at 5 decimals"),
+        (["--extrusion-per-mm", "1e308"], "{layers}: the extrusion total overflows a double"),
+    ],
+    ids=["feed-rate-inf", "feed-rate-rounds-to-0", "extrusion-total-overflows"],
+)
+def test_gcode_plan_writes_only_what_its_reader_reads(tmp_path, cube_file, capsys, flags, error):
+    # each of these once wrote Finf, F0.00000 or Einf and exited 0
+    layers = tmp_path / "layers.json"
+    assert main(["slice", str(cube_file), "--layer-height", "0.25", "--out", str(layers)]) == 0
+    code = main(["gcode", "plan", str(layers), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: " + error.format(layers=layers) + "\n"
+    assert captured.out == ""
 
 
 def _refuse_constant(token):

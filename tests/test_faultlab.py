@@ -35,7 +35,7 @@ from amstpa_lab.mesh_io import (
     parse_stl,
     validate_mesh,
 )
-from amstpa_lab.netsim import ChannelParams, TransferMode, splitmix64_at
+from amstpa_lab.netsim import MAX_RETRIES, ChannelParams, TransferMode, splitmix64_at
 from amstpa_lab.printer_sim import (
     FailReason,
     JobStatus,
@@ -442,6 +442,14 @@ class TestDemoCampaign:
     def test_requires_envelope(self, cube):
         with pytest.raises(ValueError, match="envelope"):
             run_demo_campaign(pipeline(enveloped=False), cube)
+
+    def test_probe_whose_channel_goes_down_is_evidence(self, cube, monkeypatch):
+        # at certain loss every reliable probe goes down on its first packet
+        monkeypatch.setattr(faultlab, "RELIABLE_LOSS_PROB", 1.0)
+        ev = run_demo_campaign(pipeline(seed=42), cube, corruption_count=2).evidence
+        assert ev.reliable_intact_under_loss is False
+        assert ev.reliable_loss_prob == 1.0
+        assert ev.lossy_packets_lost == 16 * (1 + MAX_RETRIES)
 
 
 def _digest(result) -> str:

@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 from amstpa_lab import shapes
 from amstpa_lab.gcode import (
-    AbsolutePositioning,
+    G21,
+    G28,
+    G90,
+    M2,
     GCodeError,
     GCodeProgram,
-    Home,
     Layer,
     LinearMove,
-    ProgramEnd,
     RapidMove,
     ToolpathParams,
-    UseMillimeters,
+    Word,
     _emit_command,
     _parse_line,
     count_records,
@@ -30,7 +31,7 @@ from amstpa_lab.gcode import (
 )
 from amstpa_lab.slicer import Contour, LayerPlan, SliceParams, slice_mesh
 
-PROLOGUE = (UseMillimeters(), AbsolutePositioning(), Home())
+PROLOGUE = (G21, G90, G28)
 
 SQUARE = Contour(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), True)
 
@@ -50,7 +51,7 @@ def scan_text_layers(text):
 class TestPlan:
     def test_zero_layers_prologue_epilogue_only(self):
         prog = plan_toolpath([], ToolpathParams())
-        assert prog.commands == PROLOGUE + (ProgramEnd(),)
+        assert prog.commands == PROLOGUE + (M2,)
         assert fold((0, 0, c) for c in prog.commands).invalid is None
 
     def test_single_square_final_e(self):
@@ -80,16 +81,28 @@ class TestPlan:
         assert len(linear) == 4  # only the closed square
 
     def test_params_validated(self):
-        with pytest.raises(ValueError):
-            ToolpathParams(feed_rate=0.0)
-        with pytest.raises(ValueError):
-            ToolpathParams(extrusion_per_mm=-1.0)
+        # a feed rate must also stay above 0 once written with 5 decimals
+        for feed in (0.0, math.inf, math.nan, 1e-320, 4e-6):
+            with pytest.raises(ValueError, match="feed_rate"):
+                ToolpathParams(feed_rate=feed)
+        for ratio in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="extrusion_per_mm"):
+                ToolpathParams(extrusion_per_mm=ratio)
+
+    def test_smallest_written_feed_rate_reads_back(self):
+        prog = plan_toolpath([square_layer()], ToolpathParams(feed_rate=1e-5))
+        reading = fold(scan(emit_text(prog)))
+        assert reading.invalid is None and reading.commands == prog.commands
+
+    def test_extrusion_total_overflow_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            plan_toolpath([square_layer()], ToolpathParams(extrusion_per_mm=1e308))
 
 
 class TestTextFormat:
     def test_minimal_program(self):
         reading = fold(scan(b"G21\nG90\nG28\nM2\n"))
-        assert reading.error is None and reading.commands == PROLOGUE + (ProgramEnd(),)
+        assert reading.error is None and reading.commands == PROLOGUE + (M2,)
 
     def test_linear_move_fields(self):
         reading = fold(scan(b"G1 X1.00000 Y0.00000 E0.05000 F1800.00000\n"))
@@ -98,7 +111,7 @@ class TestTextFormat:
 
     def test_comments_and_blanks_ignored(self):
         reading = fold(scan(b"; job start\nG21\n\nG90 ; absolute\nG28\nM2\n"))
-        assert reading.error is None and reading.commands == PROLOGUE + (ProgramEnd(),)
+        assert reading.error is None and reading.commands == PROLOGUE + (M2,)
 
     def test_unknown_code_rejected_with_line(self):
         with pytest.raises(GCodeError, match="line 2"):
@@ -149,10 +162,10 @@ class TestTextFormat:
         spans = [(start, end) for start, end, _ in lines[1:]]
         assert spans == [(0, 5), (5, 9), (9, 13), (13, 18), (18, 24), (24, 25), (25, 27)]
         items = [item for _, _, item in lines[1:]]
-        assert items[:3] == [UseMillimeters(), AbsolutePositioning(), Home()]
+        assert items[:3] == [G21, G90, G28]
         assert items[3] is None and items[5] is None
         assert isinstance(items[4], GCodeError) and items[4].line == 5
-        assert items[6] == ProgramEnd()
+        assert items[6] == M2
 
     def test_invalid_utf8_rejected_whole(self):
         with pytest.raises(GCodeError, match="not valid UTF-8"):
@@ -167,7 +180,7 @@ class TestTextFormat:
 class TestProgramInvariants:
     def test_missing_prologue(self):
         with pytest.raises(GCodeError, match="begin"):
-            raise fold((0, 0, c) for c in (UseMillimeters(), ProgramEnd())).invalid
+            raise fold((0, 0, c) for c in (G21, M2)).invalid
 
     def test_missing_end(self):
         with pytest.raises(GCodeError, match="end with M2"):
@@ -176,23 +189,23 @@ class TestProgramInvariants:
     def test_decreasing_extrusion(self):
         prog = GCodeProgram(
             PROLOGUE
-            + (LinearMove(x=1.0, e=0.5), LinearMove(x=2.0, e=0.25), ProgramEnd())
+            + (LinearMove(x=1.0, e=0.5), LinearMove(x=2.0, e=0.25), M2)
         )
         with pytest.raises(GCodeError, match="decreased"):
             raise fold((0, 0, c) for c in prog.commands).invalid
 
     def test_nonpositive_feed(self):
-        prog = GCodeProgram(PROLOGUE + (LinearMove(x=1.0, f=0.0), ProgramEnd()))
+        prog = GCodeProgram(PROLOGUE + (LinearMove(x=1.0, f=0.0), M2))
         with pytest.raises(GCodeError, match="feed"):
             raise fold((0, 0, c) for c in prog.commands).invalid
 
     def test_interior_m2(self):
-        prog = GCodeProgram(PROLOGUE + (ProgramEnd(), ProgramEnd()))
+        prog = GCodeProgram(PROLOGUE + (M2, M2))
         with pytest.raises(GCodeError, match="before end"):
             raise fold((0, 0, c) for c in prog.commands).invalid
 
     def test_nonfinite_coordinate(self):
-        prog = GCodeProgram(PROLOGUE + (RapidMove(x=float("inf")), ProgramEnd()))
+        prog = GCodeProgram(PROLOGUE + (RapidMove(x=float("inf")), M2))
         with pytest.raises(GCodeError, match="non-finite"):
             raise fold((0, 0, c) for c in prog.commands).invalid
 
@@ -276,7 +289,7 @@ def programs(draw):
             e = round(e + draw(positive_quant), 5)
             cmd = LinearMove(x=cmd.x, y=cmd.y, z=cmd.z, e=e, f=cmd.f)
         fixed.append(cmd)
-    return GCodeProgram(PROLOGUE + tuple(fixed) + (ProgramEnd(),))
+    return GCodeProgram(PROLOGUE + tuple(fixed) + (M2,))
 
 
 @given(programs())
@@ -305,25 +318,32 @@ def test_emit_fast_forms_match_generic_path(prog):
 
 
 # ---------------------------------------------------------------------------
-# Tuple command records: equality and repr as the frozen dataclasses had them
+# Tuple command records: moves are equal by kind and fields, words by code
 # ---------------------------------------------------------------------------
 
-WORDS = [UseMillimeters, AbsolutePositioning, Home, ProgramEnd]
+# the four words, each with its meaning as its test id
+WORDS = [
+    pytest.param(G21, id="UseMillimeters"),
+    pytest.param(G90, id="AbsolutePositioning"),
+    pytest.param(G28, id="Home"),
+    pytest.param(M2, id="ProgramEnd"),
+]
 
 
 class TestRecordEquality:
     @pytest.mark.parametrize("a", WORDS)
     @pytest.mark.parametrize("b", WORDS)
     def test_zero_field_commands_equal_only_their_own_kind(self, a, b):
-        assert (a() == b()) is (a is b)
-        assert (a() != b()) is (a is not b)
-        assert a() != ()
-        assert not (a() == ())
+        assert (a == b) is (a.code == b.code)
+        assert (a != b) is (a.code != b.code)
+        assert a == Word(a.code) and hash(a) == hash(Word(a.code))
+        assert a != ()
+        assert not (a == ())
 
     def test_moves_differ_from_words(self):
         assert RapidMove() != LinearMove()
         assert RapidMove(x=1.0) == RapidMove(x=1.0)
-        assert len({RapidMove(x=1.0), RapidMove(x=1.0), Home(), Home(), ProgramEnd()}) == 3
+        assert len({RapidMove(x=1.0), RapidMove(x=1.0), G28, G28, M2}) == 3
 
     @pytest.mark.parametrize(
         "text, message",
@@ -342,11 +362,11 @@ class TestRecordEquality:
     def test_repr_and_fields(self):
         assert repr(LinearMove(x=1.0, e=0.5)) == "LinearMove(x=1.0, y=None, z=None, e=0.5, f=None)"
         assert repr(RapidMove(z=0.25)) == "RapidMove(x=None, y=None, z=0.25)"
-        assert [repr(w()) for w in WORDS] == [
-            "UseMillimeters()", "AbsolutePositioning()", "Home()", "ProgramEnd()"
+        assert [repr(w) for w in (G21, G90, G28, M2)] == [
+            "Word(code='G21')", "Word(code='G90')", "Word(code='G28')", "Word(code='M2')"
         ]
         assert LinearMove(f=1.0).f == 1.0 and LinearMove._fields == ("x", "y", "z", "e", "f")
-        assert isinstance(Home(), Home) and not isinstance(Home(), ProgramEnd)
+        assert Word._fields == ("code",) and type(G28) is type(M2) is Word
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +409,7 @@ def oracle_fold(lines, tolerant=False):
             error = cmd
             break
         commands.append(cmd)
-        if isinstance(cmd, Home):
+        if cmd == G28:
             x = y = z = 0.0
         elif isinstance(cmd, (RapidMove, LinearMove)):
             nx = cmd.x if cmd.x is not None else x
@@ -421,9 +441,9 @@ def oracle_check_program(prog):
     cmds = prog.commands
     if len(cmds) < 4 or cmds[:3] != PROLOGUE:
         raise GCodeError("program must begin with G21, G90, G28")
-    if not isinstance(cmds[-1], ProgramEnd):
+    if cmds[-1] != M2:
         raise GCodeError("program must end with M2")
-    if any(isinstance(c, ProgramEnd) for c in cmds[:-1]):
+    if M2 in cmds[:-1]:
         raise GCodeError("M2 before end of program")
     last_e = 0.0
     for i, c in enumerate(cmds):
@@ -457,7 +477,7 @@ def oracle_plan_toolpath(layers, p):
                 e_total += math.hypot(nxt[0] - prev[0], nxt[1] - prev[1]) * p.extrusion_per_mm
                 cmds.append(LinearMove(x=nxt[0], y=nxt[1], e=round(e_total, 5), f=feed))
                 prev = nxt
-    cmds.append(ProgramEnd())
+    cmds.append(M2)
     return GCodeProgram(tuple(cmds))
 
 

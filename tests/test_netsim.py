@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from amstpa_lab.netsim import (
     MAX_RETRIES,
-    ChannelDownError,
     ChannelParams,
     TransferMode,
     TransferResult,
@@ -180,11 +179,12 @@ class TestReliable:
             assert result.gap_map == ()
 
     def test_channel_down_on_certain_loss(self):
-        with pytest.raises(ChannelDownError) as exc:
-            transfer(b"abcdef", ChannelParams(loss_prob=1.0, seed=1), TransferMode.RELIABLE_ORDERED, 2)
-        progress = exc.value.result
-        assert progress.packets_sent == 1 + MAX_RETRIES
-        assert progress.delivered == b""
+        ch = ChannelParams(loss_prob=1.0, seed=1)
+        progress = transfer(b"abcdef", ch, TransferMode.RELIABLE_ORDERED, 2)
+        assert progress.down_at == 0
+        assert progress.delivered == b"" and progress.intact is False
+        assert progress.packets_sent == progress.packets_lost == 1 + MAX_RETRIES
+        assert progress.retransmissions == MAX_RETRIES
         assert progress.gap_map == ((0, 6),)
 
     def test_elapsed_nondecreasing_in_loss(self):
@@ -260,16 +260,15 @@ def oracle_transfer(payload, ch, mode, packet_size):
             lost += 1
         else:
             if reliable:
-                raise ChannelDownError(
-                    TransferResult(
-                        delivered=bytes(delivered[:off]),
-                        intact=False,
-                        elapsed_ms=elapsed,
-                        packets_sent=sent,
-                        packets_lost=lost,
-                        retransmissions=sent - (off // packet_size + 1),
-                        gap_map=((off, len(payload) - off),),
-                    )
+                return TransferResult(
+                    delivered=bytes(delivered[:off]),
+                    intact=False,
+                    elapsed_ms=elapsed,
+                    packets_sent=sent,
+                    packets_lost=lost,
+                    retransmissions=sent - (off // packet_size + 1),
+                    gap_map=((off, len(payload) - off),),
+                    down_at=off,
                 )
             if gaps and gaps[-1][0] + gaps[-1][1] == off:
                 gaps[-1] = (gaps[-1][0], gaps[-1][1] + len(packet))
@@ -288,13 +287,9 @@ def oracle_transfer(payload, ch, mode, packet_size):
 
 
 def _outcome(fn, *args):
-    """A transfer's result with its elapsed time as exact float text, or the
-    same for the result of its ChannelDownError, with the error message."""
-    try:
-        kind, result, message = "ok", fn(*args), None
-    except ChannelDownError as err:
-        kind, result, message = "down", err.result, str(err)
-    return kind, result, float.hex(result.elapsed_ms), message
+    """A transfer's result with its elapsed time as exact float text."""
+    result = fn(*args)
+    return result, float.hex(result.elapsed_ms)
 
 
 # payloads made of literal runs and zero runs, so a lost packet can be all zeros
@@ -337,9 +332,9 @@ class TestFateSchedule:
         payload = bytes(range(256)) * 4
         ch = ChannelParams(loss_prob=0.97, seed=11)
         args = (payload, ch, TransferMode.RELIABLE_ORDERED, 7)
-        kind, result, elapsed, message = _outcome(oracle_transfer, *args)
-        assert kind == "down" and result.delivered
-        assert _outcome(transfer, *args) == (kind, result, elapsed, message)
+        result, elapsed = _outcome(oracle_transfer, *args)
+        assert result.down_at == len(result.delivered) > 0
+        assert _outcome(transfer, *args) == (result, elapsed)
 
     def test_lost_zero_packet_is_intact(self):
         # a best-effort gap over bytes that were zero anyway changes nothing
@@ -366,16 +361,14 @@ class TestFateSchedule:
         assert "payload" not in inspect.signature(schedule).parameters
         ch = ChannelParams(jitter_ms=0.3, loss_prob=loss, seed=seed)
         fates = schedule(ch, mode, nbytes, packet_size)
-        try:
-            result = transfer((bytes(range(256)) * 3)[:nbytes], ch, mode, packet_size)
-        except ChannelDownError as err:
-            result = err.result
-            assert fates.down_at == len(result.delivered)
-        else:
-            assert fates.down_at is None
+        result = transfer((bytes(range(256)) * 3)[:nbytes], ch, mode, packet_size)
+        if fates.down_at is None:
             assert fates.gap_map == result.gap_map
-        assert (fates.elapsed_ms, fates.packets_sent, fates.packets_lost) == (
+        else:
+            assert fates.down_at == len(result.delivered)
+        assert (fates.elapsed_ms, fates.packets_sent, fates.packets_lost, fates.down_at) == (
             result.elapsed_ms,
             result.packets_sent,
             result.packets_lost,
+            result.down_at,
         )

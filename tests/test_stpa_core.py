@@ -10,6 +10,7 @@ from amstpa_lab.stpa_core import (
     COMPONENT_MITIGATIONS,
     EXECUTABLE_MITIGATIONS,
     MITIGATION_TEXTS,
+    MITIGATIONS,
     PATH_MITIGATIONS,
     PATH_PHRASE_SET,
     PHRASE_SETS,
@@ -24,7 +25,6 @@ from amstpa_lab.stpa_core import (
     PhraseSetId,
     Subsystem,
     builtin_am_reference_model,
-    builtin_catalog,
     candidates_to_dict,
     candidates_to_text,
     classify_path,
@@ -71,23 +71,20 @@ class TestPhraseSets:
 
 class TestCatalog:
     def test_exactly_25(self):
-        catalog = builtin_catalog()
-        assert len(catalog.entries) == 25
-        assert [m.id for m in catalog.entries] == list(range(1, 26))
+        assert len(MITIGATIONS) == 25
+        assert [m.id for m in MITIGATIONS] == list(range(1, 26))
 
     def test_executable_flags(self):
-        catalog = builtin_catalog()
-        assert {m.id for m in catalog.entries if m.executable} == EXECUTABLE_MITIGATIONS
+        assert {m.id for m in MITIGATIONS if m.executable} == EXECUTABLE_MITIGATIONS
 
     def test_key_texts(self):
-        catalog = builtin_catalog()
         # mitigation k is entry k - 1
-        assert catalog.entries[0].text.startswith(
+        assert MITIGATIONS[0].text.startswith(
             "Assuring the network protocol used for AM is TCP/IP"
         )
-        assert "high Quality of Service" in catalog.entries[2].text
-        assert "integrity check (EDC/ECC codes, word count)" in catalog.entries[4].text
-        assert catalog.entries[24].text.endswith("a safe distance from the printer.")
+        assert "high Quality of Service" in MITIGATIONS[2].text
+        assert "integrity check (EDC/ECC codes, word count)" in MITIGATIONS[4].text
+        assert MITIGATIONS[24].text.endswith("a safe distance from the printer.")
         assert len(MITIGATION_TEXTS) == 25
 
 
@@ -190,6 +187,13 @@ class TestLoadModel:
     def test_not_utf8(self):
         with pytest.raises(ModelError, match="UTF-8"):
             load_model(b"\xff\xfe{}")
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_refused(self, number):
+        # even under a key the model does not read
+        text = f'{{"name": "m", "components": [], "paths": [], "weight": {number}}}'
+        with pytest.raises(ModelError, match=f"{number} is not a finite number"):
+            load_model(text.encode())
 
     @pytest.mark.parametrize("key", ["components", "paths"])
     @pytest.mark.parametrize("value", [None, 3, "ab", {"id": "a"}])
@@ -389,7 +393,7 @@ def unlinked_candidates(cs):
 
 def attach_mitigations(hazards, catalog, cs):
     """Fill mitigation_ids from the rule table; unmatched subjects get ()."""
-    if len(catalog.entries) != 25:
+    if len(catalog) != 25:
         raise ValueError("catalog must have exactly 25 entries")
     out = []
     for hz in hazards:
@@ -413,7 +417,7 @@ def attach_mitigations(hazards, catalog, cs):
 
 
 def two_pass_candidates(cs):
-    return attach_mitigations(unlinked_candidates(cs), builtin_catalog(), cs)
+    return attach_mitigations(unlinked_candidates(cs), MITIGATIONS, cs)
 
 
 @given(structures())
