@@ -11,7 +11,7 @@ plan, emit, then wrap unless the envelope is off); `simulate`, the pristine
 job and every after-CAD trial go through it.  Every campaign runs through
 one trial loop, `_trials`, over a pristine job prepared once, and `_tally`
 folds its trials into a CampaignResult.  The demonstration campaign prepares
-one pristine job and runs the loop over it three times: full-image and
+one pristine job and hands the loop three passes over it: full-image and
 streaming policies, then raw text without the envelope.  A fault spec is
 checked whole when it is built: its kind against its stage, and every
 parameter that needs no target.  An explicit offset or length is checked
@@ -27,17 +27,28 @@ length and count word is read and validated only in the records it changes,
 and one that moves no vertex sends the parsed pristine's job, built once per
 configuration.  Every other after-CAD fault is parsed, validated and built
 whole.
+
+Trials are independent: each one's channel seed derives from the campaign
+seed and its index.  The loop runs them in this process until they have
+taken about as long as a pool of workers costs to start, then hands the rest
+to one pool of forked workers, one per usable CPU (at most 8), which inherit
+the prepared pristine job.  Only a trial's index and its (stage, outcome)
+cross between processes, and results come back in trial order, so a
+campaign's output is the same bytes either way.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 import sys
+import threading
 from array import array
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum, EnumMeta
 from itertools import chain
+from time import perf_counter
 
 from .gcode import GCodeProgram, ToolpathParams, count_records, emit_text, plan_toolpath
 from .integrity import wrap
@@ -384,9 +395,14 @@ def _read(stl: bytes) -> TriangleMesh | DetectionStage:
     return mesh
 
 
-def _bits(mesh: TriangleMesh) -> bytes:
-    """Every coordinate's float64 bits, in facet order: -0.0 is not 0.0."""
-    return array("d", chain.from_iterable(chain.from_iterable(mesh.facets))).tobytes()
+def _float32_exact(mesh: TriangleMesh) -> bool:
+    """Whether every coordinate of `mesh` is a float32, bit for bit (-0.0 is
+    not 0.0), so that its binary STL parses back to `mesh` itself.
+
+    Binary STL stores float32, and both conversions round to nearest.
+    """
+    bits = array("d", chain.from_iterable(chain.from_iterable(mesh.facets)))
+    return array("d", array("f", bits)).tobytes() == bits.tobytes()
 
 
 class _CadIntake:
@@ -404,9 +420,7 @@ class _CadIntake:
 
     def __init__(self, base_mesh: TriangleMesh, stl: bytes):
         self.stl = stl
-        self.mesh = parse_stl(stl)
-        if _bits(self.mesh) == _bits(base_mesh):
-            self.mesh = base_mesh
+        self.mesh = base_mesh if _float32_exact(base_mesh) else parse_stl(stl)
         self.tally = MeshTally(self.mesh)
         self._sent: dict[PipelineConfig, bytes | DetectionStage] = {}  # for `mesh`
 
@@ -524,16 +538,100 @@ def _run_trial(
     return DetectionStage.UNDETECTED, outcome, trace
 
 
-def _trials(cfg: PipelineConfig, specs: list[FaultSpec], pristine: _Pristine):
-    """The one trial loop: yields (spec, stage, outcome) for each spec in order.
+# Trials run in this process until they have taken this long, about what
+# importing, starting and joining a pool of forked workers costs; the rest
+# go to the pool.
+_POOL_AFTER_S = 0.05
+_MAX_WORKERS = 8
 
-    Trial i's channel seed derives from (campaign_seed, i), so replays and
-    concurrent evaluation produce identical results.
+
+def _trial(run: tuple) -> tuple:
+    """One trial of a pass: `run` is (cfg, pristine, index, spec); returns
+    (spec, stage, outcome)."""
+    cfg, pristine, i, spec = run
+    channel = replace(cfg.channel, seed=splitmix64_at(cfg.campaign_seed, i))
+    stage, outcome, _ = _run_trial(cfg, spec, pristine, channel)
+    return spec, stage, outcome
+
+
+def _trials(passes: list[tuple[PipelineConfig, _Pristine]], specs: list[FaultSpec]):
+    """The one trial loop: yields (spec, stage, outcome) for every spec of
+    every (cfg, pristine) pass, pass by pass, in spec order.
+
+    Trial i of a pass takes its channel seed from (campaign_seed, i), so
+    where and when it runs cannot change its result.  Trials run here until
+    they have taken `_POOL_AFTER_S`; the rest then run in forked workers
+    when `_pool_size` gives more than one, and come back in order.
     """
-    for i, spec in enumerate(specs):
-        channel = replace(cfg.channel, seed=splitmix64_at(cfg.campaign_seed, i))
-        stage, outcome, _ = _run_trial(cfg, spec, pristine, channel)
-        yield spec, stage, outcome
+    runs = [(cfg, pristine, i, spec) for cfg, pristine in passes for i, spec in enumerate(specs)]
+    start = perf_counter()
+    k = 0
+    while k < len(runs) and perf_counter() - start < _POOL_AFTER_S:
+        yield _trial(runs[k])
+        k += 1
+    rest = runs[k:]
+    workers = _pool_size(len(rest))
+    yield from _pooled(rest, workers) if workers > 1 else map(_trial, rest)
+
+
+def _pool_size(trials: int) -> int:
+    """Workers for `trials` trials: one per usable CPU, at most 8 and at most
+    one per trial; 0 where this process cannot fork safely (no fork, or
+    another thread running, whose locks a child would inherit held)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS, trials)
+
+
+def _pooled(runs: list[tuple], workers: int):
+    """`map(_trial, runs)` over `workers` forked processes, in order.
+
+    One trial goes to a task, since one trial can cost a hundred times
+    another.  The workers inherit `runs` through fork, so a task sends one
+    index and returns only the trial's (stage, outcome).  A trial that
+    raises re-raises here, after the pool is shut down.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt, initargs=(runs,),
+    )
+    try:
+        futures = [pool.submit(_run_adopted, k) for k in range(len(runs))]
+        for run, future in zip(runs, futures):
+            yield (run[3], *future.result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+_adopted: list[tuple] = []  # in a forked worker, the runs its tasks index
+
+
+def _adopt(runs: list[tuple]) -> None:
+    """Start a forked worker: keep `runs`, and exit when the campaign's
+    process does.  A process killed before it can shut its pool down sends
+    no more tasks, and its workers would wait for one forever."""
+    global _adopted
+    _adopted = runs
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+
+
+def _exit_with_parent() -> None:
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
+    wait([parent_process().sentinel])
+    os._exit(1)
+
+
+def _run_adopted(k: int) -> tuple:
+    return _trial(_adopted[k])[1:]
 
 
 def _tally(trials) -> CampaignResult:
@@ -562,7 +660,7 @@ def run_campaign(
     pristine = _prepare(cfg, base_mesh, specs)
     if pristine.cad and not pristine.cad.tally.is_clean_with({}):
         raise CampaignError("after-CAD faults need a base mesh that passes mesh validation")
-    return _tally(_trials(cfg, specs, pristine))
+    return _tally(_trials([(cfg, pristine)], specs))
 
 
 def bit_flip_specs(count: int, stage: FaultStage, seed: int) -> list[FaultSpec]:
@@ -649,18 +747,20 @@ def run_demo_campaign(
     # the policy is not part of the job, so all three runs share one pristine
     # job; the raw run sends its text without the envelope
     pristine = _prepare(cfg, base_mesh, specs)
+    job = pristine.job
+    raw_pristine = replace(pristine, job=replace(job, sent=job.text))
+    trials = list(_trials([(full_cfg, pristine), (stream_cfg, pristine), (raw_cfg, raw_pristine)],
+                          specs))
+    n = len(specs)
 
     # full image + envelope, tracking outcomes for the buffering contrast
-    full_trials = list(_trials(full_cfg, specs, pristine))
-    campaign = _tally(full_trials)
-    full = [o for _, _, o in full_trials if o is not None]
+    campaign = _tally(trials[:n])
+    full = [o for _, _, o in trials[:n] if o is not None]
     # streaming + envelope: same corruptions scrap partially printed parts
-    stream = [o for _, _, o in _trials(stream_cfg, specs, pristine) if o is not None]
+    stream = [o for _, _, o in trials[n:2 * n] if o is not None]
     scrapped = [o for o in stream if o.status is JobStatus.SCRAPPED_MID_PRINT]
     # envelope stripped: the printer consumes raw text, detection moves late
-    job = pristine.job
-    raw = _trials(raw_cfg, specs, replace(pristine, job=replace(job, sent=job.text)))
-    raw_late = sum(stage in _LATE_STAGES for _, stage, _ in raw)
+    raw_late = sum(stage in _LATE_STAGES for _, stage, _ in trials[2 * n:])
 
     # channel probes: reliable transfer under loss, QoS cost of loss.
     # Several derived seeds so a lossy channel reliably shows losses.

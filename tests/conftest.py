@@ -1,7 +1,10 @@
+import math
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
-from amstpa_lab import shapes
+from amstpa_lab import faultlab, shapes
 from amstpa_lab.gcode import ToolpathParams, emit_text, plan_toolpath
 from amstpa_lab.integrity import wrap
 from amstpa_lab.netsim import ChannelParams
@@ -41,3 +44,23 @@ def cube_wrapped(cube_program, cube_text):
 @pytest.fixture()
 def lossless_channel():
     return ChannelParams(latency_ms=1.0, bandwidth_bytes_per_s=125_000.0, loss_prob=0.0, seed=5)
+
+
+@pytest.fixture()
+def in_process(monkeypatch):
+    """Keep every campaign trial in this process.
+
+    A forked worker's calls never reach the parent, so a test that counts
+    calls, records trials or reads the intake's memo runs them here.
+    """
+    monkeypatch.setattr(faultlab, "_POOL_AFTER_S", math.inf)
+
+
+@pytest.fixture()
+def pooled(monkeypatch):
+    """Hand every campaign trial to forked workers, from the first."""
+    if not hasattr(os, "fork"):
+        pytest.skip("this platform cannot fork")
+    if faultlab._pool_size(2) < 2:
+        pytest.skip("fewer than 2 usable CPUs: a campaign runs in one process")
+    monkeypatch.setattr(faultlab, "_POOL_AFTER_S", 0.0)

@@ -635,6 +635,7 @@ def _one_facet(tmp_path, a, b, c):
     return mesh
 
 
+@pytest.mark.usefixtures("in_process")
 def test_campaign_mesh_beyond_float32_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
     mesh = _one_facet(tmp_path, "1e39 0 1", "0 1 1", "0 0 1")
     config = tmp_path / "config.json"

@@ -1,7 +1,14 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import signal
 import struct
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -357,6 +364,7 @@ class TestFaultTargets:
         ],
         ids=["after-slice-bit", "in-transit-bit", "after-cad-byte", "in-transit-length"],
     )
+    @pytest.mark.usefixtures("in_process")
     def test_explicit_target_past_its_end_refused_before_any_trial(
         self, cube, monkeypatch, spec, message
     ):
@@ -384,6 +392,7 @@ class TestFaultTargets:
         ],
         ids=["header-byte", "flip-normals"],
     )
+    @pytest.mark.usefixtures("in_process")
     def test_after_cad_fault_on_an_invalid_base_refused_before_any_trial(
         self, cube, monkeypatch, spec
     ):
@@ -500,6 +509,7 @@ class TestTrialLoop:
     def test_mixed_campaign_output_unchanged(self, cube, cfg, digest):
         assert _digest(run_campaign(cfg, MIXED_SPECS, cube)) == digest
 
+    @pytest.mark.usefixtures("in_process")
     def test_demo_slices_the_mesh_once(self, cube, monkeypatch):
         calls = []
 
@@ -511,6 +521,7 @@ class TestTrialLoop:
         run_demo_campaign(pipeline(seed=42), cube, corruption_count=8)
         assert len(calls) == 1
 
+    @pytest.mark.usefixtures("in_process")
     def test_demo_folds_its_reference_once(self, cube, monkeypatch):
         # every streaming trial fails its integrity check and needs the
         # pristine layers; the last reference folded is cached
@@ -526,6 +537,138 @@ class TestTrialLoop:
         printer_sim._reference_layers.cache_clear()
         assert demo.evidence.streaming_scrapped == 8
         assert calls.count(True) == 1
+
+
+# every stage and every kind: both after-CAD mesh kinds, the after-CAD byte
+# kinds, byte faults after slicing and in transit, and packet drops
+EVERY_FAULT = (
+    MIXED_SPECS
+    + [FaultSpec(FaultKind.BYTE_SET, stage, seed=9) for stage in FaultStage]
+    + [FaultSpec(FaultKind.TRUNCATE, stage, seed=10)
+       for stage in (FaultStage.AFTER_SLICE, FaultStage.IN_TRANSIT)]
+)
+
+
+@pytest.fixture()
+def pool_runs(pooled, monkeypatch):
+    """The number of trials each pool started by a campaign ran."""
+    runs = []
+
+    def counting_pooled(rest, workers, pooled=faultlab._pooled):
+        runs.append(len(rest))
+        return pooled(rest, workers)
+
+    monkeypatch.setattr(faultlab, "_pooled", counting_pooled)
+    return runs
+
+
+class TestPool:
+    """Trials handed to forked workers give the bytes of the in-process
+    loop, and leave no process behind."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pipeline(seed=7),
+            replace(pipeline(policy=PrintPolicy.STREAMING, enveloped=False, seed=7),
+                    mode=TransferMode.BEST_EFFORT),
+        ],
+        ids=["fullimage-enveloped", "streaming-raw-besteffort"],
+    )
+    def test_campaign_matches_the_in_process_loop(self, cube, cfg, pool_runs, monkeypatch):
+        pooled = json.dumps(run_campaign(cfg, EVERY_FAULT, cube).to_dict())
+        assert pool_runs == [len(EVERY_FAULT)]
+        monkeypatch.setattr(faultlab, "_POOL_AFTER_S", math.inf)
+        assert pooled == json.dumps(run_campaign(cfg, EVERY_FAULT, cube).to_dict())
+        assert pool_runs == [len(EVERY_FAULT)]
+        assert multiprocessing.active_children() == []
+
+    def test_each_trial_matches_the_in_process_loop(self, cube, pool_runs, monkeypatch):
+        cfg = pipeline(seed=7)
+        passes = [(cfg, faultlab._prepare(cfg, cube, EVERY_FAULT))]
+        pooled = list(faultlab._trials(passes, EVERY_FAULT))
+        assert pool_runs == [len(EVERY_FAULT)]
+        monkeypatch.setattr(faultlab, "_POOL_AFTER_S", math.inf)
+        assert pooled == list(faultlab._trials(passes, EVERY_FAULT))
+
+    def test_demo_matches_the_in_process_loop(self, cube, pool_runs, monkeypatch):
+        # the three passes share one pool
+        pooled = json.dumps(run_demo_campaign(pipeline(seed=42), cube, 24).to_dict())
+        assert pool_runs == [3 * 24]
+        monkeypatch.setattr(faultlab, "_POOL_AFTER_S", math.inf)
+        assert pooled == json.dumps(run_demo_campaign(pipeline(seed=42), cube, 24).to_dict())
+        assert multiprocessing.active_children() == []
+
+    def test_no_fork_while_another_thread_runs(self, cube, pool_runs):
+        # a forked child would inherit any lock that thread holds
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait)
+        waiter.start()
+        try:
+            result = run_campaign(pipeline(seed=7), EVERY_FAULT, cube)
+        finally:
+            done.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert pool_runs == [] and result.trials == len(EVERY_FAULT)
+
+    def test_workers_end_with_a_killed_campaign(self, pooled):
+        # a campaign process killed mid-trial cannot shut its pool down; its
+        # workers must not wait for tasks that will never come
+        if not os.path.exists(f"/proc/{os.getpid()}/stat"):
+            pytest.skip("reads process states from /proc")
+        code = (
+            "import os, time\n"
+            "from amstpa_lab import faultlab, shapes\n"
+            "from amstpa_lab.faultlab import FaultStage, PipelineConfig, bit_flip_specs\n"
+            "from amstpa_lab.gcode import ToolpathParams\n"
+            "from amstpa_lab.netsim import ChannelParams\n"
+            "from amstpa_lab.printer_sim import PrinterConfig, PrintPolicy\n"
+            "from amstpa_lab.slicer import SliceParams\n"
+            "def hang(*args):\n"
+            "    print(os.getpid(), flush=True)\n"
+            "    time.sleep(60)\n"
+            "faultlab._POOL_AFTER_S = 0.0\n"
+            "faultlab._run_trial = hang\n"
+            "cfg = PipelineConfig(SliceParams(0.25), ToolpathParams(), ChannelParams(),\n"
+            "                     PrinterConfig(1 << 20, PrintPolicy.FULL_IMAGE))\n"
+            "faultlab.run_campaign(cfg, bit_flip_specs(4, FaultStage.IN_TRANSIT, 1), shapes.box())\n"
+        )
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rpartition(")")[2].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        campaign = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True)
+        workers = []
+        try:
+            workers = [int(campaign.stdout.readline()) for _ in range(2)]
+            campaign.kill()
+            campaign.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not any(map(running, workers))
+        finally:
+            campaign.kill()
+            campaign.stdout.close()
+            for pid in filter(running, workers):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_a_trial_that_raises_stops_the_campaign(self, cube, pool_runs, monkeypatch):
+        def failing(cfg, spec, pristine, channel, run_trial=faultlab._run_trial):
+            if spec.stage is FaultStage.AFTER_SLICE:
+                raise OverflowError(f"trial with seed {spec.seed}")
+            return run_trial(cfg, spec, pristine, channel)
+
+        monkeypatch.setattr(faultlab, "_run_trial", failing)
+        with pytest.raises(OverflowError, match="trial with seed"):
+            run_campaign(pipeline(seed=7), EVERY_FAULT, cube)
+        assert pool_runs == [len(EVERY_FAULT)]
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +840,7 @@ class TestCadIntakeMatchesWholeFile:
             assert verdict(faultlab._run_trial, *args) == verdict(whole_file_trial, *args)
 
 
+@pytest.mark.usefixtures("in_process")
 class TestCadIntakeLifetime:
     # no trial but the header flip builds the parsed pristine's job
     OTHERS = [
@@ -718,7 +862,7 @@ class TestCadIntakeLifetime:
         cfg = CAD_CFG
         pristine = faultlab._prepare(cfg, base, specs)
         built = []
-        for i, (spec, stage, outcome) in enumerate(faultlab._trials(cfg, specs, pristine)):
+        for i, (spec, stage, outcome) in enumerate(faultlab._trials([(cfg, pristine)], specs)):
             built.append(cfg in pristine.cad._sent)
             channel = replace(cfg.channel, seed=splitmix64_at(cfg.campaign_seed, i))
             fresh = faultlab._prepare(cfg, base, specs)
@@ -739,14 +883,31 @@ class TestCadIntakeLifetime:
         ]
         assert run_campaign(pipeline(seed=7), specs, cube).trials == 3
 
-    def test_header_faults_parse_the_pristine_once(self, cube, monkeypatch):
+    def test_header_faults_parse_the_pristine_once(self, monkeypatch):
+        # the binary STL of a float32-exact base reads back as the base
+        # itself, so it is never parsed; any other base's is parsed once
         calls = []
+        prepared = []
 
         def counting_parse_stl(data):
             calls.append(len(data))
             return parse_stl(data)
 
+        def keeping_prepare(*args, prepare=faultlab._prepare):
+            prepared.append(prepare(*args))
+            return prepared[-1]
+
         monkeypatch.setattr(faultlab, "parse_stl", counting_parse_stl)
+        monkeypatch.setattr(faultlab, "_prepare", keeping_prepare)
         specs = [FaultSpec(FaultKind.BYTE_SET, FaultStage.AFTER_CAD, offset=i) for i in range(8)]
-        result = run_campaign(pipeline(seed=7), specs, cube)
-        assert result.trials == 8 and calls == [len(emit_stl_binary(cube))]
+        for base, parses in ((shapes.box(), 0), (shapes.ngon_prism(7), 1)):
+            calls.clear()
+            result = run_campaign(pipeline(seed=7), specs, base)
+            pristine = prepared[-1]
+            assert result.trials == 8 and calls == [len(emit_stl_binary(base))] * parses
+            assert facet_bits(pristine.cad.mesh) == facet_bits(parse_stl(pristine.stl))
+
+
+def facet_bits(mesh: TriangleMesh) -> bytes:
+    """Every coordinate's float64 bits, in facet order: -0.0 is not 0.0."""
+    return struct.pack(f"<{12 * len(mesh.facets)}d", *(x for f in mesh.facets for v in f for x in v))
