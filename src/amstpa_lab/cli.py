@@ -30,7 +30,7 @@ from .faultlab import (
     run_campaign,
     run_demo_campaign,
 )
-from .gcode import GCodeError, ToolpathParams, emit_text, path_length, plan_toolpath
+from .gcode import GCodeError, ToolpathParams, emit_text, plan_toolpath
 from .mesh_io import StlError, parse_stl, require_finite, validate_mesh
 from .netsim import ChannelParams, TransferMode
 from .printer_sim import (
@@ -260,16 +260,15 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         raise CliError(f"{args.mesh}: {exc}") from None
     outcome, trace = run_job(
-        job.sent, cfg.printer, cfg.channel, cfg.mode,
+        job, cfg.printer, cfg.channel, cfg.mode,
         packet_size=cfg.packet_size, enveloped=cfg.enveloped,
     )
-    lengths = path_length(job.program)
     gd = geometry_diff(job.layers, trace)
     doc = {
         "mesh": args.mesh,
         "layers": len(job.layers),
         "program_commands": len(job.program.commands),
-        "planned_extrusion_mm": lengths.extruded_mm,
+        "planned_extrusion_mm": job.reading.extruded_mm,
         "payload_bytes": len(job.sent),
         "mode": cfg.mode.value,
         "policy": cfg.printer.policy.value,

@@ -6,9 +6,11 @@ stages partition trials: a fault corrected by ECC still counts as caught by
 the integrity check, and a trial that completes with geometry matching the
 intent counts as Undetected (whether the fault was harmless or missed).
 
-`build_job` is the one rule that turns a mesh into the bytes sent (slice,
-plan, emit, then wrap unless the envelope is off); `simulate`, the pristine
-job and every after-CAD trial go through it.  Every campaign runs through
+`build_job` is the one rule that turns a mesh into the job sent (slice,
+plan, emit, then wrap unless the envelope is off, and the text's reading);
+`simulate`, the pristine job and every after-CAD trial go through it.  A
+trial hands the printer the job whose layers its damage is blamed on: an
+after-slice trial's is its own faulted text.  Every campaign runs through
 one trial loop, `_trials`, over a pristine job prepared once, and `_tally`
 folds its trials into a CampaignResult.  The demonstration campaign prepares
 one pristine job and hands the loop three passes over it: full-image and
@@ -50,7 +52,7 @@ from enum import Enum, EnumMeta
 from itertools import chain
 from time import perf_counter
 
-from .gcode import GCodeProgram, ToolpathParams, count_records, emit_text, plan_toolpath
+from .gcode import ToolpathParams, count_records, emit_text, fold, plan_toolpath, read_program, scan
 from .integrity import wrap
 from .mesh_io import (
     Facet,
@@ -66,6 +68,7 @@ from .mesh_io import (
 from .netsim import ChannelParams, TransferMode, check_packet_size, splitmix64_at, transfer
 from .printer_sim import (
     FailReason,
+    Job,
     JobStatus,
     PrinterConfig,
     PrinterTechnology,
@@ -326,7 +329,8 @@ class CampaignResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CampaignResult":
-        return cls(
+        """Read a campaign artifact; ValueError unless a campaign could have written it."""
+        result = cls(
             trials=read_value(doc["trials"], int, "trials"),
             histogram={
                 DetectionStage(k): read_value(n, int, f"histogram.{k}")
@@ -334,6 +338,12 @@ class CampaignResult:
             },
             undetected_trials=tuple(FaultSpec.from_dict(d) for d in doc["undetected_trials"]),
         )
+        counts = result.histogram.values()
+        if min(result.trials, *counts) < 0 or sum(counts) != result.trials:
+            raise ValueError("the histogram's counts must be >= 0 and sum to trials")
+        if len(result.undetected_trials) != result.count(DetectionStage.UNDETECTED):
+            raise ValueError("undetected_trials must hold one spec per undetected trial")
+        return result
 
 
 @dataclass(frozen=True)
@@ -355,33 +365,18 @@ class PipelineConfig:
             raise ValueError("geometry_tol_mm must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class Job:
-    layers: list
-    program: GCodeProgram
-    text: bytes
-    sent: bytes  # wrapped envelope, or raw text when not enveloped
-
-
 def build_job(cfg: PipelineConfig, mesh: TriangleMesh) -> Job:
     """Slice, plan and emit `mesh`, then wrap the text as `cfg` sends it."""
     layers = slice_mesh(mesh, cfg.slice_params)
     program = plan_toolpath(layers, cfg.toolpath)
     text = emit_text(program)
-    return Job(layers, program, text, _wrap_stage(cfg, text))
+    return Job(layers, program, text, _wrap_stage(cfg, text), read_program(program, text))
 
 
 def _wrap_stage(cfg: PipelineConfig, text: bytes) -> bytes:
     if not cfg.enveloped:
         return text
     return wrap(text, count_records(text), with_ecc=cfg.ecc)
-
-
-def _build_sent(cfg: PipelineConfig, mesh: TriangleMesh) -> bytes | DetectionStage:
-    try:
-        return build_job(cfg, mesh).sent
-    except ValueError:  # too many layers, or an extrusion total past a double
-        return DetectionStage.MESH_VALIDATION
 
 
 def _read(stl: bytes) -> TriangleMesh | DetectionStage:
@@ -422,7 +417,7 @@ class _CadIntake:
         self.stl = stl
         self.mesh = base_mesh if _float32_exact(base_mesh) else parse_stl(stl)
         self.tally = MeshTally(self.mesh)
-        self._sent: dict[PipelineConfig, bytes | DetectionStage] = {}  # for `mesh`
+        self._jobs: dict[PipelineConfig, Job | DetectionStage] = {}  # for `mesh`
 
     def __call__(self, stl: bytes) -> TriangleMesh | DetectionStage:
         delta = binary_delta(self.stl, stl)
@@ -433,13 +428,18 @@ class _CadIntake:
             return DetectionStage.MESH_VALIDATION
         return parse_stl(stl) if moved else self.mesh
 
-    def build(self, cfg: PipelineConfig, mesh: TriangleMesh) -> bytes | DetectionStage:
-        """`_build_sent(cfg, mesh)`, built once per config for `mesh` itself."""
-        if mesh is not self.mesh:
-            return _build_sent(cfg, mesh)
-        if cfg not in self._sent:
-            self._sent[cfg] = _build_sent(cfg, mesh)
-        return self._sent[cfg]
+    def build(self, cfg: PipelineConfig, mesh: TriangleMesh) -> Job | DetectionStage:
+        """`build_job(cfg, mesh)`, or the stage that refuses `mesh`; built
+        once per config for `mesh` itself."""
+        if mesh is self.mesh and cfg in self._jobs:
+            return self._jobs[cfg]
+        try:
+            job = build_job(cfg, mesh)
+        except ValueError:  # too many layers, or an extrusion total past a double
+            job = DetectionStage.MESH_VALIDATION
+        if mesh is self.mesh:
+            self._jobs[cfg] = job
+        return job
 
 
 @dataclass(frozen=True)
@@ -490,7 +490,7 @@ def _run_trial(
     channel: ChannelParams,
 ):
     """One pipeline pass; returns (stage, outcome, trace)."""
-    sent = reference = pristine.job.sent
+    job, sent = pristine.job, None  # None: the job's own bytes are sent
 
     if spec.stage is FaultStage.AFTER_CAD:
         if spec.kind in _MESH_KINDS:
@@ -504,29 +504,30 @@ def _run_trial(
         if isinstance(mesh, DetectionStage):
             return mesh, None, None
         if mesh is not pristine.mesh:  # else the pristine job is sent as is
-            sent = pristine.cad.build(cfg, mesh)
-            if isinstance(sent, DetectionStage):
-                return sent, None, None
-            reference = sent
+            job = pristine.cad.build(cfg, mesh)
+            if isinstance(job, DetectionStage):
+                return job, None, None
     elif spec.stage is FaultStage.AFTER_SLICE:
-        sent = reference = _wrap_stage(cfg, inject(pristine.job.text, spec))
+        text = inject(job.text, spec)
+        job = replace(job, text=text, sent=_wrap_stage(cfg, text), reading=fold(scan(text)))
     elif spec.kind is FaultKind.DROP_PACKETS:  # in transit, through the channel
         channel = replace(channel, loss_prob=spec.loss_prob)
-    else:  # an in-transit byte fault
-        sent = inject(pristine.job.sent, spec)
+    else:  # an in-transit byte fault, sent in place of the job's bytes
+        sent = inject(job.sent, spec)
+    sent = job.sent if sent is None else sent
 
     if not sent:  # truncated to nothing: no job reaches the printer
         if cfg.enveloped:  # the printer finds no envelope header
             return DetectionStage.INTEGRITY_VERIFY, None, None
         return DetectionStage.PRINTER_OUTCOME, None, None  # an empty program
     outcome, trace = run_job(
-        sent,
+        job,
         cfg.printer,
         channel,
         cfg.mode,
         packet_size=cfg.packet_size,
         enveloped=cfg.enveloped,
-        reference=reference,
+        sent=sent,
     )
     if outcome.reason is FailReason.INTEGRITY_FAILURE or trace.integrity_corrected_bits > 0:
         return DetectionStage.INTEGRITY_VERIFY, outcome, trace

@@ -12,7 +12,7 @@ its line.  A record is a line that still holds code once its comment and
 surrounding whitespace are removed; each record is one command.  `scan`
 applies the line rule and parses each line, and `fold` applies the layer
 rule and checks the program invariants in the same pass; `count_records`
-and `path_length` are views over the two.
+and `read_program` are views over the two.
 
 Commands are tuple records: the two moves are NamedTuples, and each of the
 four commands without arguments is a `Word` holding its code, so words are
@@ -30,6 +30,7 @@ import math
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .slicer import LayerPlan, contour_perimeter
@@ -392,12 +393,12 @@ def _invalid(commands: list[Command], ends: int, broken: GCodeError | None) -> G
     return broken
 
 
-def path_length(prog: GCodeProgram) -> Reading:
-    """Euclidean travel (G0) and extruded (G1) distances from the origin.
-
-    They are the `travel_mm` and `extruded_mm` of the program's fold.
-    """
-    return fold((0, 0, c) for c in prog.commands)
+def read_program(prog: GCodeProgram, text: bytes) -> Reading:
+    """`fold(scan(text))` for `text == emit_text(prog)`, without parsing `text`:
+    each planned command is one LF-ended line that reparses to an equal
+    command, so the commands are folded at the line offsets of `text`."""
+    ends = list(accumulate(map(len, text.splitlines(keepends=True))))
+    return fold(zip(chain((0,), ends), ends, prog.commands))
 
 
 def count_records(text: bytes) -> int:

@@ -16,13 +16,12 @@ contrast measurable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 from . import integrity
-from .gcode import Layer, fold, intended_perimeters, scan
+from .gcode import GCodeProgram, Layer, Reading, fold, intended_perimeters, scan
 from .netsim import ChannelParams, TransferMode, transfer
 from .slicer import LayerPlan
 
@@ -95,6 +94,15 @@ class JobOutcome:
 
 
 @dataclass(frozen=True)
+class Job:
+    layers: list[LayerPlan]
+    program: GCodeProgram
+    text: bytes
+    sent: bytes  # wrapped envelope, or raw text when not enveloped
+    reading: Reading  # fold(scan(text)), the sender's reading of its own text
+
+
+@dataclass(frozen=True)
 class PrintTrace:
     layers: tuple[Layer, ...] = field(default_factory=tuple)
     time_ms: float = 0.0
@@ -116,22 +124,6 @@ def _first_diff(a: bytes, b: bytes) -> int | None:
         else:
             hi = mid
     return lo
-
-
-# A campaign's streaming trials all share one pristine reference, so the
-# last fold is kept; the result is immutable.
-@functools.lru_cache(maxsize=1)
-def _reference_layers(reference: bytes, enveloped: bool) -> tuple[tuple[Layer, ...], int]:
-    """Layers of the pristine payload, read tolerantly, and its byte length."""
-    payload = reference
-    if enveloped:
-        header_size = integrity.HEADER_SIZE
-        try:
-            payload_len = integrity.read_header(reference).payload_len
-            payload = reference[header_size : header_size + payload_len]
-        except ValueError:
-            payload = reference[header_size:]
-    return fold(scan(payload), tolerant=True).layers, len(payload)
 
 
 def _result(
@@ -163,37 +155,34 @@ def _stopped(
 
 
 def run_job(
-    wrapped_toolpath: bytes,
+    job: Job,
     cfg: PrinterConfig,
     ch: ChannelParams,
     mode: TransferMode,
     packet_size: int = 256,
     enveloped: bool = True,
-    reference: bytes | None = None,
+    sent: bytes | None = None,
 ) -> tuple[JobOutcome, PrintTrace]:
     """Send a job over the channel and simulate the printer's handling.
 
-    `wrapped_toolpath` is what the sender transmits (an AMI1 envelope over
-    G-code text unless enveloped=False, in which case raw G-code text).
-    `reference` is the pristine copy used to attribute stream damage to a
-    layer; it defaults to the transmitted bytes themselves.  The delivered
-    payload is read once, stopping at its first bad line; the reference is
-    read only when streaming damage must be attributed to a layer.
+    The sender transmits `sent`, which defaults to `job.sent` (an AMI1
+    envelope over `job.text` unless enveloped=False, in which case the raw
+    text).  Stream damage is attributed to a layer of `job.reading`, the
+    sender's reading of its text.  A delivered payload equal to `job.text`
+    takes that reading as its own, so an intact delivery is not read again;
+    any other is read once, stopping at its first bad line.
     """
     layer_time = cfg.nominal_layer_time_ms
     streaming = cfg.policy is PrintPolicy.STREAMING
-    if reference is None:
-        reference = wrapped_toolpath
     header_size = integrity.HEADER_SIZE if enveloped else 0
 
-    tr = transfer(wrapped_toolpath, ch, mode, packet_size)
+    tr = transfer(job.sent if sent is None else sent, ch, mode, packet_size)
     if tr.down_at is not None:
         printed: tuple[Layer, ...] = ()
         if streaming:
             # a layer counts as printed once its last move line has fully arrived
             arrived = tr.down_at - header_size
-            ref_layers, _ = _reference_layers(reference, enveloped)
-            printed = tuple(lay for lay in ref_layers if lay.end_offset <= arrived)
+            printed = tuple(lay for lay in _sent_layers(job) if lay.end_offset <= arrived)
         return _stopped(FailReason.CHANNEL_DOWN, tr.elapsed_ms, layer_time, printed)
 
     delivered = tr.delivered
@@ -210,24 +199,24 @@ def run_job(
             if not streaming:
                 return _stopped(FailReason.INTEGRITY_FAILURE, tr.elapsed_ms, layer_time)
             # checkable only at end-of-stream: scrap at the damaged layer
-            ref_layers, ref_len = _reference_layers(reference, enveloped)
-            diff = _first_diff(delivered, reference)
-            if diff is None or not (0 <= diff - header_size < ref_len):
+            sent_layers = _sent_layers(job)
+            diff = _first_diff(delivered, job.sent)
+            if diff is None or not (0 <= diff - header_size < len(job.text)):
                 # header/ECC-tail damage or sender-side bad envelope: the
                 # commands themselves all ran before the check failed
-                k = len(ref_layers)
+                k = len(sent_layers)
             else:
                 # prologue bytes belong to the first layer
-                k = sum(1 for lay in ref_layers[1:] if lay.start_offset <= diff - header_size)
+                k = sum(1 for lay in sent_layers[1:] if lay.start_offset <= diff - header_size)
             return _result(JobStatus.SCRAPPED_MID_PRINT, FailReason.INTEGRITY_FAILURE,
-                           tr.elapsed_ms, layer_time, ref_layers[:k])
+                           tr.elapsed_ms, layer_time, sent_layers[:k])
         payload = vr.payload or b""
         corrected = vr.corrected_bits
         declared_records = vr.record_count
     else:
         payload = delivered
 
-    reading = fold(scan(payload))
+    reading = job.reading if payload == job.text else fold(scan(payload))
     if reading.error is not None:
         # the stream choked on a line mid-job; layers begun before it stand
         printed = reading.layers if streaming else ()
@@ -241,10 +230,15 @@ def run_job(
             return _stopped(FailReason.INTEGRITY_FAILURE, tr.elapsed_ms, layer_time,
                             corrected=corrected)
         # only checkable at end-of-stream: the whole part ran
-        ref_layers, _ = _reference_layers(reference, enveloped)
         return _result(JobStatus.SCRAPPED_MID_PRINT, FailReason.INTEGRITY_FAILURE,
-                       tr.elapsed_ms, layer_time, ref_layers, corrected)
+                       tr.elapsed_ms, layer_time, _sent_layers(job), corrected)
     return _result(JobStatus.COMPLETED, None, tr.elapsed_ms, layer_time, reading.layers, corrected)
+
+
+def _sent_layers(job: Job) -> tuple[Layer, ...]:
+    """The layers of `job.text`, read tolerantly if its reading stopped at a bad line."""
+    reading = job.reading if job.reading.error is None else fold(scan(job.text), tolerant=True)
+    return reading.layers
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 import math
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from amstpa_lab import faultlab, shapes
-from amstpa_lab.gcode import ToolpathParams, emit_text, plan_toolpath
+from amstpa_lab.gcode import ToolpathParams, emit_text, plan_toolpath, read_program
 from amstpa_lab.integrity import wrap
 from amstpa_lab.netsim import ChannelParams
+from amstpa_lab.printer_sim import Job
 from amstpa_lab.slicer import SliceParams, slice_mesh
 
 settings.register_profile(
@@ -39,6 +41,18 @@ def cube_text(cube_program):
 @pytest.fixture(scope="session")
 def cube_wrapped(cube_program, cube_text):
     return wrap(cube_text, len(cube_program.commands))
+
+
+@pytest.fixture(scope="session")
+def cube_job(cube_layers, cube_program, cube_text, cube_wrapped):
+    return Job(cube_layers, cube_program, cube_text, cube_wrapped,
+               read_program(cube_program, cube_text))
+
+
+@pytest.fixture(scope="session")
+def cube_raw_job(cube_job, cube_text):
+    """The cube job as sent without the envelope."""
+    return replace(cube_job, sent=cube_text)
 
 
 @pytest.fixture()

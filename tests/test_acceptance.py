@@ -26,7 +26,7 @@ from amstpa_lab.faultlab import (
     run_campaign,
     run_demo_campaign,
 )
-from amstpa_lab.gcode import ToolpathParams, emit_text, plan_toolpath
+from amstpa_lab.gcode import ToolpathParams, emit_text, plan_toolpath, read_program
 from amstpa_lab.integrity import SecdedBlock, crc32, secded_decode, secded_encode, wrap
 from amstpa_lab.mesh_io import (
     Encoding,
@@ -40,6 +40,7 @@ from amstpa_lab.mesh_io import (
 )
 from amstpa_lab.netsim import ChannelParams, TransferMode, transfer
 from amstpa_lab.printer_sim import (
+    Job,
     JobStatus,
     PrinterConfig,
     PrintPolicy,
@@ -267,11 +268,13 @@ def test_criterion_8_semantic_fault_visibility():
         scaled_stl = emit_stl_binary(inject(pristine, spec))
         mesh = parse_stl(scaled_stl)  # parses fine
         assert validate_mesh(mesh).is_clean()  # passes mesh validation
-        program = plan_toolpath(slice_mesh(mesh, cfg.slice_params), cfg.toolpath)
+        layers = slice_mesh(mesh, cfg.slice_params)
+        program = plan_toolpath(layers, cfg.toolpath)
         text = emit_text(program)
         wrapped = wrap(text, len(program.commands))
+        job = Job(layers, program, text, wrapped, read_program(program, text))
         outcome, trace = run_job(
-            wrapped, cfg.printer, cfg.channel, cfg.mode, packet_size=cfg.packet_size
+            job, cfg.printer, cfg.channel, cfg.mode, packet_size=cfg.packet_size
         )
         assert outcome.status is JobStatus.COMPLETED  # integrity passes
         diff = geometry_diff(intended, trace)

@@ -6,6 +6,7 @@ a traceback.  Inputs are drawn small (the unit cube, a few faults, coarse
 layers), so each example costs milliseconds.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from amstpa_lab import shapes
 from amstpa_lab.cli import main
-from amstpa_lab.faultlab import CAMPAIGN_KEYS, FAULT_FIELDS, NUMBER
+from amstpa_lab.faultlab import CAMPAIGN_KEYS, FAULT_FIELDS, NUMBER, MitigationEvidence
 from amstpa_lab.mesh_io import Vec3, emit_stl_ascii, emit_stl_binary
 
 CUBE_STL = emit_stl_binary(shapes.box())
@@ -364,6 +365,38 @@ def test_artifacts(data):
             doc = data.draw(st.sampled_from([model, json.loads(MODEL_JSON)]) | junk)
             argv = ["stpa", "--model", _write(d, "model.json", doc)]
         assert_contract(argv + ["--out", _out(d, data.draw(OUT_PATHS))])
+
+
+FLIP = {"kind": "bit_flip", "stage": "in_transit", "seed": 1}
+EVIDENCE = {f.name: {"float": 0.5, "int": 3, "bool": True}[f.type]
+            for f in dataclasses.fields(MitigationEvidence)}
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        pytest.param({"trials": 2, "histogram": {"undetected": 1, "parse_error": 1},
+                      "undetected_trials": [FLIP]}, 0, id="consistent"),
+        pytest.param({"trials": -5, "histogram": {"undetected": -3, "parse_error": 1},
+                      "undetected_trials": []}, 2, id="negative-counts"),
+        pytest.param({"trials": 0, "histogram": {"parse_error": -1, "geometry_diff": 1},
+                      "undetected_trials": []}, 2, id="negative-count-summing-to-trials"),
+        pytest.param({"trials": 3, "histogram": {"parse_error": 1},
+                      "undetected_trials": []}, 2, id="histogram-short-of-trials"),
+        pytest.param({"trials": 1, "histogram": {"undetected": 1},
+                      "undetected_trials": []}, 2, id="undetected-spec-missing"),
+        pytest.param({"trials": 1, "histogram": {"parse_error": 1},
+                      "undetected_trials": [FLIP]}, 2, id="undetected-spec-extra"),
+        pytest.param({"campaign": {"trials": 1, "histogram": {}, "undetected_trials": []},
+                      "evidence": EVIDENCE}, 2, id="demo-histogram-short-of-trials"),
+    ],
+)
+def test_report_refuses_impossible_campaign_artifacts(doc, code):
+    with tempfile.TemporaryDirectory() as d:
+        got, err = run(["report", "--inputs", _write(d, "c.json", doc),
+                        "--out", str(Path(d) / "report.md")])
+    assert "Traceback" not in err
+    assert got == code, err
 
 
 WORDS = ["stpa", "stl", "slice", "gcode", "simulate", "campaign", "report", "validate", "plan",

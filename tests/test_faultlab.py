@@ -523,20 +523,19 @@ class TestTrialLoop:
 
     @pytest.mark.usefixtures("in_process")
     def test_demo_folds_its_reference_once(self, cube, monkeypatch):
-        # every streaming trial fails its integrity check and needs the
-        # pristine layers; the last reference folded is cached
+        # every streaming trial fails its integrity check and is blamed on
+        # the layers of the pristine job's reading, built with the job, so
+        # no trial folds a reference tolerantly
         calls = []
 
         def counting_fold(lines, tolerant=False):
             calls.append(tolerant)
             return fold(lines, tolerant)
 
-        printer_sim._reference_layers.cache_clear()
         monkeypatch.setattr(printer_sim, "fold", counting_fold)
         demo = run_demo_campaign(pipeline(seed=42), cube, corruption_count=8)
-        printer_sim._reference_layers.cache_clear()
         assert demo.evidence.streaming_scrapped == 8
-        assert calls.count(True) == 1
+        assert calls.count(True) == 0
 
 
 # every stage and every kind: both after-CAD mesh kinds, the after-CAD byte
@@ -694,12 +693,12 @@ def whole_file_trial(cfg, spec, pristine, channel):
     if not validate_mesh(mesh).is_clean():
         return DetectionStage.MESH_VALIDATION, None, None
     try:
-        sent = build_job(cfg, mesh).sent
+        job = build_job(cfg, mesh)
     except ValueError:
         return DetectionStage.MESH_VALIDATION, None, None
     outcome, trace = run_job(
-        sent, cfg.printer, channel, cfg.mode,
-        packet_size=cfg.packet_size, enveloped=cfg.enveloped, reference=sent,
+        job, cfg.printer, channel, cfg.mode,
+        packet_size=cfg.packet_size, enveloped=cfg.enveloped,
     )
     if outcome.reason is FailReason.INTEGRITY_FAILURE or trace.integrity_corrected_bits > 0:
         return DetectionStage.INTEGRITY_VERIFY, outcome, trace
@@ -822,7 +821,7 @@ class TestCadIntakeMatchesWholeFile:
         for name, reused in (("clean", True), ("ascii", False)):
             pristine = faultlab._prepare(CAD_CFG, CAD_MESHES[name], [UNBEND])
             assert (pristine.cad.mesh is pristine.mesh) is reused
-            assert not pristine.cad._sent
+            assert not pristine.cad._jobs
 
     @pytest.mark.parametrize("name", ["clean", "ascii"])
     def test_one_pristine_serves_every_config(self, name):
@@ -863,7 +862,7 @@ class TestCadIntakeLifetime:
         pristine = faultlab._prepare(cfg, base, specs)
         built = []
         for i, (spec, stage, outcome) in enumerate(faultlab._trials([(cfg, pristine)], specs)):
-            built.append(cfg in pristine.cad._sent)
+            built.append(cfg in pristine.cad._jobs)
             channel = replace(cfg.channel, seed=splitmix64_at(cfg.campaign_seed, i))
             fresh = faultlab._prepare(cfg, base, specs)
             assert (stage, outcome) == faultlab._run_trial(cfg, spec, fresh, channel)[:2]

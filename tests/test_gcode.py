@@ -1,12 +1,18 @@
+import dataclasses
+import importlib.util
 import logging
 import math
 import re
+import struct
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amstpa_lab import shapes
+from amstpa_lab import mesh_io, shapes
 from amstpa_lab.gcode import (
     G21,
     G28,
@@ -25,8 +31,8 @@ from amstpa_lab.gcode import (
     emit_text,
     fold,
     intended_perimeters,
-    path_length,
     plan_toolpath,
+    read_program,
     scan,
 )
 from amstpa_lab.slicer import Contour, LayerPlan, SliceParams, slice_mesh
@@ -210,25 +216,104 @@ class TestProgramInvariants:
             raise fold((0, 0, c) for c in prog.commands).invalid
 
 
+def read_planned(prog):
+    return read_program(prog, emit_text(prog))
+
+
 class TestPathLength:
+    """The Euclidean travel and extruded totals of a planned program's reading."""
+
     def test_prologue_only(self):
         prog = plan_toolpath([], ToolpathParams())
-        lengths = path_length(prog)
+        lengths = read_planned(prog)
         assert lengths.travel_mm == 0.0
         assert lengths.extruded_mm == 0.0
 
     def test_single_square_perimeter(self):
         prog = plan_toolpath([square_layer()], ToolpathParams())
-        assert path_length(prog).extruded_mm == pytest.approx(4.0, abs=1e-12)
+        assert read_planned(prog).extruded_mm == pytest.approx(4.0, abs=1e-12)
 
     def test_cube_extrusion(self, cube_program):
-        assert path_length(cube_program).extruded_mm == pytest.approx(16.0, abs=1e-9)
+        assert read_planned(cube_program).extruded_mm == pytest.approx(16.0, abs=1e-9)
 
     def test_final_e_matches_extruded_length(self, cube_program):
         linear = [c for c in cube_program.commands if isinstance(c, LinearMove)]
-        lengths = path_length(cube_program)
+        lengths = read_planned(cube_program)
         ratio = ToolpathParams().extrusion_per_mm
         assert linear[-1].e == pytest.approx(lengths.extruded_mm * ratio, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# read_program against its oracle, fold(scan(text)), field by field
+# ---------------------------------------------------------------------------
+
+
+def bits(value):
+    """`value` with every float as its IEEE-754 bytes, so -0.0 differs from 0.0."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return type(value), tuple(map(bits, value))
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, GCodeError):
+        return type(value), str(value), value.line
+    return value
+
+
+def assert_reads_as_scanned(prog):
+    text = emit_text(prog)
+    assert bits(read_program(prog, text)) == bits(fold(scan(text)))
+
+
+def _perfbench_sphere():
+    """The benchmark's level-4 geodesic sphere, built by perfbench's own code."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    lab = SimpleNamespace(mesh_io=mesh_io, shapes=shapes)
+    return workloads.geodesic_sphere(lab, workloads.SPHERE_LEVEL, workloads.SPHERE_RADIUS)
+
+
+class TestReadProgram:
+    def test_bits_tell_signed_zeros_apart(self):
+        assert bits(Layer(0, -0.0, 0.0, 0, 1)) != bits(Layer(0, 0.0, 0.0, 0, 1))
+        assert bits(RapidMove(-0.0)) != bits(RapidMove(0.0))
+
+    @pytest.mark.parametrize(
+        "mesh, layer_height",
+        [
+            pytest.param(lambda: shapes.box(), 0.25, id="cube"),
+            pytest.param(lambda: shapes.ngon_prism(64, 10, 10), 0.25, id="ngon64"),
+            pytest.param(lambda: shapes.ngon_prism(160, 10, 10), 0.1, id="ngon160-0.1mm"),
+            pytest.param(_perfbench_sphere, 1.0, id="sphere-1mm"),
+            pytest.param(_perfbench_sphere, 0.1, id="sphere-0.1mm"),
+            pytest.param(lambda: mesh_io.TriangleMesh(()), 0.25, id="empty"),
+        ],
+    )
+    def test_reads_as_scanned(self, mesh, layer_height):
+        layers = slice_mesh(mesh(), SliceParams(layer_height=layer_height))
+        prog = plan_toolpath(layers, ToolpathParams())
+        if not layers:
+            assert prog.commands == PROLOGUE + (M2,)
+        assert_reads_as_scanned(prog)
+
+    @given(
+        sides=st.integers(3, 24),
+        radius=st.floats(0.01, 50.0),
+        layer_height=st.sampled_from([0.1, 0.25, 0.3, 0.5]),
+        feed_rate=st.floats(1e-5, 1e6),
+        extrusion_per_mm=st.floats(1e-9, 1e3),
+    )
+    def test_reads_as_scanned_for_any_params(
+        self, sides, radius, layer_height, feed_rate, extrusion_per_mm
+    ):
+        layers = slice_mesh(shapes.ngon_prism(sides, radius, 1.0),
+                            SliceParams(layer_height=layer_height))
+        params = ToolpathParams(feed_rate=feed_rate, extrusion_per_mm=extrusion_per_mm)
+        assert_reads_as_scanned(plan_toolpath(layers, params))
 
 
 class TestLayerAccounting:

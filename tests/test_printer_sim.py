@@ -2,10 +2,13 @@ import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from amstpa_lab.gcode import fold, path_length, scan
+from amstpa_lab.gcode import fold, read_program, scan
+from amstpa_lab import printer_sim
+from amstpa_lab.gcode import count_records
 from amstpa_lab.integrity import HEADER_SIZE, wrap
 from amstpa_lab.netsim import ChannelParams, TransferMode
 from amstpa_lab.printer_sim import (
@@ -58,83 +61,86 @@ class TestTechnology:
 
 
 class TestFullImage:
-    def test_clean_job_completes(self, cube_wrapped, cube_program, lossless_channel):
-        outcome, trace = run_job(cube_wrapped, full_image(), lossless_channel, RELIABLE)
+    def test_clean_job_completes(
+        self, cube_job, cube_wrapped, cube_program, cube_text, lossless_channel
+    ):
+        outcome, trace = run_job(cube_job, full_image(), lossless_channel, RELIABLE)
         assert outcome == type(outcome)(JobStatus.COMPLETED, layers_printed=4)
-        assert sum(r.extruded_mm for r in trace.layers) == path_length(cube_program).extruded_mm
+        planned = read_program(cube_program, cube_text)
+        assert sum(r.extruded_mm for r in trace.layers) == planned.extruded_mm
         assert [r.index for r in trace.layers] == [0, 1, 2, 3]
         n_packets = -(-len(cube_wrapped) // 256)
         transfer_ms = n_packets * 1.0 + len(cube_wrapped) / 125_000.0 * 1000.0
         assert trace.time_ms == pytest.approx(4 * 1000.0 + transfer_ms, rel=1e-9)
 
-    def test_any_corruption_rejected_zero_layers(self, cube_wrapped, lossless_channel):
+    def test_any_corruption_rejected_zero_layers(self, cube_job, cube_wrapped, lossless_channel):
         for offset in (0, 5, 13, 21, 24, HEADER_SIZE + 3, len(cube_wrapped) - 1):
             bad = bytearray(cube_wrapped)
             bad[offset] ^= 0x01
             outcome, trace = run_job(
-                bytes(bad), full_image(), lossless_channel, RELIABLE, reference=cube_wrapped
+                cube_job, full_image(), lossless_channel, RELIABLE, sent=bytes(bad)
             )
             assert outcome.status is JobStatus.REJECTED_BEFORE_PRINT, offset
             assert outcome.reason is FailReason.INTEGRITY_FAILURE
             assert outcome.layers_printed == 0
             assert trace.layers == ()
 
-    def test_buffer_too_small(self, cube_wrapped, lossless_channel):
-        outcome, _ = run_job(cube_wrapped, full_image(buffer=100), lossless_channel, RELIABLE)
+    def test_buffer_too_small(self, cube_job, lossless_channel):
+        outcome, _ = run_job(cube_job, full_image(buffer=100), lossless_channel, RELIABLE)
         assert outcome.status is JobStatus.REJECTED_BEFORE_PRINT
         assert outcome.reason is FailReason.BUFFER_TOO_SMALL
 
-    def test_channel_down_rejects(self, cube_wrapped):
+    def test_channel_down_rejects(self, cube_job):
         dead = ChannelParams(loss_prob=1.0, seed=1)
-        outcome, trace = run_job(cube_wrapped, full_image(), dead, RELIABLE)
+        outcome, trace = run_job(cube_job, full_image(), dead, RELIABLE)
         assert outcome.status is JobStatus.REJECTED_BEFORE_PRINT
         assert outcome.reason is FailReason.CHANNEL_DOWN
         assert trace.layers == ()
 
-    def test_garbage_payload_parse_failure(self, lossless_channel):
+    def test_garbage_payload_parse_failure(self, cube_job, lossless_channel):
         wrapped = wrap(b"this is not gcode\n", 1)
-        outcome, _ = run_job(wrapped, full_image(), lossless_channel, RELIABLE)
+        outcome, _ = run_job(cube_job, full_image(), lossless_channel, RELIABLE, sent=wrapped)
         assert outcome.reason is FailReason.PARSE_FAILURE
 
-    def test_record_count_mismatch_rejected(self, cube_text, lossless_channel):
+    def test_record_count_mismatch_rejected(self, cube_job, cube_text, lossless_channel):
         wrapped = wrap(cube_text, 9999)  # wrong declared count
-        outcome, _ = run_job(wrapped, full_image(), lossless_channel, RELIABLE)
+        outcome, _ = run_job(cube_job, full_image(), lossless_channel, RELIABLE, sent=wrapped)
         assert outcome.reason is FailReason.INTEGRITY_FAILURE
 
-    def test_raw_mode_prints_without_envelope(self, cube_text, lossless_channel):
+    def test_raw_mode_prints_without_envelope(self, cube_raw_job, lossless_channel):
         outcome, trace = run_job(
-            cube_text, full_image(), lossless_channel, RELIABLE, enveloped=False
+            cube_raw_job, full_image(), lossless_channel, RELIABLE, enveloped=False
         )
         assert outcome.status is JobStatus.COMPLETED
         assert len(trace.layers) == 4
 
-    def test_never_scraps(self, cube_wrapped, lossless_channel):
+    def test_never_scraps(self, cube_job, cube_wrapped, lossless_channel):
         # corrupt every 17th byte in turn: full image must never scrap
         for offset in range(0, len(cube_wrapped), 17):
             bad = bytearray(cube_wrapped)
             bad[offset] ^= 0x44
             outcome, _ = run_job(
-                bytes(bad), full_image(), lossless_channel, RELIABLE, reference=cube_wrapped
+                cube_job, full_image(), lossless_channel, RELIABLE, sent=bytes(bad)
             )
             assert outcome.status is not JobStatus.SCRAPPED_MID_PRINT
 
 
 class TestStreaming:
-    def test_clean_job_matches_full_image(self, cube_wrapped, lossless_channel):
-        outcome_s, trace_s = run_job(cube_wrapped, streaming(), lossless_channel, RELIABLE)
-        outcome_f, trace_f = run_job(cube_wrapped, full_image(), lossless_channel, RELIABLE)
+    def test_clean_job_matches_full_image(self, cube_job, lossless_channel):
+        outcome_s, trace_s = run_job(cube_job, streaming(), lossless_channel, RELIABLE)
+        outcome_f, trace_f = run_job(cube_job, full_image(), lossless_channel, RELIABLE)
         assert outcome_s == outcome_f
         assert trace_s == trace_f
 
     def test_corruption_in_last_layer_scraps_three(
-        self, cube_wrapped, cube_text, lossless_channel
+        self, cube_job, cube_wrapped, cube_text, lossless_channel
     ):
         scanned = fold(scan(cube_text), tolerant=True).layers
         offset = HEADER_SIZE + scanned[3].start_offset + 5
         bad = bytearray(cube_wrapped)
         bad[offset] ^= 0x01
         outcome, trace = run_job(
-            bytes(bad), streaming(), lossless_channel, RELIABLE, reference=cube_wrapped
+            cube_job, streaming(), lossless_channel, RELIABLE, sent=bytes(bad)
         )
         assert outcome.status is JobStatus.SCRAPPED_MID_PRINT
         assert outcome.reason is FailReason.INTEGRITY_FAILURE
@@ -146,79 +152,79 @@ class TestStreaming:
 
     @pytest.mark.parametrize("layer_index", [0, 1, 2, 3])
     def test_corruption_attributed_to_each_layer(
-        self, cube_wrapped, cube_text, lossless_channel, layer_index
+        self, cube_job, cube_wrapped, cube_text, lossless_channel, layer_index
     ):
         scanned = fold(scan(cube_text), tolerant=True).layers
         offset = HEADER_SIZE + scanned[layer_index].start_offset + 3
         bad = bytearray(cube_wrapped)
         bad[offset] ^= 0x01
         outcome, _ = run_job(
-            bytes(bad), streaming(), lossless_channel, RELIABLE, reference=cube_wrapped
+            cube_job, streaming(), lossless_channel, RELIABLE, sent=bytes(bad)
         )
         assert outcome.status is JobStatus.SCRAPPED_MID_PRINT
         assert outcome.layers_printed == layer_index
 
-    def test_prologue_corruption_scraps_at_zero(self, cube_wrapped, lossless_channel):
+    def test_prologue_corruption_scraps_at_zero(self, cube_job, cube_wrapped, lossless_channel):
         bad = bytearray(cube_wrapped)
         bad[HEADER_SIZE + 1] ^= 0x01  # inside "G21"
         outcome, trace = run_job(
-            bytes(bad), streaming(), lossless_channel, RELIABLE, reference=cube_wrapped
+            cube_job, streaming(), lossless_channel, RELIABLE, sent=bytes(bad)
         )
         assert outcome.status is JobStatus.SCRAPPED_MID_PRINT
         assert outcome.layers_printed == 0
         assert trace.layers == ()
 
-    def test_bad_magic_rejected_at_arrival(self, cube_wrapped, lossless_channel):
+    def test_bad_magic_rejected_at_arrival(self, cube_job, cube_wrapped, lossless_channel):
         bad = bytearray(cube_wrapped)
         bad[0] ^= 0xFF
         outcome, _ = run_job(
-            bytes(bad), streaming(), lossless_channel, RELIABLE, reference=cube_wrapped
+            cube_job, streaming(), lossless_channel, RELIABLE, sent=bytes(bad)
         )
         assert outcome.status is JobStatus.REJECTED_BEFORE_PRINT
         assert outcome.reason is FailReason.INTEGRITY_FAILURE
 
     def test_crc_field_corruption_scraps_after_full_print(
-        self, cube_wrapped, lossless_channel
+        self, cube_job, cube_wrapped, lossless_channel
     ):
         bad = bytearray(cube_wrapped)
         bad[20] ^= 0x01  # stored crc field; payload itself intact
         outcome, _ = run_job(
-            bytes(bad), streaming(), lossless_channel, RELIABLE, reference=cube_wrapped
+            cube_job, streaming(), lossless_channel, RELIABLE, sent=bytes(bad)
         )
         assert outcome.status is JobStatus.SCRAPPED_MID_PRINT
         assert outcome.layers_printed == 4
 
-    def test_besteffort_gap_scraps(self, cube_wrapped):
+    def test_besteffort_gap_scraps(self, cube_job):
         lossy = ChannelParams(loss_prob=0.35, seed=11)
         outcome, _ = run_job(
-            cube_wrapped, streaming(), lossy, TransferMode.BEST_EFFORT, reference=cube_wrapped
+            cube_job, streaming(), lossy, TransferMode.BEST_EFFORT
         )
         assert outcome.status in (JobStatus.SCRAPPED_MID_PRINT, JobStatus.REJECTED_BEFORE_PRINT)
 
-    def test_channel_down_mid_stream_scraps(self, cube_wrapped):
+    def test_channel_down_mid_stream_scraps(self, cube_job):
         # at this loss rate seed 1 exhausts retries after two layers arrived
         ch = ChannelParams(loss_prob=0.98, seed=1)
-        outcome, trace = run_job(cube_wrapped, streaming(), ch, RELIABLE)
+        outcome, trace = run_job(cube_job, streaming(), ch, RELIABLE)
         assert outcome.status is JobStatus.SCRAPPED_MID_PRINT
         assert outcome.reason is FailReason.CHANNEL_DOWN
         assert outcome.layers_printed == 2
         assert len(trace.layers) == 2
 
-    def test_channel_down_before_first_layer_rejects(self, cube_wrapped):
+    def test_channel_down_before_first_layer_rejects(self, cube_job):
         ch = ChannelParams(loss_prob=0.98, seed=0)
-        outcome, trace = run_job(cube_wrapped, streaming(), ch, RELIABLE)
+        outcome, trace = run_job(cube_job, streaming(), ch, RELIABLE)
         assert outcome.status is JobStatus.REJECTED_BEFORE_PRINT
         assert outcome.reason is FailReason.CHANNEL_DOWN
         assert trace.layers == ()
 
-    def test_raw_streaming_parse_failure_mid_job(self, cube_text, lossless_channel):
+    def test_raw_streaming_parse_failure_mid_job(self, cube_raw_job, cube_text, lossless_channel):
         scanned = fold(scan(cube_text), tolerant=True).layers
         bad = bytearray(cube_text)
         # make layer 3's first move line unparseable in raw (no-envelope) mode
         bad[scanned[3].start_offset] = ord("Q")
         outcome, trace = run_job(
-            bytes(bad), streaming(), lossless_channel, RELIABLE, enveloped=False,
-            reference=cube_text,
+            cube_raw_job, streaming(), lossless_channel, RELIABLE, enveloped=False,
+            sent=bytes(bad),
         )
         assert outcome.status is JobStatus.SCRAPPED_MID_PRINT
         assert outcome.reason is FailReason.PARSE_FAILURE
@@ -230,7 +236,9 @@ class TestLineRule:
     """The printer splits lines by the parser's one rule (str.splitlines)."""
 
     @pytest.mark.parametrize("byte", [0x0B, 0x0C, 0x1C])
-    def test_split_move_line_blames_no_layer(self, cube_text, lossless_channel, byte):
+    def test_split_move_line_blames_no_layer(
+        self, cube_raw_job, cube_text, lossless_channel, byte
+    ):
         # byte 14 is the space after the first "G0"; as a line break it leaves
         # a bare G0 and a line of orphan words, so no layer began before the
         # bad line
@@ -238,18 +246,20 @@ class TestLineRule:
         bad = bytearray(cube_text)
         bad[14] = byte
         outcome, trace = run_job(
-            bytes(bad), streaming(), lossless_channel, RELIABLE, enveloped=False,
-            reference=cube_text,
+            cube_raw_job, streaming(), lossless_channel, RELIABLE, enveloped=False,
+            sent=bytes(bad),
         )
         assert outcome.status is JobStatus.REJECTED_BEFORE_PRINT
         assert outcome.reason is FailReason.PARSE_FAILURE
         assert outcome.layers_printed == 0
         assert trace.layers == ()
 
-    def test_invalid_utf8_rejected_before_any_layer(self, cube_text, lossless_channel):
+    def test_invalid_utf8_rejected_before_any_layer(
+        self, cube_raw_job, cube_text, lossless_channel
+    ):
         bad = cube_text[:-3] + b"\xff" + cube_text[-2:]  # inside the closing "M2"
         outcome, _ = run_job(
-            bad, streaming(), lossless_channel, RELIABLE, enveloped=False, reference=cube_text
+            cube_raw_job, streaming(), lossless_channel, RELIABLE, enveloped=False, sent=bad
         )
         assert outcome.status is JobStatus.REJECTED_BEFORE_PRINT
         assert outcome.layers_printed == 0
@@ -275,7 +285,9 @@ class TestLineRule:
     }
 
     @pytest.mark.parametrize("policy", list(PrintPolicy))
-    def test_single_bit_flip_sweep_matches_record(self, cube_text, lossless_channel, policy):
+    def test_single_bit_flip_sweep_matches_record(
+        self, cube_raw_job, cube_text, lossless_channel, policy
+    ):
         cfg = PrinterConfig(buffer_capacity=1 << 20, policy=policy, nominal_layer_time_ms=1000.0)
         digest = hashlib.sha256()
         histogram = Counter()
@@ -283,7 +295,7 @@ class TestLineRule:
             bad = bytearray(cube_text)
             bad[bit // 8] ^= 1 << (bit % 8)
             outcome, trace = run_job(
-                bytes(bad), cfg, lossless_channel, RELIABLE, enveloped=False, reference=cube_text
+                cube_raw_job, cfg, lossless_channel, RELIABLE, enveloped=False, sent=bytes(bad)
             )
             doc = [outcome_to_dict(outcome), trace_to_dict(trace)]
             digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
@@ -294,36 +306,119 @@ class TestLineRule:
         assert digest.hexdigest() == expected_digest
 
 
+class TestReadOnce:
+    """An intact delivery takes the job's own reading; any other payload is
+    scanned once, and streaming damage is blamed without a read."""
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        calls = []
+
+        def counting_scan(data):
+            calls.append(data)
+            return scan(data)
+
+        monkeypatch.setattr(printer_sim, "scan", counting_scan)
+        return calls
+
+    @pytest.mark.parametrize("policy", list(PrintPolicy))
+    @pytest.mark.parametrize("enveloped", [True, False], ids=["enveloped", "raw"])
+    def test_intact_delivery_scans_nothing(
+        self, cube_job, cube_raw_job, cube_text, lossless_channel, scans, policy, enveloped
+    ):
+        job = cube_job if enveloped else cube_raw_job
+        cfg = PrinterConfig(buffer_capacity=1 << 20, policy=policy, nominal_layer_time_ms=1000.0)
+        result = run_job(job, cfg, lossless_channel, RELIABLE, enveloped=enveloped)
+        assert scans == []
+        # a job whose text is not the payload reads it, as every delivery once did
+        unread = replace(job, text=b"")
+        assert run_job(unread, cfg, lossless_channel, RELIABLE, enveloped=enveloped) == result
+        assert scans == [cube_text]
+
+    def test_corrected_payload_scans_nothing(self, cube_job, cube_text, lossless_channel, scans):
+        # SECDED restores the flipped bit, so the payload is the job's text
+        job = replace(cube_job, sent=wrap(cube_text, count_records(cube_text), with_ecc=True))
+        bad = bytearray(job.sent)
+        bad[HEADER_SIZE + 40] ^= 0x08
+        outcome, trace = run_job(job, full_image(), lossless_channel, RELIABLE, sent=bytes(bad))
+        assert scans == []
+        assert outcome.status is JobStatus.COMPLETED
+        assert trace.integrity_corrected_bits == 1
+        assert trace.layers == cube_job.reading.layers
+
+    def test_damaged_payload_scanned_once(self, cube_raw_job, cube_text, lossless_channel, scans):
+        bad = bytearray(cube_text)
+        bad[-2] ^= 0x01  # the "2" of the closing M2
+        outcome, _ = run_job(
+            cube_raw_job, streaming(), lossless_channel, RELIABLE, enveloped=False,
+            sent=bytes(bad),
+        )
+        assert outcome.reason is FailReason.PARSE_FAILURE
+        assert scans == [bytes(bad)]
+
+    def test_streaming_damage_blamed_without_a_read(
+        self, cube_job, cube_wrapped, lossless_channel, scans
+    ):
+        bad = bytearray(cube_wrapped)
+        bad[HEADER_SIZE + cube_job.reading.layers[2].start_offset + 5] ^= 0x01
+        outcome, _ = run_job(cube_job, streaming(), lossless_channel, RELIABLE, sent=bytes(bad))
+        assert outcome.layers_printed == 2
+        assert scans == []
+
+    def test_bad_line_in_sent_text_blamed_by_a_tolerant_read(
+        self, cube_job, cube_text, lossless_channel, scans
+    ):
+        # an after-slice fault: layer 1's z-changing line no longer parses,
+        # so the sender's strict reading stops there and blame takes the
+        # tolerant reading, in which layers 0 and 1 merge
+        layers = cube_job.reading.layers
+        text = bytearray(cube_text)
+        text[layers[1].start_offset] = ord("Q")
+        text = bytes(text)
+        job = replace(cube_job, text=text, sent=wrap(text, count_records(text)),
+                      reading=fold(scan(text)))
+        assert job.reading.error is not None
+        bad = bytearray(job.sent)
+        bad[HEADER_SIZE + layers[3].start_offset + 5] ^= 0x01
+        outcome, trace = run_job(job, streaming(), lossless_channel, RELIABLE, sent=bytes(bad))
+        tolerant = fold(scan(text), tolerant=True).layers
+        assert len(tolerant) == 3
+        assert outcome.status is JobStatus.SCRAPPED_MID_PRINT
+        assert trace.layers == tolerant[:2]
+        assert scans == [text]
+
+
 class TestDeterminism:
-    def test_same_inputs_same_results(self, cube_wrapped):
+    def test_same_inputs_same_results(self, cube_job):
         ch = ChannelParams(latency_ms=0.25, jitter_ms=1.5, loss_prob=0.2, seed=31)
         results = [
-            run_job(cube_wrapped, streaming(), ch, TransferMode.BEST_EFFORT,
-                    reference=cube_wrapped)
+            run_job(cube_job, streaming(), ch, TransferMode.BEST_EFFORT)
             for _ in range(2)
         ]
         assert results[0] == results[1]
 
 
 class TestGeometryDiff:
-    def test_identity(self, cube_layers, cube_wrapped, lossless_channel):
-        _, trace = run_job(cube_wrapped, full_image(), lossless_channel, RELIABLE)
+    def test_identity(self, cube_job, cube_layers, lossless_channel):
+        _, trace = run_job(cube_job, full_image(), lossless_channel, RELIABLE)
         gd = geometry_diff(cube_layers, trace)
         assert gd.max_extrusion_error_mm == 0.0
         assert gd.layers_missing == 0
 
-    def test_scrapped_layers_missing(self, cube_layers, cube_wrapped, cube_text, lossless_channel):
+    def test_scrapped_layers_missing(
+        self, cube_job, cube_layers, cube_wrapped, cube_text, lossless_channel
+    ):
         scanned = fold(scan(cube_text), tolerant=True).layers
         bad = bytearray(cube_wrapped)
         bad[HEADER_SIZE + scanned[3].start_offset + 5] ^= 0x01
         _, trace = run_job(
-            bytes(bad), streaming(), lossless_channel, RELIABLE, reference=cube_wrapped
+            cube_job, streaming(), lossless_channel, RELIABLE, sent=bytes(bad)
         )
         gd = geometry_diff(cube_layers, trace)
         assert gd.layers_missing == 1
 
-    def test_serialization_helpers(self, cube_wrapped, lossless_channel):
-        outcome, trace = run_job(cube_wrapped, full_image(), lossless_channel, RELIABLE)
+    def test_serialization_helpers(self, cube_job, lossless_channel):
+        outcome, trace = run_job(cube_job, full_image(), lossless_channel, RELIABLE)
         doc = outcome_to_dict(outcome)
         assert doc == {"status": "completed", "layers_printed": 4, "reason": None}
         tdoc = trace_to_dict(trace)
