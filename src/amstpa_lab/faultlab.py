@@ -52,7 +52,7 @@ from enum import Enum, EnumMeta
 from itertools import chain
 from time import perf_counter
 
-from .gcode import ToolpathParams, count_records, emit_text, fold, plan_toolpath, read_program, scan
+from .gcode import ToolpathParams, count_records, emit_text, plan_toolpath, read_program, resume
 from .integrity import wrap
 from .mesh_io import (
     Facet,
@@ -509,7 +509,8 @@ def _run_trial(
                 return job, None, None
     elif spec.stage is FaultStage.AFTER_SLICE:
         text = inject(job.text, spec)
-        job = replace(job, text=text, sent=_wrap_stage(cfg, text), reading=fold(scan(text)))
+        job = replace(job, text=text, sent=_wrap_stage(cfg, text),
+                      reading=resume(job.reading, job.text, text))
     elif spec.kind is FaultKind.DROP_PACKETS:  # in transit, through the channel
         channel = replace(channel, loss_prob=spec.loss_prob)
     else:  # an in-transit byte fault, sent in place of the job's bytes

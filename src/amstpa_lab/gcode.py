@@ -14,6 +14,14 @@ applies the line rule and parses each line, and `fold` applies the layer
 rule and checks the program invariants in the same pass; `count_records`
 and `read_program` are views over the two.
 
+At the start of each layer `fold` records its whole state as a
+`Checkpoint` on the `Reading`: the golden-run snapshots of fault-injection
+tools (Schirmeier et al., FAIL*, EDCC 2015).  `resume` reads a damaged copy
+of a text from the last checkpoint before its first differing byte, and
+stops early once its state matches the pristine reading's again at a layer
+start past the damage, with the rest of the bytes equal (GangES, Hari et
+al., ISCA 2014).  It equals `fold(scan(payload))` field by field.
+
 Commands are tuple records: the two moves are NamedTuples, and each of the
 four commands without arguments is a `Word` holding its code, so words are
 equal exactly when their codes are.
@@ -28,6 +36,8 @@ from __future__ import annotations
 import logging
 import math
 import re
+import struct
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -231,26 +241,34 @@ def _split(data: bytes) -> tuple[list[str], bool]:
     return text.splitlines(keepends=True), text.isascii()
 
 
-Line = tuple[int, int, Command | GCodeError | None]
-
-
-def scan(data: bytes) -> Iterator[Line]:
-    """Yield (start_byte, end_byte, item) for each line of dialect text.
-
-    `item` is the line's command, the GCodeError that rejects the line, or
-    None for a blank or comment-only line.  Text that is not valid UTF-8
-    first yields one zero-width error at offset 0 (line None), so a strict
-    reader rejects it before any line.
-    """
+def _utf8_error(data: bytes) -> UnicodeDecodeError | None:
+    """Why `data` is not UTF-8 text, or None when it is."""
     if not data.isascii():
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            yield 0, 0, GCodeError(f"not valid UTF-8 text: {exc}")
+            return exc
+    return None
+
+
+Line = tuple[int, int, Command | GCodeError | None]
+
+
+def scan(data: bytes, offset: int = 0, first_line: int = 1) -> Iterator[Line]:
+    """Yield (start_byte, end_byte, item) for each line of dialect text.
+
+    `item` is the line's command, the GCodeError that rejects the line, or
+    None for a blank or comment-only line.  Text that is not valid UTF-8
+    first yields one zero-width error at its first offset (line None), so a
+    strict reader rejects it before any line.  `data` may be the tail of a
+    longer text, starting at its byte `offset` and its line `first_line`.
+    """
+    if (exc := _utf8_error(data)) is not None:
+        yield offset, offset, GCodeError(f"not valid UTF-8 text: {exc}")
     lines, ascii_text = _split(data)
     g1, g0 = _CANONICAL_G1.fullmatch, _CANONICAL_G0.fullmatch
-    start = 0
-    for line_no, line in enumerate(lines, 1):
+    start = offset
+    for line_no, line in enumerate(lines, first_line):
         end = start + (len(line) if ascii_text else len(line.encode("utf-8", "surrogateescape")))
         if m := g1(line):
             x, y, e, f = m.groups()
@@ -276,6 +294,30 @@ class Layer:
     end_offset: int    # byte offset just past the layer's last move line
 
 
+class Checkpoint(NamedTuple):
+    """The fold's state at the start of a layer, before the line that changes z."""
+
+    offset: int                   # byte offset of that line
+    line: int                     # its 1-based line number
+    commands: int                 # commands kept before it
+    layers: int                   # layers begun before it, the last one still open
+    ends: int                     # M2 commands kept before it
+    broken: GCodeError | None     # the first move before it that breaks an invariant
+    x: float
+    y: float
+    z: float
+    last_e: float                 # the last E of a move that broke no invariant
+    travel: float
+    extruded: float
+    open: tuple[float, float, int, int] | None  # that layer: z, extruded, start, end
+
+
+# the state before the first line
+_START = Checkpoint(0, 1, 0, 0, 0, None, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None)
+# x, y, z, last_e and both totals, as bits: -0.0 is a state apart from 0.0
+_FLOAT_BITS = struct.Struct("<6d").pack
+
+
 @dataclass(frozen=True)
 class Reading:
     commands: tuple[Command, ...]
@@ -284,6 +326,7 @@ class Reading:
     extruded_mm: float         # Euclidean G1 distance from the origin
     error: GCodeError | None   # the first bad line of a strict fold
     invalid: GCodeError | None  # the first program invariant the commands break
+    checkpoints: tuple[Checkpoint, ...]  # one per layer, in order
 
 
 def _command_error(i: int, cmd: RapidMove | LinearMove) -> GCodeError:
@@ -307,19 +350,38 @@ def fold(lines: Iterable[Line], tolerant: bool = False) -> Reading:
     The same pass checks the program invariants over the commands it keeps:
     the G21, G90, G28 prologue, one M2 and only at the end, finite move
     values, feed rates above 0 and extrusion that never decreases.  The
-    first one broken is `Reading.invalid`.
+    first one broken is `Reading.invalid`.  Each layer start records the
+    fold's state before its line in `Reading.checkpoints`.
+    """
+    return _fold(lines, tolerant, _NOTHING, _START)
+
+
+def _fold(
+    lines: Iterable[Line],
+    tolerant: bool,
+    prior: Reading,
+    origin: Checkpoint,
+    shift: int = 0,
+    same_from: float = math.inf,
+) -> Reading:
+    """`fold` from `origin`, `_START` or a checkpoint of `prior`, over the
+    lines from its offset on; what came before is taken from `prior`.
+
+    At a layer start at or past byte `same_from`, a state equal to the one
+    `prior` recorded `shift` bytes earlier ends the fold: the rest is
+    `prior`'s (see `resume`).
     """
     sqrt, isfinite = math.sqrt, math.isfinite
-    x = y = z = 0.0
-    travel = extruded = 0.0
-    commands: list[Command] = []
+    _, line, kept, begun, ends, broken, x, y, z, last_e, travel, extruded, current = origin
+    commands: list[Command] = list(prior.commands[:kept])
     add = commands.append
-    layers: list[Layer] = []
-    current: list | None = None  # [z, extruded, start_offset, end_offset]
+    checkpoints = list(prior.checkpoints[:begun])
+    if current is not None:  # [z, extruded, start_offset, end_offset]
+        current = list(current)
+        begun -= 1
+    layers: list[Layer] = list(prior.layers[:begun])
+    skipped = line - 1 - kept  # lines read that hold no kept command
     error = None
-    last_e = 0.0
-    ends = 0  # M2 commands kept
-    broken = None  # the first move that breaks a per-command invariant
     for start, end, cmd in lines:
         kind = type(cmd)
         if kind is LinearMove:
@@ -328,9 +390,12 @@ def fold(lines: Iterable[Line], tolerant: bool = False) -> Reading:
             nx, ny, nz = cmd
             e = f = None
         elif cmd is None:
+            skipped += 1
             continue
         elif isinstance(cmd, GCodeError):
             if tolerant:
+                if cmd.line is not None:  # a line, not the zero-width UTF-8 error
+                    skipped += 1
                 continue
             error = cmd
             break
@@ -349,8 +414,16 @@ def fold(lines: Iterable[Line], tolerant: bool = False) -> Reading:
         if nz is None:
             nz = z
         if nz != z:
+            here = _record(Checkpoint, (
+                start, len(commands) + skipped, len(commands) - 1, len(checkpoints), ends, broken,
+                x, y, z, last_e, travel, extruded, current and tuple(current),
+            ))
+            checkpoints.append(here)
             if current is not None:
                 layers.append(Layer(len(layers), *current))
+            if start >= same_from and (k := _converged(prior, here, shift)) is not None:
+                del commands[-1]
+                return _spliced(prior, k, commands, layers, checkpoints, shift)
             current = [nz, 0.0, start, end]
         try:
             d = sqrt((nx - x) ** 2 + (ny - y) ** 2 + (nz - z) ** 2)
@@ -379,7 +452,122 @@ def fold(lines: Iterable[Line], tolerant: bool = False) -> Reading:
     if current is not None:
         layers.append(Layer(len(layers), *current))
     return Reading(tuple(commands), tuple(layers), travel, extruded, error,
-                   _invalid(commands, ends, broken))
+                   _invalid(commands, ends, broken), tuple(checkpoints))
+
+
+_NOTHING = Reading((), (), 0.0, 0.0, None, None, ())
+
+
+def _converged(prior: Reading, here: Checkpoint, shift: int) -> int | None:
+    """The index of the checkpoint of `prior` that lies `shift` bytes before
+    `here` and holds the same state, floats by their bits; else None."""
+    k = bisect_left(prior.checkpoints, (here.offset - shift,))
+    if k < len(prior.checkpoints):
+        there = prior.checkpoints[k]
+        if (
+            there.offset == here.offset - shift
+            and there[1:6] == here[1:6]
+            and _FLOAT_BITS(*there[6:12]) == _FLOAT_BITS(*here[6:12])
+        ):
+            return k
+    return None
+
+
+def _spliced(
+    prior: Reading,
+    k: int,
+    commands: list[Command],
+    layers: list[Layer],
+    checkpoints: list[Checkpoint],
+    shift: int,
+) -> Reading:
+    """A fold that reached the state of `prior.checkpoints[k]`, `shift`
+    bytes later, with the rest of its bytes equal to `prior`'s: its commands,
+    layers and checkpoints so far, then `prior`'s from there, offsets
+    shifted.  `prior` is a valid program's reading, so the fold ends with
+    `prior`'s totals, one M2 and no broken move."""
+    there = prior.checkpoints[k]
+    commands += prior.commands[there.commands:]
+    rest_layers = prior.layers[there.layers:]
+    rest_checkpoints = prior.checkpoints[k + 1:]
+    if shift:
+        rest_layers = [
+            Layer(lay.index, lay.z, lay.extruded_mm, lay.start_offset + shift, lay.end_offset + shift)
+            for lay in rest_layers
+        ]
+        rest_checkpoints = [
+            cp._replace(offset=cp.offset + shift,
+                        open=(*cp.open[:2], cp.open[2] + shift, cp.open[3] + shift))
+            for cp in rest_checkpoints
+        ]
+    layers += rest_layers
+    checkpoints += rest_checkpoints
+    return Reading(tuple(commands), tuple(layers), prior.travel_mm, prior.extruded_mm, None,
+                   _invalid(commands, 1, None), tuple(checkpoints))
+
+
+def _first_diff(a: bytes, b: bytes) -> int | None:
+    """Index of the first differing byte (the shorter length when one is a
+    prefix of the other), or None when equal.  Bisects over slice equality,
+    so the comparisons run at C speed."""
+    if a == b:
+        return None
+    lo, hi = 0, min(len(a), len(b))
+    # a[:lo] == b[:lo], and the first difference lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if a[lo : mid + 1] == b[lo : mid + 1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _common_suffix(a: bytes, b: bytes) -> int:
+    """The length of the longest common suffix of `a` and `b`, bisected as
+    `_first_diff` bisects prefixes."""
+    la, lb = len(a), len(b)
+    lo, hi = 0, min(la, lb)
+    # the last lo bytes agree, and the suffix is at most hi bytes long
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[la - mid : la - lo] == b[lb - mid : lb - lo]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def resume(reading: Reading, text: bytes, payload: bytes, tolerant: bool = False) -> Reading:
+    """`fold(scan(payload), tolerant)`, for `reading == fold(scan(text))`.
+
+    An equal payload is `reading` itself.  Any other is read from the last
+    checkpoint strictly before its first differing byte (a byte at the
+    checkpoint could join the line before it, as LF joins CR), or, for a
+    tolerant read of `text` itself, from the last checkpoint of a reading
+    that stopped at a bad line.  A tail that is not UTF-8 is read from byte
+    0, since `scan` rejects the whole payload at offset 0.
+
+    When `reading` is a valid program, the fold stops at the first layer
+    start where the rest of the payload equals the rest of `text` and the
+    fold's state equals `reading`'s checkpoint at the same place, shifted by
+    the payload's change in length; the rest is then `reading`'s.
+    """
+    diff = _first_diff(text, payload)
+    if diff is None:
+        if reading.error is None or not tolerant:
+            return reading
+        diff = len(text)  # every checkpoint lies before the bad line
+    k = bisect_left(reading.checkpoints, (diff,))
+    origin = reading.checkpoints[k - 1] if k else _START
+    tail = payload[origin.offset:]
+    if _utf8_error(tail) is not None:
+        origin, tail = _START, payload
+    same_from = math.inf
+    if reading.error is None and reading.invalid is None:
+        same_from = len(payload) - _common_suffix(text, payload)
+    return _fold(scan(tail, origin.offset, origin.line), tolerant, reading, origin,
+                 len(payload) - len(text), same_from)
 
 
 def _invalid(commands: list[Command], ends: int, broken: GCodeError | None) -> GCodeError | None:

@@ -124,14 +124,6 @@ def _ecc_bytes(payload: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegrityEnvelope:
-    payload_len: int
-    record_count: int
-    crc32: int
-    ecc_present: bool
-
-
 class MismatchKind(Enum):
     BAD_MAGIC = "bad_magic"
     LENGTH_MISMATCH = "length_mismatch"
@@ -157,15 +149,6 @@ def wrap(payload: bytes, record_count: int, with_ecc: bool = False) -> bytes:
     if with_ecc:
         return header + payload + _ecc_bytes(payload)
     return header + payload
-
-
-def read_header(wrapped: bytes) -> IntegrityEnvelope:
-    if len(wrapped) < HEADER_SIZE:
-        raise ValueError(f"envelope header needs {HEADER_SIZE} bytes, got {len(wrapped)}")
-    magic, payload_len, record_count, crc, flag = _HEADER.unpack_from(wrapped, 0)
-    if magic != MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
-    return IntegrityEnvelope(payload_len, record_count, crc, flag != 0)
 
 
 def verify(wrapped: bytes) -> VerifyResult:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import integrity
-from .gcode import GCodeProgram, Layer, Reading, fold, intended_perimeters, scan
+from .gcode import GCodeProgram, Layer, Reading, _first_diff, intended_perimeters, resume
 from .netsim import ChannelParams, TransferMode, transfer
 from .slicer import LayerPlan
 
@@ -109,23 +109,6 @@ class PrintTrace:
     integrity_corrected_bits: int = 0
 
 
-def _first_diff(a: bytes, b: bytes) -> int | None:
-    """Index of the first differing byte (the shorter length when one is a
-    prefix of the other), or None when equal.  Bisects over slice equality,
-    so the comparisons run at C speed."""
-    if a == b:
-        return None
-    lo, hi = 0, min(len(a), len(b))
-    # a[:lo] == b[:lo], and the first difference lies in [lo, hi]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if a[lo : mid + 1] == b[lo : mid + 1]:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def _result(
     status: JobStatus,
     reason: FailReason | None,
@@ -168,9 +151,11 @@ def run_job(
     The sender transmits `sent`, which defaults to `job.sent` (an AMI1
     envelope over `job.text` unless enveloped=False, in which case the raw
     text).  Stream damage is attributed to a layer of `job.reading`, the
-    sender's reading of its text.  A delivered payload equal to `job.text`
-    takes that reading as its own, so an intact delivery is not read again;
-    any other is read once, stopping at its first bad line.
+    sender's reading of its text.  Every delivered payload is read as
+    `resume(job.reading, job.text, payload)`: an intact one takes that
+    reading as its own, and a damaged one is read from the last layer
+    checkpoint before its first differing byte, stopping at its first bad
+    line, or early once it reads as `job.text` again.
     """
     layer_time = cfg.nominal_layer_time_ms
     streaming = cfg.policy is PrintPolicy.STREAMING
@@ -216,7 +201,7 @@ def run_job(
     else:
         payload = delivered
 
-    reading = job.reading if payload == job.text else fold(scan(payload))
+    reading = resume(job.reading, job.text, payload)
     if reading.error is not None:
         # the stream choked on a line mid-job; layers begun before it stand
         printed = reading.layers if streaming else ()
@@ -236,9 +221,9 @@ def run_job(
 
 
 def _sent_layers(job: Job) -> tuple[Layer, ...]:
-    """The layers of `job.text`, read tolerantly if its reading stopped at a bad line."""
-    reading = job.reading if job.reading.error is None else fold(scan(job.text), tolerant=True)
-    return reading.layers
+    """The layers of `job.text`, read tolerantly from the last checkpoint
+    before its bad line if its reading stopped at one."""
+    return resume(job.reading, job.text, job.text, tolerant=True).layers
 
 
 @dataclass(frozen=True)

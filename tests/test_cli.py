@@ -9,7 +9,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from amstpa_lab import cli, faultlab, gcode, printer_sim, shapes
+from amstpa_lab import cli, faultlab, gcode, shapes
 from amstpa_lab.cli import main
 from amstpa_lab.faultlab import MitigationEvidence
 from amstpa_lab.mesh_io import TriangleMesh, Vec3, emit_stl_ascii, emit_stl_binary
@@ -170,12 +170,12 @@ class TestSimulate:
 
     def test_intact_delivery_scans_nothing(self, cube_file, monkeypatch):
         calls = []
-        for module in (gcode, printer_sim, faultlab):
-            def counting(data, _scan=module.scan):
-                calls.append(data)
-                return _scan(data)
 
-            monkeypatch.setattr(module, "scan", counting)
+        def counting(data, *args, _scan=gcode.scan):
+            calls.append(data)
+            return _scan(data, *args)
+
+        monkeypatch.setattr(gcode, "scan", counting)
         code, out = run_cli(["simulate", "--mesh", cube_file, "--policy", "streaming"])
         assert code == 0
         assert json.loads(out)["outcome"]["layers_printed"] == 4

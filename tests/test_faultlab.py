@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amstpa_lab import faultlab, printer_sim, shapes
+from amstpa_lab import faultlab, gcode, printer_sim, shapes
 from amstpa_lab.faultlab import (
     CAMPAIGN_KEYS,
     CampaignResult,
@@ -31,7 +31,7 @@ from amstpa_lab.faultlab import (
     run_campaign,
     run_demo_campaign,
 )
-from amstpa_lab.gcode import ToolpathParams, fold
+from amstpa_lab.gcode import ToolpathParams, _first_diff, fold, resume, scan
 from amstpa_lab.mesh_io import (
     Facet,
     StlError,
@@ -528,14 +528,72 @@ class TestTrialLoop:
         # no trial folds a reference tolerantly
         calls = []
 
-        def counting_fold(lines, tolerant=False):
+        def counting_fold(lines, tolerant, *args, _fold=gcode._fold):
             calls.append(tolerant)
-            return fold(lines, tolerant)
+            return _fold(lines, tolerant, *args)
 
-        monkeypatch.setattr(printer_sim, "fold", counting_fold)
+        monkeypatch.setattr(gcode, "_fold", counting_fold)
         demo = run_demo_campaign(pipeline(seed=42), cube, corruption_count=8)
         assert demo.evidence.streaming_scrapped == 8
         assert calls.count(True) == 0
+
+    @pytest.mark.usefixtures("in_process")
+    def test_demo_reads_damaged_raw_payloads_from_checkpoints(self, monkeypatch):
+        # every raw-pass payload differs from the pristine text in one bit;
+        # each is scanned once, from the last layer checkpoint before that
+        # bit, and from byte 0 only when no checkpoint lies before it or the
+        # rest from there is not UTF-8 (scan rejects such a payload whole)
+        reads = []
+
+        def recording_resume(reading, text, payload, tolerant=False):
+            reads.append((reading, text, payload, []))
+            return resume(reading, text, payload, tolerant)
+
+        def counting_scan(data, offset=0, first_line=1):
+            reads[-1][3].append(offset)
+            return scan(data, offset, first_line)
+
+        monkeypatch.setattr(printer_sim, "resume", recording_resume)
+        monkeypatch.setattr(gcode, "scan", counting_scan)
+        demo = run_demo_campaign(pipeline(seed=42), shapes.ngon_prism(64, 10, 10),
+                                 corruption_count=30)
+        damaged = [read for read in reads if read[1] != read[2]]
+        assert len(damaged) == demo.evidence.raw_trials == 30
+        from_checkpoints = 0
+        for reading, text, payload, offsets in damaged:
+            diff = _first_diff(text, payload)
+            before = [cp.offset for cp in reading.checkpoints if cp.offset < diff]
+            if before and _is_utf8(payload[before[-1]:]):
+                assert offsets == [before[-1]]
+                from_checkpoints += 1
+            else:
+                assert offsets == [0]
+        assert from_checkpoints >= 25
+
+    @pytest.mark.usefixtures("in_process")
+    def test_after_slice_trial_reads_its_text_from_the_pristine(self, cube, monkeypatch):
+        jobs = []
+
+        def recording_run_job(job, *args, **kwargs):
+            jobs.append(job)
+            return run_job(job, *args, **kwargs)
+
+        monkeypatch.setattr(faultlab, "run_job", recording_run_job)
+        specs = bit_flip_specs(40, FaultStage.AFTER_SLICE, seed=5) + [
+            FaultSpec(FaultKind.TRUNCATE, FaultStage.AFTER_SLICE, seed=s) for s in range(10)
+        ]
+        run_campaign(pipeline(policy=PrintPolicy.STREAMING), specs, cube)
+        assert len(jobs) == 50
+        for job in jobs:  # repr tells errors, and -0.0 from 0.0, apart
+            assert repr(job.reading) == repr(fold(scan(job.text)))
+
+
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 # every stage and every kind: both after-CAD mesh kinds, the after-CAD byte

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib.util
 import logging
 import math
@@ -9,10 +10,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amstpa_lab import mesh_io, shapes
+from amstpa_lab import gcode, mesh_io, shapes
 from amstpa_lab.gcode import (
     G21,
     G28,
@@ -33,6 +34,7 @@ from amstpa_lab.gcode import (
     intended_perimeters,
     plan_toolpath,
     read_program,
+    resume,
     scan,
 )
 from amstpa_lab.slicer import Contour, LayerPlan, SliceParams, slice_mesh
@@ -314,6 +316,178 @@ class TestReadProgram:
                             SliceParams(layer_height=layer_height))
         params = ToolpathParams(feed_rate=feed_rate, extrusion_per_mm=extrusion_per_mm)
         assert_reads_as_scanned(plan_toolpath(layers, params))
+
+
+# ---------------------------------------------------------------------------
+# resume against its oracle, fold(scan(payload)), field by field
+# ---------------------------------------------------------------------------
+
+
+def _planned(mesh, layer_height):
+    prog = plan_toolpath(slice_mesh(mesh, SliceParams(layer_height=layer_height)),
+                         ToolpathParams())
+    text = emit_text(prog)
+    return text, read_program(prog, text)
+
+
+def _read(text):
+    return text, fold(scan(text))
+
+
+PRISTINES = {
+    "cube": lambda: _planned(shapes.box(), 0.25),
+    # CR line ends: LF written at a layer start would join the line before it
+    "cube-cr": lambda: _read(pristine("cube")[0].replace(b"\n", b"\r")),
+    # lines that hold no command still count toward line numbers
+    "cube-commented": lambda: _read(pristine("cube")[0].replace(b"\nG0", b"\n; layer\n\nG0")),
+    "ngon64": lambda: _planned(shapes.ngon_prism(64, 10, 10), 0.25),
+    "ngon160-0.1mm": lambda: _planned(shapes.ngon_prism(160, 10, 10), 0.1),
+    "sphere": lambda: _planned(_perfbench_sphere(), 1.0),
+}
+
+
+@functools.cache
+def pristine(name):
+    """(text, fold(scan(text))) of a pristine job."""
+    return PRISTINES[name]()
+
+
+# bytes that end a line, join two, start a number or a comment, or break UTF-8
+SPECIAL_BYTES = [b"\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x85", b"\xc2", b"\xe2", b"-", b"0",
+                 b" ", b";"]
+any_byte = (
+    st.sampled_from(SPECIAL_BYTES)
+    | st.integers(0x80, 0xFF).map(lambda b: bytes([b]))
+    | st.binary(min_size=1, max_size=1)
+)
+
+
+@st.composite
+def damaged(draw, text, reading):
+    """`text` with one fault, often at or next to a layer start."""
+    starts = [cp.offset for cp in reading.checkpoints]
+    at = draw(
+        st.integers(0, len(text) - 1)
+        | st.sampled_from(starts).flatmap(
+            lambda o: st.integers(max(o - 2, 0), min(o + 2, len(text) - 1)))
+    )
+    kind = draw(st.sampled_from(["flip", "set", "truncate", "insert", "delete"]))
+    if kind == "flip":
+        return text[:at] + bytes([text[at] ^ 1 << draw(st.integers(0, 7))]) + text[at + 1:]
+    if kind == "set":
+        return text[:at] + draw(any_byte) + text[at + 1:]
+    if kind == "truncate":
+        return text[:at]
+    if kind == "insert":
+        return text[:at] + b"".join(draw(st.lists(any_byte, min_size=1, max_size=3))) + text[at:]
+    return text[:at] + text[at + draw(st.integers(1, 3)):]
+
+
+def assert_resumes_as_folded(name, tolerant, data):
+    text, reading = pristine(name)
+    payload = data.draw(damaged(text, reading))
+    assert bits(resume(reading, text, payload, tolerant)) == bits(fold(scan(payload), tolerant))
+
+
+class TestResume:
+    @pytest.mark.parametrize("tolerant", [False, True], ids=["strict", "tolerant"])
+    @pytest.mark.parametrize("name", ["cube", "cube-cr", "cube-commented", "ngon64", "sphere"])
+    @given(data=st.data())
+    def test_reads_as_folded(self, name, tolerant, data):
+        assert_resumes_as_folded(name, tolerant, data)
+
+    # 0.72 MB of text: a tolerant fold of it takes about 0.1 s
+    @pytest.mark.parametrize("tolerant", [False, True], ids=["strict", "tolerant"])
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_reads_as_folded_on_ngon160_at_0_1_mm(self, tolerant, data):
+        assert_resumes_as_folded("ngon160-0.1mm", tolerant, data)
+
+    @pytest.mark.parametrize("name", list(PRISTINES))
+    def test_every_checkpoint_is_a_layer_start(self, name):
+        text, reading = pristine(name)
+        assert [cp.offset for cp in reading.checkpoints] == [
+            lay.start_offset for lay in reading.layers
+        ]
+        # its line number counts the lines before it
+        for cp in reading.checkpoints:
+            assert cp.line == len(text[:cp.offset].decode().splitlines()) + 1
+
+    def test_equal_payload_is_the_reading(self):
+        text, reading = pristine("ngon64")
+        assert resume(reading, text, text) is reading
+        assert resume(reading, text, bytes(bytearray(text)), tolerant=True) is reading
+
+    def test_a_line_end_at_a_layer_start_joins_the_line_before(self):
+        # CR then LF is one line end: a damaged byte at a checkpoint can move
+        # the checkpoint's line start, so the read resumes from the one before
+        text, reading = pristine("cube-cr")
+        at = reading.checkpoints[2].offset
+        payload = text[:at] + b"\n" + text[at + 1:]
+        resumed = resume(reading, text, payload)
+        assert bits(resumed) == bits(fold(scan(payload)))
+        assert resumed.layers[1].end_offset == at + 1
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [(b" X", b" X0"), (b" Y", b"  Y"), (b"\nG1", b"\ng1"), (b"0 F", b" F")],
+        ids=["leading-zero", "two-spaces", "lower-case", "trailing-zero"],
+    )
+    def test_converged_read_takes_the_rest_from_the_pristine(self, monkeypatch, before, after):
+        # the damage, in layer 2's first G1, leaves every value as it was, so
+        # the read resumes at layer 2's start and stops at layer 3's: the
+        # rest is the pristine's, offsets shifted
+        text, reading = pristine("ngon64")
+        at = text.index(before, reading.layers[2].start_offset + 1)
+        payload = text[:at] + after + text[at + len(before):]
+        shift = len(payload) - len(text)
+        read = []
+
+        def counting_scan(*args):
+            for item in scan(*args):
+                read.append(item)
+                yield item
+
+        monkeypatch.setattr(gcode, "scan", counting_scan)
+        resumed = resume(reading, text, payload)
+        assert (read[0][0], read[-1][0]) == (
+            reading.layers[2].start_offset, reading.layers[3].start_offset + shift
+        )
+        assert bits(resumed) == bits(fold(scan(payload)))
+        assert resumed.commands == reading.commands
+        if shift == 0:
+            assert all(a is b for a, b in zip(resumed.layers[3:], reading.layers[3:]))
+
+    def test_signed_zero_is_a_state_apart(self):
+        # X-0 leaves x at -0.0 through layer 1, which moves no X, so layer
+        # 2's checkpoint records -0.0: the read must not take the pristine's
+        text = (b"G21\nG90\nG28\nG0 X0 Y0 Z1\nG1 X1 Y0 E1 F100\nG1 X0 Y0 E2 F100\n"
+                b"G0 Z2\nG1 Y1 E3 F100\nG0 Z3\nG1 X1 E4 F100\nM2\n")
+        reading = fold(scan(text))
+        payload = text.replace(b"G1 X0", b"G1 X-0")
+        resumed = resume(reading, text, payload)
+        assert math.copysign(1.0, resumed.checkpoints[2].x) == -1.0
+        assert bits(resumed) == bits(fold(scan(payload)))
+
+    def test_a_tail_that_is_not_utf8_reads_from_byte_0(self):
+        text, reading = pristine("ngon64")
+        at = reading.checkpoints[5].offset + 3
+        for tolerant in (False, True):
+            payload = text[:at] + b"\xff" + text[at + 1:]
+            resumed = resume(reading, text, payload, tolerant)
+            assert bits(resumed) == bits(fold(scan(payload), tolerant))
+        assert resume(reading, text, payload).commands == ()
+
+    def test_a_tolerant_reread_starts_after_the_last_checkpoint(self):
+        # the strict reading stopped at a bad line in layer 3, so every
+        # checkpoint lies before it
+        text, reading = pristine("ngon64")
+        at = reading.checkpoints[3].offset + 40
+        bad = text[:at] + b"Q" + text[at + 1:]
+        strict = fold(scan(bad))
+        assert strict.error is not None and len(strict.checkpoints) == 4
+        assert bits(resume(strict, bad, bad, tolerant=True)) == bits(fold(scan(bad), True))
+        assert resume(strict, bad, bad) is strict
 
 
 class TestLayerAccounting:

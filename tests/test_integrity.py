@@ -14,7 +14,6 @@ from amstpa_lab.integrity import (
     VerifyResult,
     _ecc_bytes,
     crc32,
-    read_header,
     secded_decode,
     secded_encode,
     verify,
@@ -112,11 +111,12 @@ class TestEnvelope:
         wrapped = wrap(b"abc", 2)
         assert wrapped[:4] == MAGIC
         assert len(wrapped) == HEADER_SIZE + 3
-        env = read_header(wrapped)
-        assert env.payload_len == 3
-        assert env.record_count == 2
-        assert not env.ecc_present
-        assert env.crc32 == crc32(b"abc")
+        magic, payload_len, record_count, crc, ecc_present = _HEADER.unpack_from(wrapped, 0)
+        assert magic == MAGIC
+        assert payload_len == 3
+        assert record_count == 2
+        assert not ecc_present
+        assert crc == crc32(b"abc")
 
     def test_bad_magic(self):
         wrapped = bytearray(wrap(b"abc", 1))

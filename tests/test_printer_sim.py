@@ -6,9 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from amstpa_lab.gcode import fold, read_program, scan
-from amstpa_lab import printer_sim
-from amstpa_lab.gcode import count_records
+from amstpa_lab import gcode
+from amstpa_lab.gcode import _first_diff, count_records, fold, read_program, scan
 from amstpa_lab.integrity import HEADER_SIZE, wrap
 from amstpa_lab.netsim import ChannelParams, TransferMode
 from amstpa_lab.printer_sim import (
@@ -18,7 +17,6 @@ from amstpa_lab.printer_sim import (
     PrinterConfig,
     PrinterTechnology,
     PrintPolicy,
-    _first_diff,
     geometry_diff,
     outcome_to_dict,
     run_job,
@@ -308,17 +306,18 @@ class TestLineRule:
 
 class TestReadOnce:
     """An intact delivery takes the job's own reading; any other payload is
-    scanned once, and streaming damage is blamed without a read."""
+    scanned once, from a layer checkpoint of the job's reading, and
+    streaming damage is blamed without a read."""
 
     @pytest.fixture()
     def scans(self, monkeypatch):
         calls = []
 
-        def counting_scan(data):
+        def counting_scan(data, *args):
             calls.append(data)
-            return scan(data)
+            return scan(data, *args)
 
-        monkeypatch.setattr(printer_sim, "scan", counting_scan)
+        monkeypatch.setattr(gcode, "scan", counting_scan)
         return calls
 
     @pytest.mark.parametrize("policy", list(PrintPolicy))
@@ -354,7 +353,10 @@ class TestReadOnce:
             sent=bytes(bad),
         )
         assert outcome.reason is FailReason.PARSE_FAILURE
-        assert scans == [bytes(bad)]
+        # from the start of the last layer, the last checkpoint before the damage
+        last = cube_raw_job.reading.checkpoints[-1]
+        assert last.offset == cube_raw_job.reading.layers[-1].start_offset
+        assert scans == [bytes(bad)[last.offset:]]
 
     def test_streaming_damage_blamed_without_a_read(
         self, cube_job, cube_wrapped, lossless_channel, scans
@@ -385,7 +387,8 @@ class TestReadOnce:
         assert len(tolerant) == 3
         assert outcome.status is JobStatus.SCRAPPED_MID_PRINT
         assert trace.layers == tolerant[:2]
-        assert scans == [text]
+        # from layer 0's start, the one checkpoint before the bad line
+        assert scans == [text[layers[0].start_offset:]]
 
 
 class TestDeterminism:
