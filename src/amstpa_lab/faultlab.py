@@ -27,8 +27,10 @@ After-CAD byte faults are judged against the parsed pristine STL, not the
 base mesh (binary STL rounds to float32): a fault that keeps the file's
 length and count word is read and validated only in the records it changes,
 and one that moves no vertex sends the parsed pristine's job, built once per
-configuration.  Every other after-CAD fault is parsed, validated and built
-whole.
+configuration.  Every other after-CAD byte fault is parsed, validated and
+built whole.  A mesh fault is read back as its binary STL would parse,
+without writing the file, and the parameter-free flip_normals once per
+intake.
 
 Trials are independent: each one's channel seed derives from the campaign
 seed and its index.  The loop runs them in this process until they have
@@ -55,6 +57,7 @@ from time import perf_counter
 from .gcode import ToolpathParams, count_records, emit_text, plan_toolpath, read_program, resume
 from .integrity import wrap
 from .mesh_io import (
+    Encoding,
     Facet,
     MeshTally,
     StlError,
@@ -238,6 +241,7 @@ def read_value(value, rule, path: str):
 def inject(target: bytes | TriangleMesh, spec: FaultSpec):
     """Apply exactly the specified mutation; deterministic given the spec.
 
+    A mesh fault is `_mesh_fault` on the mesh's flat coordinates.
     Unspecified offsets/values/lengths are derived from spec.seed, clamped
     to the target's size at application time.  A derived BYTE_SET value
     that matches the existing byte is complemented so the write corrupts.
@@ -245,17 +249,7 @@ def inject(target: bytes | TriangleMesh, spec: FaultSpec):
     if spec.kind in _MESH_KINDS:
         if not isinstance(target, TriangleMesh):
             raise TypeError(f"{spec.kind.value} applies to a mesh, not bytes")
-        if spec.kind is FaultKind.FLIP_NORMALS:
-            flipped = tuple(
-                Facet(Vec3(-nx, -ny, -nz), a, b, c) for (nx, ny, nz), a, b, c in target.facets
-            )
-            return TriangleMesh(flipped, target.source_encoding)
-        factor = spec.factor
-        scaled = tuple(
-            Facet(n, *(Vec3(x * factor, y * factor, z * factor) for x, y, z in vertices))
-            for n, *vertices in target.facets
-        )
-        return TriangleMesh(scaled, target.source_encoding)
+        return TriangleMesh(_facets(_mesh_fault(_coords(target), spec)), target.source_encoding)
 
     if spec.kind is FaultKind.DROP_PACKETS:
         raise ValueError("drop_packets is applied through the channel parameters, not inject()")
@@ -287,6 +281,33 @@ def inject(target: bytes | TriangleMesh, spec: FaultSpec):
     # TRUNCATE
     new_len = spec.new_len if spec.new_len is not None else splitmix64_at(spec.seed, 0) % len(data)
     return bytes(data[:new_len])
+
+
+def _mesh_fault(coords, spec: FaultSpec) -> list[float]:
+    """`spec`'s mesh fault on flat coordinates, 12 per facet (the normal,
+    then three vertices): flip_normals negates positions 0-2, scale_coords
+    multiplies positions 3-11 by its factor."""
+    out = list(coords)
+    if spec.kind is FaultKind.FLIP_NORMALS:
+        for k in range(3):
+            out[k::12] = [-x for x in out[k::12]]
+    else:
+        factor = spec.factor
+        for k in range(3, 12):
+            out[k::12] = [x * factor for x in out[k::12]]
+    return out
+
+
+def _coords(mesh: TriangleMesh) -> array:
+    """Every coordinate of `mesh` as a double, 12 per facet in facet order."""
+    return array("d", chain.from_iterable(chain.from_iterable(mesh.facets)))
+
+
+def _facets(coords) -> tuple[Facet, ...]:
+    """The facets of flat coordinates, 12 per facet."""
+    values = iter(coords)
+    vectors = map(Vec3, values, values, values)
+    return tuple(map(Facet, vectors, vectors, vectors, vectors))
 
 
 def _check_target_size(spec: FaultSpec, size: int) -> None:
@@ -390,36 +411,49 @@ def _read(stl: bytes) -> TriangleMesh | DetectionStage:
     return mesh
 
 
-def _float32_exact(mesh: TriangleMesh) -> bool:
-    """Whether every coordinate of `mesh` is a float32, bit for bit (-0.0 is
-    not 0.0), so that its binary STL parses back to `mesh` itself.
+def _float32_exact(coords: array) -> bool:
+    """Whether every double in `coords` is a float32, bit for bit (-0.0 is
+    not 0.0), so that a mesh of them reads back from its binary STL as itself.
 
     Binary STL stores float32, and both conversions round to nearest.
     """
-    bits = array("d", chain.from_iterable(chain.from_iterable(mesh.facets)))
-    return array("d", array("f", bits)).tobytes() == bits.tobytes()
+    return array("d", array("f", coords)).tobytes() == coords.tobytes()
 
 
 class _CadIntake:
-    """`_read` for after-CAD byte faults, from the records a fault changes.
+    """`_read` of what an after-CAD fault leaves, without reading it whole.
 
-    Holds `mesh`, parse_stl(pristine STL), and its MeshTally.  A fault that
-    keeps the STL's length and count word and reads as binary (see
+    Holds `mesh`, parse_stl(pristine STL), and its MeshTally.  A byte fault
+    that keeps the STL's length and count word and reads as binary (see
     binary_delta) is judged from its changed facets; if it moves no vertex,
     the intake returns `mesh` itself (the slicer never reads normals).  When
     the base mesh is `mesh` bit for bit, as any mesh read from binary STL
     is, `mesh` is the base mesh and the trial sends its pristine job.  Every
-    other fault takes `_read`.  The intake holds no config: each trial
-    builds what it returns with its own.
+    other byte fault takes `_read`.
+
+    A mesh fault acts on the base mesh's coordinates and is read back as its
+    binary STL would parse: rounded to float32, refused if any is not finite
+    (emit_stl_binary would raise), then validated.  flip_normals has no
+    parameters, so it is read once and its result kept.  The intake holds no
+    config: each trial builds what it returns with its own.
     """
 
     def __init__(self, base_mesh: TriangleMesh, stl: bytes):
         self.stl = stl
-        self.mesh = base_mesh if _float32_exact(base_mesh) else parse_stl(stl)
+        self.coords = _coords(base_mesh)
+        self.mesh = base_mesh if _float32_exact(self.coords) else parse_stl(stl)
         self.tally = MeshTally(self.mesh)
         self._jobs: dict[PipelineConfig, Job | DetectionStage] = {}  # for `mesh`
+        self._flipped: TriangleMesh | DetectionStage | None = None
 
-    def __call__(self, stl: bytes) -> TriangleMesh | DetectionStage:
+    def __call__(self, spec: FaultSpec) -> TriangleMesh | DetectionStage:
+        if spec.kind is FaultKind.FLIP_NORMALS:
+            if self._flipped is None:
+                self._flipped = self._read_back(spec)
+            return self._flipped
+        if spec.kind is FaultKind.SCALE_COORDS:
+            return self._read_back(spec)
+        stl = inject(self.stl, spec)
         delta = binary_delta(self.stl, stl)
         if delta is None:
             return _read(stl)
@@ -427,6 +461,15 @@ class _CadIntake:
         if not self.tally.is_clean_with(replaced):
             return DetectionStage.MESH_VALIDATION
         return parse_stl(stl) if moved else self.mesh
+
+    def _read_back(self, spec: FaultSpec) -> TriangleMesh | DetectionStage:
+        coords = array("f", _mesh_fault(self.coords, spec)).tolist()
+        # float32 values cannot sum past a double: the sum is finite exactly
+        # when every value is
+        if not math.isfinite(sum(coords)):
+            return DetectionStage.MESH_VALIDATION
+        mesh = TriangleMesh(_facets(coords), Encoding.BINARY)
+        return mesh if validate_mesh(mesh).is_clean() else DetectionStage.MESH_VALIDATION
 
     def build(self, cfg: PipelineConfig, mesh: TriangleMesh) -> Job | DetectionStage:
         """`build_job(cfg, mesh)`, or the stage that refuses `mesh`; built
@@ -493,14 +536,7 @@ def _run_trial(
     job, sent = pristine.job, None  # None: the job's own bytes are sent
 
     if spec.stage is FaultStage.AFTER_CAD:
-        if spec.kind in _MESH_KINDS:
-            try:
-                stl_bytes = emit_stl_binary(inject(pristine.mesh, spec))
-            except ValueError:  # scaled past the float range of binary STL
-                return DetectionStage.MESH_VALIDATION, None, None
-            mesh = _read(stl_bytes)
-        else:
-            mesh = pristine.cad(inject(pristine.stl, spec))
+        mesh = pristine.cad(spec)
         if isinstance(mesh, DetectionStage):
             return mesh, None, None
         if mesh is not pristine.mesh:  # else the pristine job is sent as is

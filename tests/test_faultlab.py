@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -33,6 +34,7 @@ from amstpa_lab.faultlab import (
 )
 from amstpa_lab.gcode import ToolpathParams, _first_diff, fold, resume, scan
 from amstpa_lab.mesh_io import (
+    Encoding,
     Facet,
     StlError,
     TriangleMesh,
@@ -798,6 +800,20 @@ def _collapsed_cube() -> TriangleMesh:
 # of record 4, its y
 UNBEND = FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_CAD, offset=8 * (84 + 50 * 4 + 16) + 30)
 
+
+def _signed_zero_cube() -> TriangleMesh:
+    """The unit cube with every 0.0 vertex coordinate made -0.0 and every
+    normal zero, of either sign: still clean, and still clean with its
+    normals flipped, so a flip_normals trial reaches the printer."""
+    def signed(v):
+        return Vec3(*(-0.0 if x == 0.0 else x for x in v))
+
+    return TriangleMesh(tuple(
+        Facet(Vec3(0.0, -0.0, 0.0) if i % 2 else Vec3(-0.0, 0.0, -0.0), *map(signed, vertices))
+        for i, (_, *vertices) in enumerate(shapes.box().facets)
+    ))
+
+
 CAD_MESHES = {
     "clean": shapes.box(),
     "bent": _bent_cube(),
@@ -805,22 +821,39 @@ CAD_MESHES = {
     # read from ASCII STL: its coordinates are not float32-exact, so the
     # parsed pristine is not the base mesh
     "ascii": parse_stl(emit_stl_ascii(shapes.ngon_prism(6, 1.0, 1.0), precision=17)),
+    "signed_zeros": _signed_zero_cube(),
 }
+
+FLT_MAX = struct.unpack("<f", b"\xff\xff\x7f\x7f")[0]
+
+
+def scale_factors(mesh: TriangleMesh) -> list[float]:
+    """Factors at the edges of float32: two that underflow it, and the
+    overflow boundary of `mesh`'s largest vertex coordinate m: FLT_MAX / m,
+    the next double above it, and the doubles either side of the least
+    product that rounds to float32 infinity, 2**128 - 2**103."""
+    m = max(abs(x) for f in mesh.facets for v in f.vertices for x in v)
+    at_max, past_max = FLT_MAX / m, (2.0**128 - 2.0**103) / m
+    return [1e-40, 1e-45, at_max, math.nextafter(at_max, math.inf),
+            math.nextafter(past_max, 0.0), past_max]
+
+
 CAD_CFG = pipeline(ecc=True, seed=5)
 REGIONS = ("header", "count", "normal", "vertex", "attribute", "past_end")
 
 
 @st.composite
-def after_cad_faults(draw, size: int):
+def after_cad_faults(draw, size: int, factors: list[float]):
     """After-CAD faults of every kind; byte faults land in each region of a
-    binary STL of `size` bytes, or past its end, or where their seed says."""
+    binary STL of `size` bytes, or past its end, or where their seed says;
+    scale_coords takes one of `factors` or a seeded factor."""
     kind = draw(st.sampled_from(sorted(faultlab._STAGE_KINDS[FaultStage.AFTER_CAD],
                                        key=lambda k: k.value)))
     seed = draw(st.integers(0, 2**64 - 1))
     if kind is FaultKind.FLIP_NORMALS:
         return FaultSpec(kind, FaultStage.AFTER_CAD, seed=seed)
     if kind is FaultKind.SCALE_COORDS:
-        factor = draw(st.sampled_from([1.0, 0.5, 1.001, 1e39]) | st.floats(0.01, 100.0))
+        factor = draw(st.sampled_from([1.0, 0.5, 1.001, 1e39, *factors]) | st.floats(0.01, 100.0))
         return FaultSpec(kind, FaultStage.AFTER_CAD, factor=factor, seed=seed)
     if draw(st.booleans()):
         return FaultSpec(kind, FaultStage.AFTER_CAD, seed=seed)
@@ -857,7 +890,7 @@ class TestCadIntakeMatchesWholeFile:
     @given(data=st.data())
     def test_random_faults(self, prepared, name, data):
         pristine = prepared[name]
-        spec = data.draw(after_cad_faults(len(pristine.stl)))
+        spec = data.draw(after_cad_faults(len(pristine.stl), scale_factors(pristine.mesh)))
         channel = replace(CAD_CFG.channel, seed=data.draw(st.integers(0, 2**64 - 1)))
         args = (CAD_CFG, spec, pristine, channel)
         assert verdict(faultlab._run_trial, *args) == verdict(whole_file_trial, *args)
@@ -968,3 +1001,112 @@ class TestCadIntakeLifetime:
 def facet_bits(mesh: TriangleMesh) -> bytes:
     """Every coordinate's float64 bits, in facet order: -0.0 is not 0.0."""
     return struct.pack(f"<{12 * len(mesh.facets)}d", *(x for f in mesh.facets for v in f for x in v))
+
+
+# ---------------------------------------------------------------------------
+# Mesh faults read back without STL bytes: the intake's mesh must be the one
+# the faulted mesh's binary STL parses to, compared by bits, since tuple ==
+# takes -0.0 for 0.0.
+# ---------------------------------------------------------------------------
+
+
+def facet_inject(mesh: TriangleMesh, spec: FaultSpec) -> TriangleMesh:
+    """inject's mesh faults written facet by facet: the oracle of the rule
+    on flat coordinates."""
+    if spec.kind is FaultKind.FLIP_NORMALS:
+        flipped = tuple(
+            Facet(Vec3(-nx, -ny, -nz), a, b, c) for (nx, ny, nz), a, b, c in mesh.facets
+        )
+        return TriangleMesh(flipped, mesh.source_encoding)
+    factor = spec.factor
+    scaled = tuple(
+        Facet(n, *(Vec3(x * factor, y * factor, z * factor) for x, y, z in vertices))
+        for n, *vertices in mesh.facets
+    )
+    return TriangleMesh(scaled, mesh.source_encoding)
+
+
+FLIP = FaultSpec(FaultKind.FLIP_NORMALS, FaultStage.AFTER_CAD)
+
+
+def mesh_faults(mesh: TriangleMesh) -> list[FaultSpec]:
+    """flip_normals, and scale_coords by plain factors, by one that
+    overflows a double and by those at the edges of float32."""
+    factors = [1.0, 0.5, 1.001, 2.0, 1e39, sys.float_info.max, *scale_factors(mesh)]
+    return [FLIP] + [
+        FaultSpec(FaultKind.SCALE_COORDS, FaultStage.AFTER_CAD, factor=f) for f in factors
+    ]
+
+
+class TestMeshFaultReadBack:
+    @pytest.mark.parametrize("name", list(CAD_MESHES))
+    def test_inject_matches_the_facet_rule(self, name):
+        mesh = CAD_MESHES[name]
+        for spec in mesh_faults(mesh):
+            faulted = inject(mesh, spec)
+            assert faulted.source_encoding is mesh.source_encoding
+            assert facet_bits(faulted) == facet_bits(facet_inject(mesh, spec))
+
+    @pytest.mark.parametrize("name", list(CAD_MESHES))
+    def test_intake_reads_back_what_the_stl_parses_to(self, name, monkeypatch):
+        # the mesh handed to validate_mesh is the read-back, clean or not
+        base = CAD_MESHES[name]
+        validated = []
+
+        def recording_validate_mesh(mesh, *args):
+            validated.append(mesh)
+            return validate_mesh(mesh, *args)
+
+        monkeypatch.setattr(faultlab, "validate_mesh", recording_validate_mesh)
+        for spec in mesh_faults(base):
+            validated.clear()
+            got = faultlab._CadIntake(base, emit_stl_binary(base))(spec)
+            try:
+                stl = emit_stl_binary(inject(base, spec))
+            except ValueError:  # not finite, or past the float32 range
+                assert got is DetectionStage.MESH_VALIDATION and validated == []
+                continue
+            parsed = parse_stl(stl)
+            [mesh] = validated
+            assert mesh.source_encoding is parsed.source_encoding is Encoding.BINARY
+            assert facet_bits(mesh) == facet_bits(parsed)
+            clean = validate_mesh(parsed).is_clean()
+            assert got is (mesh if clean else DetectionStage.MESH_VALIDATION)
+
+    @pytest.mark.usefixtures("in_process")
+    @pytest.mark.parametrize(
+        "name, flipped",
+        [("clean", DetectionStage.MESH_VALIDATION), ("signed_zeros", DetectionStage.UNDETECTED)],
+    )
+    def test_flip_normals_is_read_once_per_campaign(self, monkeypatch, name, flipped):
+        # flip_normals has no parameters: its eight trials read one mesh,
+        # while each scale_coords trial reads its own, same factor or not
+        calls = []
+
+        def counting_validate_mesh(mesh, *args):
+            calls.append(mesh)
+            return validate_mesh(mesh, *args)
+
+        monkeypatch.setattr(faultlab, "validate_mesh", counting_validate_mesh)
+        scale = FaultSpec(FaultKind.SCALE_COORDS, FaultStage.AFTER_CAD, factor=1.001)
+        specs = [FLIP] * 4 + [scale, scale] + [FLIP] * 4
+        result = run_campaign(pipeline(seed=7), specs, CAD_MESHES[name])
+        assert len(calls) == 3
+        assert result.histogram == {flipped: 8, DetectionStage.GEOMETRY_DIFF: 2}
+
+    @pytest.mark.usefixtures("in_process")
+    def test_scale_faults_keep_no_mesh(self, cube):
+        def peak(n: int) -> int:
+            specs = [FaultSpec(FaultKind.SCALE_COORDS, FaultStage.AFTER_CAD,
+                               factor=1.001 + j / 1000) for j in range(n)]
+            tracemalloc.start()
+            try:
+                assert run_campaign(pipeline(seed=7), specs, cube).trials == n
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the trial loop's runs grow by about 90 bytes a trial; a read-back
+        # cube kept per factor would add about 7 KB a factor
+        few, many = peak(5), peak(50)
+        assert many < few + 16 * 1024, (few, many)
