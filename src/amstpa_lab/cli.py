@@ -26,11 +26,11 @@ from .faultlab import (
     PipelineConfig,
     bit_flip_specs,
     build_job,
-    read_doc,
     run_campaign,
     run_demo_campaign,
 )
 from .gcode import GCodeError, ToolpathParams, emit_text, plan_toolpath
+from .jsondoc import loads, read_doc
 from .mesh_io import StlError, parse_stl, require_finite, validate_mesh
 from .netsim import ChannelParams, TransferMode
 from .printer_sim import (
@@ -51,7 +51,6 @@ from .stpa_core import (
     candidates_to_dict,
     candidates_to_text,
     enumerate_candidates,
-    finite_float,
     load_model,
 )
 
@@ -93,11 +92,10 @@ def _write_output(path: str, data: str | bytes) -> None:
 
 
 def _read_json(path: str):
-    """Parse a JSON input file, refusing NaN, Infinity and numbers past the double range."""
+    """Parse a JSON input file by jsondoc's strict rules."""
     try:
-        data = _read_file(path).decode("utf-8")
-        return json.loads(data, parse_float=finite_float, parse_constant=finite_float)
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        return loads(_read_file(path))
+    except ValueError as exc:
         raise CliError(f"{path}: not valid JSON: {exc}") from None
 
 
@@ -224,7 +222,7 @@ def _cmd_gcode(args) -> int:
     doc = _read_json(args.layers)
     try:
         layers = layers_from_dict(doc)
-    except (ValueError, KeyError, OverflowError, TypeError) as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past a double
         raise CliError(f"{args.layers}: not a layers file: {exc}") from None
     try:
         prog = plan_toolpath(layers, _toolpath_params(args))

@@ -43,28 +43,27 @@ campaign's output is the same bytes either way.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import sys
 import threading
 from array import array
 from dataclasses import asdict, dataclass, fields, replace
-from enum import Enum, EnumMeta
+from enum import Enum
 from itertools import chain
 from time import perf_counter
 
 from .gcode import ToolpathParams, count_records, emit_text, plan_toolpath, read_program, resume
 from .integrity import wrap
+from .jsondoc import NUMBER, REQUIRED, read_doc, read_value
 from .mesh_io import (
     Encoding,
-    Facet,
     MeshTally,
     StlError,
     TriangleMesh,
-    Vec3,
     binary_delta,
     emit_stl_binary,
+    facets_of,
     parse_stl,
     validate_mesh,
 )
@@ -80,8 +79,6 @@ from .printer_sim import (
     run_job,
 )
 from .slicer import SliceParams, slice_mesh
-
-log = logging.getLogger(__name__)
 
 
 class FaultKind(Enum):
@@ -152,14 +149,7 @@ class FaultSpec:
         return cls(**read_doc(doc, FAULT_FIELDS))
 
 
-# A table maps each key of a JSON object to (rule, default).  The rules:
-# int, a JSON integer; float, a JSON number, read as a float; NUMBER, a JSON
-# number, kept as read; bool, true or false; str, a string; an Enum, a
-# string that names a member, read as the member; a table, an object read by
-# that table; [table], an array of such objects.  No number rule takes a bool.
-NUMBER = (int, float)
-REQUIRED = object()  # the default of a key that must be given
-
+# every FaultSpec field, as a jsondoc table
 FAULT_FIELDS = {
     "kind": (FaultKind, REQUIRED), "stage": (FaultStage, REQUIRED),
     "offset": (int, None), "value": (int, None), "new_len": (int, None),
@@ -191,53 +181,6 @@ CAMPAIGN_KEYS = {
                   "count": (int, None)}, {}),
 }
 
-_RULE_NAMES = {int: "an integer", float: "a number", NUMBER: "a number", bool: "true or false",
-               str: "a string"}
-
-
-def read_doc(doc, table: dict, where: str = "") -> dict:
-    """Every key of `table` read from the JSON object `doc` by its rule.
-
-    A key `doc` leaves out takes its default, read by the same rule; a key
-    whose default is null also takes null.  A key the table does not name is
-    ignored, with a warning that names it by its dotted path, `where` + key.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where[:-1] or 'the document'} must be an object, got {doc!r}")
-    for key in doc:
-        if key not in table:
-            log.warning("ignoring unknown key %s%s", where, key)
-    values = {}
-    for key, (rule, default) in table.items():
-        value = doc.get(key, default)
-        values[key] = value if value is default is None else read_value(value, rule, where + key)
-    return values
-
-
-def read_value(value, rule, path: str):
-    """`value` read by one table rule (see above); ValueError names `path`."""
-    if value is REQUIRED:
-        raise ValueError(f"{path} is required")
-    if isinstance(rule, dict):
-        return read_doc(value, rule, path + ".")
-    if isinstance(rule, list):
-        if isinstance(value, list):
-            return [read_doc(item, rule[0], f"{path}.{i}.") for i, item in enumerate(value)]
-        expected = "an array"
-    elif isinstance(rule, EnumMeta):
-        members = {m.value: m for m in rule}
-        if isinstance(value, str) and value in members:
-            return members[value]
-        expected = "one of " + ", ".join(members)
-    elif isinstance(value, NUMBER if rule is float else rule) and (
-        isinstance(value, bool) == (rule is bool)
-    ):
-        return float(value) if rule is float else value
-    else:
-        expected = _RULE_NAMES[rule]
-    raise ValueError(f"{path} must be {expected}, got {value!r}")
-
-
 def inject(target: bytes | TriangleMesh, spec: FaultSpec):
     """Apply exactly the specified mutation; deterministic given the spec.
 
@@ -249,7 +192,7 @@ def inject(target: bytes | TriangleMesh, spec: FaultSpec):
     if spec.kind in _MESH_KINDS:
         if not isinstance(target, TriangleMesh):
             raise TypeError(f"{spec.kind.value} applies to a mesh, not bytes")
-        return TriangleMesh(_facets(_mesh_fault(_coords(target), spec)), target.source_encoding)
+        return TriangleMesh(facets_of(_mesh_fault(_coords(target), spec)), target.source_encoding)
 
     if spec.kind is FaultKind.DROP_PACKETS:
         raise ValueError("drop_packets is applied through the channel parameters, not inject()")
@@ -301,13 +244,6 @@ def _mesh_fault(coords, spec: FaultSpec) -> list[float]:
 def _coords(mesh: TriangleMesh) -> array:
     """Every coordinate of `mesh` as a double, 12 per facet in facet order."""
     return array("d", chain.from_iterable(chain.from_iterable(mesh.facets)))
-
-
-def _facets(coords) -> tuple[Facet, ...]:
-    """The facets of flat coordinates, 12 per facet."""
-    values = iter(coords)
-    vectors = map(Vec3, values, values, values)
-    return tuple(map(Facet, vectors, vectors, vectors, vectors))
 
 
 def _check_target_size(spec: FaultSpec, size: int) -> None:
@@ -468,7 +404,7 @@ class _CadIntake:
         # when every value is
         if not math.isfinite(sum(coords)):
             return DetectionStage.MESH_VALIDATION
-        mesh = TriangleMesh(_facets(coords), Encoding.BINARY)
+        mesh = TriangleMesh(facets_of(coords), Encoding.BINARY)
         return mesh if validate_mesh(mesh).is_clean() else DetectionStage.MESH_VALIDATION
 
     def build(self, cfg: PipelineConfig, mesh: TriangleMesh) -> Job | DetectionStage:

@@ -6,7 +6,8 @@ carries 32-bit floats on the wire (widened on parse, rounded on emit).
 
 Mesh records are tuples: `Vec3` and `Facet` are NamedTuples, so a facet
 flattens to its 12 floats by unpacking or concatenation (`n + a + b + c`),
-and the binary reader builds each facet straight from its unpacked record.
+and one builder, `facets_of`, turns flat coordinates back into facets: the
+binary reader feeds it each record's floats.
 
 A binary STL that differs from a known one in a few records need not be read
 or validated whole: `binary_delta` finds and reads only the records that
@@ -23,13 +24,15 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from operator import countOf
 from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
 BINARY_HEADER = b"amstpa-lab".ljust(80, b"\x00")
-_RECORD = struct.Struct("<12fH")
+# a binary STL record: 12 floats, then the attribute word, written 0 and not read
+_RECORD = struct.Struct("<12f2x")
 _COUNT = struct.Struct("<I")
 _VERTICES = struct.Struct("<9d")
 # validate_mesh's and MeshTally's default degenerate-facet area, mm^2
@@ -210,15 +213,15 @@ def parse_stl_binary(data: bytes) -> TriangleMesh:
             f"truncated or oversized binary STL: {count} facets declared, "
             f"expected {expected} bytes, got {len(data)}"
         )
-    return TriangleMesh(tuple(_facets(data[84:])), Encoding.BINARY)
+    floats = chain.from_iterable(_RECORD.iter_unpack(data[84:]))
+    return TriangleMesh(facets_of(floats), Encoding.BINARY)
 
 
-def _facets(records: bytes) -> list[Facet]:
-    """One facet per 50-byte binary STL record; the attribute word is dropped."""
-    return [
-        Facet(Vec3(nx, ny, nz), Vec3(ax, ay, az), Vec3(bx, by, bz), Vec3(cx, cy, cz))
-        for nx, ny, nz, ax, ay, az, bx, by, bz, cx, cy, cz, _ in _RECORD.iter_unpack(records)
-    ]
+def facets_of(coords) -> tuple[Facet, ...]:
+    """The facets of flat coordinates, 12 per facet: the normal, then three vertices."""
+    values = iter(coords)
+    vectors = map(tuple.__new__, repeat(Vec3), zip(values, values, values))
+    return tuple(map(tuple.__new__, repeat(Facet), zip(vectors, vectors, vectors, vectors)))
 
 
 def _opens_with_solid(data: bytes) -> bool:
@@ -270,7 +273,8 @@ def binary_delta(pristine: bytes, data: bytes) -> tuple[dict[int, Facet], bool] 
                 if data[at:at + size] != pristine[at:at + size]
             )
     moved = any(data[at + 12:at + 48] != pristine[at + 12:at + 48] for at in changed)
-    facets = _facets(b"".join(data[at:at + size] for at in changed))
+    records = b"".join(data[at:at + size] for at in changed)
+    facets = facets_of(chain.from_iterable(_RECORD.iter_unpack(records)))
     return {(at - 84) // size: f for at, f in zip(changed, facets)}, moved
 
 
@@ -288,7 +292,7 @@ def emit_stl_binary(mesh: TriangleMesh) -> bytes:
     out += _COUNT.pack(len(mesh.facets))
     for i, (n, a, b, c) in enumerate(mesh.facets):
         try:
-            out += _RECORD.pack(*n, *a, *b, *c, 0)
+            out += _RECORD.pack(*n, *a, *b, *c)
         except OverflowError:
             raise ValueError(f"facet {i} has a coordinate beyond 32-bit float range") from None
     return bytes(out)

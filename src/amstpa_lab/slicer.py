@@ -32,6 +32,9 @@ order as the per-step helpers they replace, which the tests keep as oracles,
 so every layer is byte-identical to theirs.  Sums run in explicit loops: from
 Python 3.12, sum() over floats compensates its rounding and would change the
 last bits of an area or a perimeter.
+
+A layers file, as `layers_to_dict` writes it, is read back by `jsondoc`
+against the table `LAYERS_KEYS`, like every JSON input of the lab.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 
+from .jsondoc import REQUIRED, read_doc
 from .mesh_io import TriangleMesh, require_finite
 
 log = logging.getLogger(__name__)
@@ -361,32 +365,27 @@ def layers_to_dict(layers: list[LayerPlan], layer_height: float) -> dict:
     }
 
 
-def _number(value, path: str) -> float:
-    """A JSON number read as a float; ValueError for a bool or a non-number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path} must be a number, got {value!r}")
-    return float(value)
+# every key of a layers file; layers_to_dict writes each one
+LAYERS_KEYS = {
+    "layer_height": (float, None),
+    "layers": ([{
+        "index": (int, REQUIRED),
+        "z": (float, REQUIRED),
+        "contours": ([{"closed": (bool, REQUIRED), "vertices": ([[float]], REQUIRED)}], REQUIRED),
+    }], REQUIRED),
+}
 
 
-def layers_from_dict(doc: dict) -> list[LayerPlan]:
-    """The layers of a `layers_to_dict` document, read by type, not coerced.
-
-    `index` must be a JSON integer, `z` and every coordinate a JSON number,
-    `closed` true or false; ValueError names the first field that is not.
-    """
+def layers_from_dict(doc) -> list[LayerPlan]:
+    """The layers of a `layers_to_dict` document, read by `LAYERS_KEYS`;
+    ValueError names the first value that is not what its key needs."""
     layers = []
-    for i, entry in enumerate(doc["layers"]):
-        index = entry["index"]
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise ValueError(f"layers.{i}.index must be an integer, got {index!r}")
+    for i, entry in enumerate(read_doc(doc, LAYERS_KEYS)["layers"]):
         contours = []
         for j, c in enumerate(entry["contours"]):
-            where = f"layers.{i}.contours.{j}"
-            if not isinstance(c["closed"], bool):
-                raise ValueError(f"{where}.closed must be true or false, got {c['closed']!r}")
-            at = where + ".vertices"
-            vertices = tuple((_number(x, at), _number(y, at)) for x, y in c["vertices"])
+            vertices = tuple(map(tuple, c["vertices"]))
+            if any(len(v) != 2 for v in vertices):
+                raise ValueError(f"layers.{i}.contours.{j}.vertices must hold [x, y] pairs")
             contours.append(Contour(vertices, c["closed"]))
-        z = _number(entry["z"], f"layers.{i}.z")
-        layers.append(LayerPlan(index=index, z=z, contours=tuple(contours)))
+        layers.append(LayerPlan(index=entry["index"], z=entry["z"], contours=tuple(contours)))
     return layers

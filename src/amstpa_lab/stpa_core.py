@@ -6,16 +6,20 @@ every component and every path: control paths take the real-time control
 set, feedback paths the sensor set, and resource paths (and all components)
 the non-real-time set.  Candidates cross-link into a 25-entry mitigation
 catalog through a documented rule table.
+
+A model file is read by `jsondoc` against the table `MODEL_KEYS`, like every
+JSON input of the lab; `load_model` then checks the rules that join entries:
+unique non-empty ids, and paths between two different components.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib.resources
-import json
-import math
 from dataclasses import dataclass
 from enum import Enum
+
+from .jsondoc import REQUIRED, loads, read_doc
 
 
 class ModelError(ValueError):
@@ -265,88 +269,53 @@ PATH_MITIGATIONS: dict[tuple[PathClass, int], tuple[int, ...]] = {
 # ---------------------------------------------------------------------------
 
 
-def _parse_enum(cls, raw, what: str, where: str):
-    try:
-        return cls(raw)
-    except ValueError:
-        valid = ", ".join(sorted(e.value for e in cls))
-        raise ModelError(f"{where}: unknown {what} {raw!r} (expected one of: {valid})") from None
-
-
-def _entries(doc: dict, key: str, what: str):
-    """Yield (where, id, raw) for each entry of the list doc[key]: an object
-    whose id is a non-empty string not seen before in that list."""
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        raise ModelError(f"model {key!r} must be a list")
-    seen: set[str] = set()
-    for i, raw in enumerate(entries):
-        where = f"{key}[{i}]"
-        if not isinstance(raw, dict):
-            raise ModelError(f"{where}: must be an object")
-        eid = raw.get("id")
-        if not isinstance(eid, str) or not eid:
-            raise ModelError(f"{where}: {what} id must be a non-empty string")
-        if eid in seen:
-            raise ModelError(f"{where}: duplicate {what} id {eid!r}")
-        seen.add(eid)
-        yield where, eid, raw
-
-
-def finite_float(text: str) -> float:
-    """A JSON number as a float, refusing NaN, Infinity and numbers past the double range."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
+# every key of a model file; each entry's keys are its dataclass's fields
+MODEL_KEYS = {
+    "name": (str, REQUIRED),
+    "components": ([{"id": (str, REQUIRED), "name": (str, REQUIRED),
+                     "kind": (ComponentKind, REQUIRED), "subsystem": (Subsystem, REQUIRED)}], []),
+    "paths": ([{"id": (str, REQUIRED), "source": (str, REQUIRED), "target": (str, REQUIRED),
+                "kind": (PathKind, REQUIRED), "label": (str, REQUIRED)}], []),
+}
 
 
 def load_model(text: bytes) -> ControlStructure:
     """Load and validate a JSON control-structure model.
 
-    Syntax errors report the JSON line/column; structural errors report the
-    offending id and its position in the file.  Like every JSON the CLI
-    reads, the model holds no NaN or Infinity.
+    Syntax errors report the JSON line/column, a value of the wrong type its
+    dotted path (`model.components.2.kind`), and a broken rule that joins
+    entries the entry and its position.
     """
     try:
-        doc = json.loads(text.decode("utf-8"), parse_float=finite_float, parse_constant=finite_float)
+        raw = loads(text)
     except UnicodeDecodeError as exc:
         raise ModelError(f"model file is not UTF-8: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # bad syntax, nesting or number
+    except ValueError as exc:  # bad syntax, nesting or number
         raise ModelError(f"model file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ModelError("model file must be a JSON object")
-    name = doc.get("name")
-    if not isinstance(name, str):
-        raise ModelError("model 'name' must be a string")
-
-    components = []
-    for where, cid, raw in _entries(doc, "components", "component"):
-        cname = raw.get("name")
-        if not isinstance(cname, str):
-            raise ModelError(f"{where} (id={cid!r}): 'name' must be a string")
-        kind = _parse_enum(ComponentKind, raw.get("kind"), "component kind", f"{where} (id={cid!r})")
-        subsystem = _parse_enum(Subsystem, raw.get("subsystem"), "subsystem", f"{where} (id={cid!r})")
-        components.append(Component(cid, cname, kind, subsystem))
+    try:
+        doc = read_doc(raw, MODEL_KEYS, "model.")
+    except ValueError as exc:
+        raise ModelError(str(exc)) from None
+    components = tuple(Component(**c) for c in doc["components"])
+    paths = tuple(Path(**p) for p in doc["paths"])
+    for key, entries in (("components", components), ("paths", paths)):
+        seen: set[str] = set()
+        for i, entry in enumerate(entries):
+            if not entry.id:
+                raise ModelError(f"{key}[{i}]: {key[:-1]} id must be a non-empty string")
+            if entry.id in seen:
+                raise ModelError(f"{key}[{i}]: duplicate {key[:-1]} id {entry.id!r}")
+            seen.add(entry.id)
 
     component_ids = {c.id for c in components}
-    paths = []
-    for where, pid, raw in _entries(doc, "paths", "path"):
-        kind = _parse_enum(PathKind, raw.get("kind"), "path kind", f"{where} (id={pid!r})")
-        label = raw.get("label")
-        if not isinstance(label, str):
-            raise ModelError(f"{where} (id={pid!r}): 'label' must be a string")
-        source, target = raw.get("source"), raw.get("target")
-        for endpoint, role in ((source, "source"), (target, "target")):
-            if not isinstance(endpoint, str) or endpoint not in component_ids:
-                raise ModelError(
-                    f"{where} (id={pid!r}): {role} {endpoint!r} does not name a component"
-                )
-        if source == target:
-            raise ModelError(f"{where} (id={pid!r}): self-loop paths are not allowed")
-        paths.append(Path(pid, source, target, kind, label))
-
-    return ControlStructure(name, tuple(components), tuple(paths))
+    for i, path in enumerate(paths):
+        where = f"paths[{i}] (id={path.id!r})"
+        for endpoint, role in ((path.source, "source"), (path.target, "target")):
+            if endpoint not in component_ids:
+                raise ModelError(f"{where}: {role} {endpoint!r} does not name a component")
+        if path.source == path.target:
+            raise ModelError(f"{where}: self-loop paths are not allowed")
+    return ControlStructure(doc["name"], components, paths)
 
 
 @functools.cache

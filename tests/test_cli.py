@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.resources
 import io
 import json
 import math
@@ -617,6 +618,50 @@ def test_unknown_key_is_named_on_stderr_and_changes_no_output(tmp_path):
     assert misspelled[:2] == plain[:2]
     assert plain[2] == ""
     assert misspelled[2] == "ignoring unknown key chanel\n" * 2
+
+
+def _amstpa(*argv):
+    """(exit code, stdout bytes, stderr) of the CLI in a fresh process, where
+    its warnings reach stderr."""
+    run = subprocess.run([sys.executable, "-m", "amstpa_lab", *map(str, argv)],
+                         capture_output=True)
+    return run.returncode, run.stdout, run.stderr.decode()
+
+
+def test_stpa_and_slice_then_plan_write_nothing_to_stderr(tmp_path, cube_file):
+    assert _amstpa("stpa", "--builtin-am", "--out", "-")[::2] == (0, "")
+    layers = tmp_path / "layers.json"
+    assert _amstpa("slice", cube_file, "--layer-height", "0.25", "--out", layers) == (0, b"", "")
+    code, out, err = _amstpa("gcode", "plan", layers)
+    assert (code, err) == (0, "") and out.endswith(b"M2\n")
+
+
+def test_unknown_model_key_is_named_on_stderr_and_changes_no_output(tmp_path):
+    bundled = importlib.resources.files("amstpa_lab") / "data" / "am_reference_model.json"
+    doc = json.loads(bundled.read_bytes())
+    doc["notes"] = "draft"
+    doc["paths"][3]["notes"] = "check the label"
+    model = tmp_path / "notes.json"
+    model.write_text(json.dumps(doc))
+    plain_code, plain_out, plain_err = _amstpa("stpa", "--model", bundled, "--out", "-")
+    code, out, err = _amstpa("stpa", "--model", model, "--out", "-")
+    assert plain_code == code == 0 and out == plain_out
+    assert plain_err == ""
+    assert err == "ignoring unknown key model.notes\nignoring unknown key model.paths.3.notes\n"
+
+
+def test_unknown_layers_key_is_named_on_stderr_and_changes_no_output(tmp_path):
+    plain, extra = tmp_path / "plain.json", tmp_path / "extra.json"
+    plain.write_text(json.dumps(LAYERS_DOC))
+    doc = _layers_with(("units",), "mm")
+    doc["layers"][0]["contours"][0]["colour"] = "red"
+    extra.write_text(json.dumps(doc))
+    plain_code, plain_out, plain_err = _amstpa("gcode", "plan", plain)
+    code, out, err = _amstpa("gcode", "plan", extra)
+    assert plain_code == code == 0 and out == plain_out != b""
+    assert plain_err == ""
+    assert err == ("ignoring unknown key units\n"
+                   "ignoring unknown key layers.0.contours.0.colour\n")
 
 
 def test_after_cad_faults_on_an_invalid_base_mesh_exit_2(tmp_path, capsys, cube):

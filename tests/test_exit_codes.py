@@ -23,8 +23,11 @@ from hypothesis import strategies as st
 
 from amstpa_lab import shapes
 from amstpa_lab.cli import main
-from amstpa_lab.faultlab import CAMPAIGN_KEYS, FAULT_FIELDS, NUMBER, MitigationEvidence
+from amstpa_lab.faultlab import CAMPAIGN_KEYS, FAULT_FIELDS, MitigationEvidence
+from amstpa_lab.jsondoc import NUMBER
 from amstpa_lab.mesh_io import Vec3, emit_stl_ascii, emit_stl_binary
+from amstpa_lab.slicer import LAYERS_KEYS
+from amstpa_lab.stpa_core import MODEL_KEYS
 
 CUBE_STL = emit_stl_binary(shapes.box())
 CUBE_ASCII = emit_stl_ascii(shapes.box())
@@ -242,6 +245,48 @@ def test_each_table_entry_refuses_a_wrong_type(base, at, path, rule, default, da
     assert code == 2, (doc, err)
     assert err.startswith("error: bad campaign config: ") and "Traceback" not in err, err
     assert ".".join(map(str, at + (path,))) in err, err
+
+
+def file_entries(table: dict, at: tuple = ()):
+    """(key path, rule, default) for every key of a file's table, through
+    nested tables and the first object of each array of tables."""
+    for key, (rule, default) in table.items():
+        yield at + (key,), rule, default
+        if isinstance(rule, dict):
+            yield from file_entries(rule, at + (key,))
+        elif isinstance(rule, list) and isinstance(rule[0], dict):
+            yield from file_entries(rule[0], at + (key, 0))
+
+
+LAYERS_BASE = {"layer_height": 0.5, "layers": [{"index": 0, "z": 0.25, "contours": [
+    {"closed": True, "vertices": [[0, 0], [1, 0], [0, 1]]}]}]}
+MODEL_BASE = {
+    "name": "m",
+    "components": [{"id": "a", "name": "A", "kind": "Printer", "subsystem": "Printing"},
+                   {"id": "b", "name": "B", "kind": "Display", "subsystem": "Printing"}],
+    "paths": [{"id": "p", "source": "a", "target": "b", "kind": "Feedback", "label": "status"}],
+}
+FILE_ENTRIES = [
+    pytest.param(argv, base, at, rule, default, id=f"{argv[0]}:{'.'.join(map(str, at))}")
+    for argv, base, table in ((["gcode", "plan"], LAYERS_BASE, LAYERS_KEYS),
+                              (["stpa", "--model"], MODEL_BASE, MODEL_KEYS))
+    for at, rule, default in file_entries(table)
+]
+
+
+@pytest.mark.parametrize("argv, base, at, rule, default", FILE_ENTRIES)
+def test_each_file_table_entry_refuses_a_wrong_type(argv, base, at, rule, default):
+    with tempfile.TemporaryDirectory() as d:
+        assert run([*argv, _write(d, "base.json", base)])[0] == 0
+        for value in wrong_typed(rule, default):
+            doc = json.loads(json.dumps(base))
+            block = doc
+            for key in at[:-1]:
+                block = block[key]
+            block[at[-1]] = value
+            code, err = run([*argv, _write(d, "input.json", doc)])
+            assert code == 2 and "Traceback" not in err, (doc, err)
+            assert ".".join(map(str, at)) in err, err
 
 
 # ---------------------------------------------------------------------------

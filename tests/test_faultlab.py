@@ -28,11 +28,11 @@ from amstpa_lab.faultlab import (
     bit_flip_specs,
     build_job,
     inject,
-    read_doc,
     run_campaign,
     run_demo_campaign,
 )
 from amstpa_lab.gcode import ToolpathParams, _first_diff, fold, resume, scan
+from amstpa_lab.jsondoc import read_doc
 from amstpa_lab.mesh_io import (
     Encoding,
     Facet,
@@ -174,7 +174,7 @@ class TestConfigReader:
             "toolpath": {"travel_rate": 3000},
             "faults": [{"kind": "bit_flip", "stage": "in_transit", "ofset": 3}],
         }
-        with caplog.at_level("WARNING", logger="amstpa_lab.faultlab"):
+        with caplog.at_level("WARNING", logger="amstpa_lab.jsondoc"):
             read_doc(doc, CAMPAIGN_KEYS)
         assert [r.getMessage() for r in caplog.records] == [
             "ignoring unknown key chanel",

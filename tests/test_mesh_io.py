@@ -20,6 +20,7 @@ from amstpa_lab.mesh_io import (
     binary_delta,
     emit_stl_ascii,
     emit_stl_binary,
+    facets_of,
     parse_stl,
     parse_stl_ascii,
     parse_stl_binary,
@@ -591,3 +592,8 @@ class TestMeshRecords:
         assert again.facets == cube.facets
         assert [hash(f) for f in again.facets] == [hash(f) for f in cube.facets]
         assert len(set(cube.facets) | set(again.facets)) == 12
+
+    def test_facets_of_flat_coordinates(self, cube):
+        facets = facets_of([x for f in cube.facets for v in f for x in v])
+        assert facets == cube.facets
+        assert all(type(f) is Facet and all(type(v) is Vec3 for v in f) for f in facets)

@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -198,7 +199,7 @@ class TestLoadModel:
     @pytest.mark.parametrize("key", ["components", "paths"])
     @pytest.mark.parametrize("value", [None, 3, "ab", {"id": "a"}])
     def test_components_and_paths_must_be_lists(self, key, value):
-        with pytest.raises(ModelError, match=f"model '{key}' must be a list"):
+        with pytest.raises(ModelError, match=re.escape(f"model.{key} must be an array, got {value!r}")):
             load_model(json.dumps({"name": "m", key: value}).encode())
 
 
