@@ -233,6 +233,8 @@ def _cmd_gcode(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.no_envelope and args.ecc:
+        raise CliError("--ecc adds check bytes to the envelope: drop --no-envelope or --ecc")
     mesh = _load_finite_mesh(args.mesh)
     try:
         cfg = PipelineConfig(
@@ -265,7 +267,7 @@ def _cmd_simulate(args) -> int:
     doc = {
         "mesh": args.mesh,
         "layers": len(job.layers),
-        "program_commands": len(job.program.commands),
+        "program_commands": len(job.reading.commands),
         "planned_extrusion_mm": job.reading.extruded_mm,
         "payload_bytes": len(job.sent),
         "mode": cfg.mode.value,
@@ -289,6 +291,8 @@ def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int |
     """
     try:
         c = read_doc(doc, CAMPAIGN_KEYS)
+        if c["ecc"] and not c["envelope"]:
+            raise ValueError("'ecc' adds check bytes to the envelope: it needs 'envelope': true")
         cfg = PipelineConfig(
             slice_params=SliceParams(**c["slice"]),
             toolpath=ToolpathParams(**c["toolpath"]),

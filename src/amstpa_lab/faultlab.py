@@ -7,14 +7,15 @@ the integrity check, and a trial that completes with geometry matching the
 intent counts as Undetected (whether the fault was harmless or missed).
 
 `build_job` is the one rule that turns a mesh into the job sent (slice,
-plan, emit, then wrap unless the envelope is off, and the text's reading);
-`simulate`, the pristine job and every after-CAD trial go through it.  A
-trial hands the printer the job whose layers its damage is blamed on: an
-after-slice trial's is its own faulted text.  Every campaign runs through
-one trial loop, `_trials`, over a pristine job prepared once, and `_tally`
-folds its trials into a CampaignResult.  The demonstration campaign prepares
-one pristine job and hands the loop three passes over it: full-image and
-streaming policies, then raw text without the envelope.  A fault spec is
+plan, emit, read, then wrap unless the envelope is off, declaring the
+reading's command count); `simulate`, the pristine job and every after-CAD
+trial go through it.  A trial hands the printer the job whose reading its
+damage is blamed on: an after-slice trial's is its own faulted text, read
+from the pristine reading.  Every campaign runs through one trial loop,
+`_trials`, over a pristine job prepared once, and `_tally` folds its trials
+into a CampaignResult.  The demonstration campaign prepares one pristine job
+and hands the loop three passes over it: full-image and streaming policies,
+then raw text without the envelope.  A fault spec is
 checked whole when it is built: its kind against its stage, and every
 parameter that needs no target.  An explicit offset or length is checked
 against its pristine target once the pristine job exists, before any trial
@@ -53,7 +54,7 @@ from enum import Enum
 from itertools import chain
 from time import perf_counter
 
-from .gcode import ToolpathParams, count_records, emit_text, plan_toolpath, read_program, resume
+from .gcode import Reading, ToolpathParams, emit_text, plan_toolpath, read_program, resume
 from .integrity import wrap
 from .jsondoc import NUMBER, REQUIRED, read_doc, read_value
 from .mesh_io import (
@@ -327,13 +328,14 @@ def build_job(cfg: PipelineConfig, mesh: TriangleMesh) -> Job:
     layers = slice_mesh(mesh, cfg.slice_params)
     program = plan_toolpath(layers, cfg.toolpath)
     text = emit_text(program)
-    return Job(layers, program, text, _wrap_stage(cfg, text), read_program(program, text))
+    reading = read_program(program, text)
+    return Job(layers, text, _wrap_stage(cfg, text, reading), reading)
 
 
-def _wrap_stage(cfg: PipelineConfig, text: bytes) -> bytes:
+def _wrap_stage(cfg: PipelineConfig, text: bytes, reading: Reading) -> bytes:
     if not cfg.enveloped:
         return text
-    return wrap(text, count_records(text), with_ecc=cfg.ecc)
+    return wrap(text, len(reading.commands), with_ecc=cfg.ecc)
 
 
 def _read(stl: bytes) -> TriangleMesh | DetectionStage:
@@ -481,8 +483,8 @@ def _run_trial(
                 return job, None, None
     elif spec.stage is FaultStage.AFTER_SLICE:
         text = inject(job.text, spec)
-        job = replace(job, text=text, sent=_wrap_stage(cfg, text),
-                      reading=resume(job.reading, job.text, text))
+        reading = resume(job.reading, job.text, text)
+        job = replace(job, text=text, sent=_wrap_stage(cfg, text, reading), reading=reading)
     elif spec.kind is FaultKind.DROP_PACKETS:  # in transit, through the channel
         channel = replace(channel, loss_prob=spec.loss_prob)
     else:  # an in-transit byte fault, sent in place of the job's bytes

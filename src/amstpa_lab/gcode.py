@@ -11,8 +11,9 @@ line as LF, CR and CRLF do.  `;` starts a comment that runs to the end of
 its line.  A record is a line that still holds code once its comment and
 surrounding whitespace are removed; each record is one command.  `scan`
 applies the line rule and parses each line, and `fold` applies the layer
-rule and checks the program invariants in the same pass; `count_records`
-and `read_program` are views over the two.
+rule and checks the program invariants in the same pass, stopping at the
+first bad line; `read_program` is a view over the two.  A sender reads its
+text once: an envelope declares that reading's command count.
 
 At the start of each layer `fold` records its whole state as a
 `Checkpoint` on the `Reading`: the golden-run snapshots of fault-injection
@@ -230,17 +231,6 @@ _CANONICAL_G1 = re.compile(rf"G1 X{_NUMBER} Y{_NUMBER} E{_NUMBER} F{_NUMBER}\n?"
 _CANONICAL_G0 = re.compile(rf"G0 X{_NUMBER} Y{_NUMBER} Z{_NUMBER}\n?")
 
 
-def _split(data: bytes) -> tuple[list[str], bool]:
-    """The dialect's one line rule: the lines of `data`, ends kept, and
-    whether the text is ASCII (so a line's length is its byte length).
-
-    Bytes that are not UTF-8 are kept as surrogate escapes, so offsets stay
-    exact on damaged text.
-    """
-    text = data.decode("utf-8", "surrogateescape")
-    return text.splitlines(keepends=True), text.isascii()
-
-
 def _utf8_error(data: bytes) -> UnicodeDecodeError | None:
     """Why `data` is not UTF-8 text, or None when it is."""
     if not data.isascii():
@@ -265,10 +255,13 @@ def scan(data: bytes, offset: int = 0, first_line: int = 1) -> Iterator[Line]:
     """
     if (exc := _utf8_error(data)) is not None:
         yield offset, offset, GCodeError(f"not valid UTF-8 text: {exc}")
-    lines, ascii_text = _split(data)
+    # bytes that are not UTF-8 are kept as surrogate escapes, so offsets stay
+    # exact on damaged text; on ASCII text a line's length is its byte length
+    text = data.decode("utf-8", "surrogateescape")
+    ascii_text = text.isascii()
     g1, g0 = _CANONICAL_G1.fullmatch, _CANONICAL_G0.fullmatch
     start = offset
-    for line_no, line in enumerate(lines, first_line):
+    for line_no, line in enumerate(text.splitlines(keepends=True), first_line):
         end = start + (len(line) if ascii_text else len(line.encode("utf-8", "surrogateescape")))
         if m := g1(line):
             x, y, e, f = m.groups()
@@ -339,13 +332,14 @@ def _command_error(i: int, cmd: RapidMove | LinearMove) -> GCodeError:
     return GCodeError(f"command {i}: extrusion decreased")
 
 
-def fold(lines: Iterable[Line], tolerant: bool = False) -> Reading:
+def fold(lines: Iterable[Line]) -> Reading:
     """Fold scanned lines into commands, print layers and path totals.
 
     A move command that changes the current z starts a new layer; extruding
     distance before the first z change (the planner emits none) counts in
-    the path totals but in no layer.  A strict fold stops at the first bad
-    line, keeping what came before it; a tolerant fold skips bad lines.
+    the path totals but in no layer.  The fold stops at the first bad line,
+    keeping what came before it: a streaming printer cannot print past a
+    line it cannot parse.
 
     The same pass checks the program invariants over the commands it keeps:
     the G21, G90, G28 prologue, one M2 and only at the end, finite move
@@ -353,12 +347,11 @@ def fold(lines: Iterable[Line], tolerant: bool = False) -> Reading:
     first one broken is `Reading.invalid`.  Each layer start records the
     fold's state before its line in `Reading.checkpoints`.
     """
-    return _fold(lines, tolerant, _NOTHING, _START)
+    return _fold(lines, _NOTHING, _START)
 
 
 def _fold(
     lines: Iterable[Line],
-    tolerant: bool,
     prior: Reading,
     origin: Checkpoint,
     shift: int = 0,
@@ -393,10 +386,6 @@ def _fold(
             skipped += 1
             continue
         elif isinstance(cmd, GCodeError):
-            if tolerant:
-                if cmd.line is not None:  # a line, not the zero-width UTF-8 error
-                    skipped += 1
-                continue
             error = cmd
             break
         else:
@@ -538,15 +527,14 @@ def _common_suffix(a: bytes, b: bytes) -> int:
     return lo
 
 
-def resume(reading: Reading, text: bytes, payload: bytes, tolerant: bool = False) -> Reading:
-    """`fold(scan(payload), tolerant)`, for `reading == fold(scan(text))`.
+def resume(reading: Reading, text: bytes, payload: bytes) -> Reading:
+    """`fold(scan(payload))`, for `reading == fold(scan(text))`.
 
     An equal payload is `reading` itself.  Any other is read from the last
     checkpoint strictly before its first differing byte (a byte at the
-    checkpoint could join the line before it, as LF joins CR), or, for a
-    tolerant read of `text` itself, from the last checkpoint of a reading
-    that stopped at a bad line.  A tail that is not UTF-8 is read from byte
-    0, since `scan` rejects the whole payload at offset 0.
+    checkpoint could join the line before it, as LF joins CR).  A tail that
+    is not UTF-8 is read from byte 0, since `scan` rejects the whole payload
+    at offset 0.
 
     When `reading` is a valid program, the fold stops at the first layer
     start where the rest of the payload equals the rest of `text` and the
@@ -555,9 +543,7 @@ def resume(reading: Reading, text: bytes, payload: bytes, tolerant: bool = False
     """
     diff = _first_diff(text, payload)
     if diff is None:
-        if reading.error is None or not tolerant:
-            return reading
-        diff = len(text)  # every checkpoint lies before the bad line
+        return reading
     k = bisect_left(reading.checkpoints, (diff,))
     origin = reading.checkpoints[k - 1] if k else _START
     tail = payload[origin.offset:]
@@ -566,7 +552,7 @@ def resume(reading: Reading, text: bytes, payload: bytes, tolerant: bool = False
     same_from = math.inf
     if reading.error is None and reading.invalid is None:
         same_from = len(payload) - _common_suffix(text, payload)
-    return _fold(scan(tail, origin.offset, origin.line), tolerant, reading, origin,
+    return _fold(scan(tail, origin.offset, origin.line), reading, origin,
                  len(payload) - len(text), same_from)
 
 
@@ -587,21 +573,6 @@ def read_program(prog: GCodeProgram, text: bytes) -> Reading:
     command, so the commands are folded at the line offsets of `text`."""
     ends = list(accumulate(map(len, text.splitlines(keepends=True))))
     return fold(zip(chain((0,), ends), ends, prog.commands))
-
-
-def count_records(text: bytes) -> int:
-    """Record count: lines that hold code, whether or not it parses.
-
-    These are the lines, under the same line rule, whose `scan` item is not
-    None: their first character that is not whitespace is not `;`.
-
-    For well-formed dialect text this equals the parsed command count; it is
-    the record definition used when wrapping toolpaths in an integrity
-    envelope, so the printer can cross-check the declared count.
-    """
-    lines, _ = _split(text)
-    stripped = list(map(str.lstrip, lines))
-    return len(stripped) - stripped.count("") - sum(s.startswith(";") for s in stripped)
 
 
 def intended_perimeters(layers: list[LayerPlan]) -> list[float]:

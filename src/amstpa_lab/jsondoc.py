@@ -9,7 +9,9 @@ str; an Enum, a string naming a member, read as the member; a table, an
 object read by it; [rule], an array of values read by that rule.  No number
 rule takes a bool.  An error names the value by its dotted path: an object
 in an array by its index (`faults.3.kind`), any other item by the array's
-path (`layers.0.contours.0.vertices`).
+path (`layers.0.contours.0.vertices`).  An array of scalars, or of arrays of
+scalars, is type-checked in one pass; only an array that fails it is read
+item by item, to name its first bad value.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import logging
 import math
 from enum import EnumMeta
+from itertools import chain
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +80,8 @@ def read_value(value, rule, path: str):
             (item,) = rule
             if type(item) is dict:
                 return [read_doc(v, item, f"{path}.{i}.") for i, v in enumerate(value)]
-            return [read_value(v, item, path) for v in value]
+            read = _read_scalars(value, item)
+            return [read_value(v, item, path) for v in value] if read is None else read
         expected = "an array"
     elif kind is EnumMeta:
         members = {m.value: m for m in rule}
@@ -89,3 +93,21 @@ def read_value(value, rule, path: str):
         if type(value) in types:
             return float(value) if rule is float else value
     raise ValueError(f"{path} must be {expected}, got {value!r}")
+
+
+def _read_scalars(values: list, item):
+    """`values` read by the array rule [item] in one pass over their types,
+    when `item` is a scalar rule or an array rule over one; None when it is
+    neither, or when some value breaks it."""
+    rows = type(item) is list
+    scalar = item[0] if rows else item
+    if type(scalar) in (dict, list) or scalar not in _SCALARS:
+        return None
+    if rows and not set(map(type, values)) <= {list}:
+        return None
+    seen = set(map(type, chain.from_iterable(values) if rows else values))
+    if not seen <= set(_SCALARS[scalar][0]):
+        return None
+    if scalar is float and int in seen:
+        return [list(map(float, row)) for row in values] if rows else list(map(float, values))
+    return values  # every value already is what the rule reads it as

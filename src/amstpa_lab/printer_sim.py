@@ -8,10 +8,10 @@ Two buffering policies contrast the receive-then-print discipline:
   only be checked at end-of-stream, so damage discovered late scraps a
   partially printed part.
 
-Streaming damage is attributed to the layer containing the first corrupted
-byte (prologue bytes count toward the first layer, trailer bytes toward the
-last); this deliberately simple model makes the reject-early vs scrap-late
-contrast measurable.
+Streaming damage is attributed to the layer of the sender's strict reading
+that holds the first corrupted byte (prologue bytes count toward the first
+layer, trailer bytes toward the last); this deliberately simple model makes
+the reject-early vs scrap-late contrast measurable.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import integrity
-from .gcode import GCodeProgram, Layer, Reading, _first_diff, intended_perimeters, resume
+from .gcode import Layer, Reading, _first_diff, intended_perimeters, resume
 from .netsim import ChannelParams, TransferMode, transfer
 from .slicer import LayerPlan
 
@@ -96,7 +96,6 @@ class JobOutcome:
 @dataclass(frozen=True)
 class Job:
     layers: list[LayerPlan]
-    program: GCodeProgram
     text: bytes
     sent: bytes  # wrapped envelope, or raw text when not enveloped
     reading: Reading  # fold(scan(text)), the sender's reading of its own text
@@ -150,8 +149,9 @@ def run_job(
 
     The sender transmits `sent`, which defaults to `job.sent` (an AMI1
     envelope over `job.text` unless enveloped=False, in which case the raw
-    text).  Stream damage is attributed to a layer of `job.reading`, the
-    sender's reading of its text.  Every delivered payload is read as
+    text).  Stream damage is blamed on the layers of `job.reading`, the
+    sender's strict reading of its text, which stops at its first bad line.
+    Every delivered payload is read as
     `resume(job.reading, job.text, payload)`: an intact one takes that
     reading as its own, and a damaged one is read from the last layer
     checkpoint before its first differing byte, stopping at its first bad
@@ -167,7 +167,7 @@ def run_job(
         if streaming:
             # a layer counts as printed once its last move line has fully arrived
             arrived = tr.down_at - header_size
-            printed = tuple(lay for lay in _sent_layers(job) if lay.end_offset <= arrived)
+            printed = tuple(lay for lay in job.reading.layers if lay.end_offset <= arrived)
         return _stopped(FailReason.CHANNEL_DOWN, tr.elapsed_ms, layer_time, printed)
 
     delivered = tr.delivered
@@ -184,7 +184,7 @@ def run_job(
             if not streaming:
                 return _stopped(FailReason.INTEGRITY_FAILURE, tr.elapsed_ms, layer_time)
             # checkable only at end-of-stream: scrap at the damaged layer
-            sent_layers = _sent_layers(job)
+            sent_layers = job.reading.layers
             diff = _first_diff(delivered, job.sent)
             if diff is None or not (0 <= diff - header_size < len(job.text)):
                 # header/ECC-tail damage or sender-side bad envelope: the
@@ -216,14 +216,8 @@ def run_job(
                             corrected=corrected)
         # only checkable at end-of-stream: the whole part ran
         return _result(JobStatus.SCRAPPED_MID_PRINT, FailReason.INTEGRITY_FAILURE,
-                       tr.elapsed_ms, layer_time, _sent_layers(job), corrected)
+                       tr.elapsed_ms, layer_time, job.reading.layers, corrected)
     return _result(JobStatus.COMPLETED, None, tr.elapsed_ms, layer_time, reading.layers, corrected)
-
-
-def _sent_layers(job: Job) -> tuple[Layer, ...]:
-    """The layers of `job.text`, read tolerantly from the last checkpoint
-    before its bad line if its reading stopped at one."""
-    return resume(job.reading, job.text, job.text, tolerant=True).layers
 
 
 @dataclass(frozen=True)

@@ -384,7 +384,7 @@ def layers_from_dict(doc) -> list[LayerPlan]:
         contours = []
         for j, c in enumerate(entry["contours"]):
             vertices = tuple(map(tuple, c["vertices"]))
-            if any(len(v) != 2 for v in vertices):
+            if not set(map(len, vertices)) <= {2}:
                 raise ValueError(f"layers.{i}.contours.{j}.vertices must hold [x, y] pairs")
             contours.append(Contour(vertices, c["closed"]))
         layers.append(LayerPlan(index=entry["index"], z=entry["z"], contours=tuple(contours)))

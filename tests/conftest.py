@@ -45,8 +45,7 @@ def cube_wrapped(cube_program, cube_text):
 
 @pytest.fixture(scope="session")
 def cube_job(cube_layers, cube_program, cube_text, cube_wrapped):
-    return Job(cube_layers, cube_program, cube_text, cube_wrapped,
-               read_program(cube_program, cube_text))
+    return Job(cube_layers, cube_text, cube_wrapped, read_program(cube_program, cube_text))
 
 
 @pytest.fixture(scope="session")

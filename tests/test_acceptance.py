@@ -272,7 +272,7 @@ def test_criterion_8_semantic_fault_visibility():
         program = plan_toolpath(layers, cfg.toolpath)
         text = emit_text(program)
         wrapped = wrap(text, len(program.commands))
-        job = Job(layers, program, text, wrapped, read_program(program, text))
+        job = Job(layers, text, wrapped, read_program(program, text))
         outcome, trace = run_job(
             job, cfg.printer, cfg.channel, cfg.mode, packet_size=cfg.packet_size
         )

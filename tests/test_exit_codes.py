@@ -348,6 +348,22 @@ def test_simulate_argv(data):
         assert_contract(argv + ["--out", _out(d, data.draw(OUT_PATHS))])
 
 
+@pytest.mark.parametrize("command", ["campaign", "simulate"])
+def test_ecc_without_the_envelope_exits_2(command):
+    # check bytes ride in the envelope: without it, ecc would have no effect
+    with tempfile.TemporaryDirectory() as d:
+        if command == "campaign":
+            doc = {"mesh": {"builtin": "cube"}, "envelope": False, "ecc": True,
+                   "generate": {"count": 1}}
+            argv = ["campaign", "--config", _write(d, "config.json", doc)]
+        else:
+            argv = ["simulate", "--mesh", _write(d, "mesh.stl", CUBE_STL), "--no-envelope", "--ecc"]
+        code, err = run(argv + ["--out", str(Path(d) / "out.json")])
+        assert code == 2, err
+        assert "ecc" in err and "envelope" in err
+        assert not (Path(d) / "out.json").exists()
+
+
 @st.composite
 def layer_docs(draw):
     vertex = st.one_of(st.lists(st.sampled_from([0.0, 1.0, 0.5, 1e200, "x"]), min_size=2,

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amstpa_lab import faultlab, gcode, printer_sim, shapes
+from amstpa_lab import faultlab, gcode, integrity, printer_sim, shapes
 from amstpa_lab.faultlab import (
     CAMPAIGN_KEYS,
     CampaignResult,
@@ -31,7 +32,7 @@ from amstpa_lab.faultlab import (
     run_campaign,
     run_demo_campaign,
 )
-from amstpa_lab.gcode import ToolpathParams, _first_diff, fold, resume, scan
+from amstpa_lab.gcode import GCodeError, ToolpathParams, _first_diff, fold, resume, scan
 from amstpa_lab.jsondoc import read_doc
 from amstpa_lab.mesh_io import (
     Encoding,
@@ -44,7 +45,7 @@ from amstpa_lab.mesh_io import (
     parse_stl,
     validate_mesh,
 )
-from amstpa_lab.netsim import MAX_RETRIES, ChannelParams, TransferMode, splitmix64_at
+from amstpa_lab.netsim import MAX_RETRIES, ChannelParams, TransferMode, splitmix64_at, transfer
 from amstpa_lab.printer_sim import (
     FailReason,
     JobStatus,
@@ -525,19 +526,21 @@ class TestTrialLoop:
 
     @pytest.mark.usefixtures("in_process")
     def test_demo_folds_its_reference_once(self, cube, monkeypatch):
-        # every streaming trial fails its integrity check and is blamed on
-        # the layers of the pristine job's reading, built with the job, so
-        # no trial folds a reference tolerantly
-        calls = []
+        # the pristine job's reading is folded once, with the job; every
+        # streaming trial fails its integrity check and is blamed on that
+        # reading's layers without a fold, so every other fold reads one
+        # damaged payload of the raw pass
+        priors = []
 
-        def counting_fold(lines, tolerant, *args, _fold=gcode._fold):
-            calls.append(tolerant)
-            return _fold(lines, tolerant, *args)
+        def counting_fold(lines, prior, *args, _fold=gcode._fold):
+            priors.append(prior)
+            return _fold(lines, prior, *args)
 
         monkeypatch.setattr(gcode, "_fold", counting_fold)
         demo = run_demo_campaign(pipeline(seed=42), cube, corruption_count=8)
         assert demo.evidence.streaming_scrapped == 8
-        assert calls.count(True) == 0
+        assert sum(prior is gcode._NOTHING for prior in priors) == 1
+        assert len(priors) == 1 + demo.evidence.raw_trials
 
     @pytest.mark.usefixtures("in_process")
     def test_demo_reads_damaged_raw_payloads_from_checkpoints(self, monkeypatch):
@@ -547,9 +550,9 @@ class TestTrialLoop:
         # rest from there is not UTF-8 (scan rejects such a payload whole)
         reads = []
 
-        def recording_resume(reading, text, payload, tolerant=False):
+        def recording_resume(reading, text, payload):
             reads.append((reading, text, payload, []))
-            return resume(reading, text, payload, tolerant)
+            return resume(reading, text, payload)
 
         def counting_scan(data, offset=0, first_line=1):
             reads[-1][3].append(offset)
@@ -588,6 +591,82 @@ class TestTrialLoop:
         assert len(jobs) == 50
         for job in jobs:  # repr tells errors, and -0.0 from 0.0, apart
             assert repr(job.reading) == repr(fold(scan(job.text)))
+            # the envelope declares the commands the sender read
+            assert integrity.verify(job.sent).record_count == len(job.reading.commands)
+
+
+def old_record_count(text: bytes) -> int:
+    """The count envelopes once declared: every line that holds code, whether
+    or not it parses."""
+    return sum(
+        1 for _, _, item in scan(text)
+        if item is not None and not (isinstance(item, GCodeError) and item.line is None)
+    )
+
+
+def old_blame_layers(text: bytes) -> tuple:
+    """The layers streaming damage was once blamed on: a fold that skips bad lines."""
+    return fold(line for line in scan(text) if not isinstance(line[2], GCodeError)).layers
+
+
+ONE_READING_CFGS = {
+    f"{policy.value}-loss{loss}": replace(pipeline(policy=policy, loss=loss),
+                                          mode=TransferMode.BEST_EFFORT, packet_size=64)
+    for policy in PrintPolicy for loss in (0.0, 0.2)
+}
+
+
+@functools.cache
+def cube_pristine(cfg: PipelineConfig):
+    return faultlab._prepare(cfg, shapes.box(), [])
+
+
+class TestOneReading:
+    """The sender's strict reading declares the record count and takes the
+    streaming blame.  The count and the blame it replaced, a count of lines
+    that hold code and the layers of a fold that skips bad lines, give every
+    after-slice trial the same detection stage."""
+
+    @pytest.mark.parametrize("name", list(ONE_READING_CFGS))
+    @given(
+        kind=st.sampled_from([FaultKind.BIT_FLIP, FaultKind.BYTE_SET, FaultKind.TRUNCATE]),
+        seed=st.integers(0, 2**64 - 1),
+        channel_seed=st.integers(0, 2**32),
+    )
+    def test_stage_unchanged_by_the_old_count_and_blame(self, name, kind, seed, channel_seed):
+        cfg = ONE_READING_CFGS[name]
+        spec = FaultSpec(kind, FaultStage.AFTER_SLICE, seed=seed)
+        args = (cfg, spec, cube_pristine(cfg), replace(cfg.channel, seed=channel_seed))
+        runs = []
+
+        def recording_run_job(job, *a, **kw):
+            outcome, trace = run_job(job, *a, **kw)
+            runs.append((job, kw["sent"], outcome, trace))
+            return outcome, trace
+
+        def old_count_wrap(cfg, text, reading):
+            return integrity.wrap(text, old_record_count(text), with_ecc=cfg.ecc)
+
+        def old_blame_resume(reading, text, payload):
+            return replace(resume(reading, text, payload), layers=old_blame_layers(payload))
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(faultlab, "run_job", recording_run_job)
+            stage = faultlab._run_trial(*args)[0]
+            for attr, old in (("_wrap_stage", old_count_wrap), ("resume", old_blame_resume)):
+                with pytest.MonkeyPatch.context() as m_old:
+                    m_old.setattr(faultlab, attr, old)
+                    assert faultlab._run_trial(*args)[0] is stage
+        for job, sent, outcome, trace in runs:
+            if job.reading.error is None:
+                assert integrity.verify(job.sent).record_count == len(job.reading.commands)
+            if outcome.reason is FailReason.INTEGRITY_FAILURE and outcome.layers_printed:
+                # a streaming scrap prints the layers of job.reading before
+                # the one that holds the first damaged byte
+                delivered = transfer(sent, args[3], cfg.mode, cfg.packet_size).delivered
+                at = _first_diff(delivered, sent) - integrity.HEADER_SIZE
+                layers = job.reading.layers
+                assert trace.layers == layers[:sum(lay.start_offset <= at for lay in layers[1:])]
 
 
 def _is_utf8(data: bytes) -> bool:

@@ -10,7 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amstpa_lab import gcode, mesh_io, shapes
@@ -28,7 +28,6 @@ from amstpa_lab.gcode import (
     Word,
     _emit_command,
     _parse_line,
-    count_records,
     emit_text,
     fold,
     intended_perimeters,
@@ -53,7 +52,7 @@ def program_layers(prog):
 
 
 def scan_text_layers(text):
-    return fold(scan(text), tolerant=True).layers
+    return fold(scan(text)).layers
 
 
 class TestPlan:
@@ -178,11 +177,13 @@ class TestTextFormat:
     def test_invalid_utf8_rejected_whole(self):
         with pytest.raises(GCodeError, match="not valid UTF-8"):
             raise fold(scan(b"G21\nG90\nG28\nM2 ; \xff\n")).error
-        assert count_records(b"G21\n; \xff\nG1 X\xfe\n") == 2
+        # so its reading holds no command, and an envelope declares none
+        assert fold(scan(b"G21\n; \xff\nG1 X\xfe\n")).commands == ()
 
     def test_count_records(self, cube_text, cube_program):
-        assert count_records(cube_text) == len(cube_program.commands)
-        assert count_records(b"; comment\n\nG21\n") == 1
+        # each record, a line that holds code, is one command of the reading
+        assert len(fold(scan(cube_text)).commands) == len(cube_program.commands)
+        assert fold(scan(b"; comment\n\nG21\n")).commands == (G21,)
 
 
 class TestProgramInvariants:
@@ -383,25 +384,36 @@ def damaged(draw, text, reading):
     return text[:at] + text[at + draw(st.integers(1, 3)):]
 
 
-def assert_resumes_as_folded(name, tolerant, data):
+def assert_resumes_as_folded(name, data):
     text, reading = pristine(name)
     payload = data.draw(damaged(text, reading))
-    assert bits(resume(reading, text, payload, tolerant)) == bits(fold(scan(payload), tolerant))
+    assert bits(resume(reading, text, payload)) == bits(fold(scan(payload)))
 
 
 class TestResume:
-    @pytest.mark.parametrize("tolerant", [False, True], ids=["strict", "tolerant"])
-    @pytest.mark.parametrize("name", ["cube", "cube-cr", "cube-commented", "ngon64", "sphere"])
+    @pytest.mark.parametrize("name", ["cube", "cube-cr", "cube-commented", "ngon64", "sphere"],
+                             ids=lambda name: f"{name}-strict")
     @given(data=st.data())
-    def test_reads_as_folded(self, name, tolerant, data):
-        assert_resumes_as_folded(name, tolerant, data)
+    def test_reads_as_folded(self, name, data):
+        assert_resumes_as_folded(name, data)
 
-    # 0.72 MB of text: a tolerant fold of it takes about 0.1 s
-    @pytest.mark.parametrize("tolerant", [False, True], ids=["strict", "tolerant"])
+    @pytest.mark.parametrize("name", ["cube", "ngon64"])
+    @given(data=st.data())
+    def test_reads_as_folded_from_a_damaged_text(self, name, data):
+        # an after-slice fault's text, whose reading may stop at a bad line,
+        # then damaged again on its way to the printer
+        text, reading = pristine(name)
+        sent = data.draw(damaged(text, reading))
+        sent_reading = resume(reading, text, sent)
+        assume(sent_reading.checkpoints)  # damage the sent text near a layer start, too
+        payload = data.draw(damaged(sent, sent_reading))
+        assert bits(resume(sent_reading, sent, payload)) == bits(fold(scan(payload)))
+
+    # 0.72 MB of text: a fold of it takes about 0.1 s
     @settings(max_examples=12)
     @given(data=st.data())
-    def test_reads_as_folded_on_ngon160_at_0_1_mm(self, tolerant, data):
-        assert_resumes_as_folded("ngon160-0.1mm", tolerant, data)
+    def test_reads_as_folded_on_ngon160_at_0_1_mm(self, data):
+        assert_resumes_as_folded("ngon160-0.1mm", data)
 
     @pytest.mark.parametrize("name", list(PRISTINES))
     def test_every_checkpoint_is_a_layer_start(self, name):
@@ -416,7 +428,13 @@ class TestResume:
     def test_equal_payload_is_the_reading(self):
         text, reading = pristine("ngon64")
         assert resume(reading, text, text) is reading
-        assert resume(reading, text, bytes(bytearray(text)), tolerant=True) is reading
+        assert resume(reading, text, bytes(bytearray(text))) is reading
+        # so is a text that stops at a bad line: every checkpoint lies before it
+        at = reading.checkpoints[3].offset + 40
+        bad = text[:at] + b"Q" + text[at + 1:]
+        stopped = fold(scan(bad))
+        assert stopped.error is not None and len(stopped.checkpoints) == 4
+        assert resume(stopped, bad, bad) is stopped
 
     def test_a_line_end_at_a_layer_start_joins_the_line_before(self):
         # CR then LF is one line end: a damaged byte at a checkpoint can move
@@ -472,22 +490,10 @@ class TestResume:
     def test_a_tail_that_is_not_utf8_reads_from_byte_0(self):
         text, reading = pristine("ngon64")
         at = reading.checkpoints[5].offset + 3
-        for tolerant in (False, True):
-            payload = text[:at] + b"\xff" + text[at + 1:]
-            resumed = resume(reading, text, payload, tolerant)
-            assert bits(resumed) == bits(fold(scan(payload), tolerant))
-        assert resume(reading, text, payload).commands == ()
-
-    def test_a_tolerant_reread_starts_after_the_last_checkpoint(self):
-        # the strict reading stopped at a bad line in layer 3, so every
-        # checkpoint lies before it
-        text, reading = pristine("ngon64")
-        at = reading.checkpoints[3].offset + 40
-        bad = text[:at] + b"Q" + text[at + 1:]
-        strict = fold(scan(bad))
-        assert strict.error is not None and len(strict.checkpoints) == 4
-        assert bits(resume(strict, bad, bad, tolerant=True)) == bits(fold(scan(bad), True))
-        assert resume(strict, bad, bad) is strict
+        payload = text[:at] + b"\xff" + text[at + 1:]
+        resumed = resume(reading, text, payload)
+        assert bits(resumed) == bits(fold(scan(payload)))
+        assert resumed.commands == ()
 
 
 class TestLayerAccounting:
@@ -512,8 +518,12 @@ class TestLayerAccounting:
 
     def test_scan_tolerates_garbage(self, cube_text):
         mangled = cube_text.replace(b"G1", b"QQ", 1)
-        scanned = scan_text_layers(mangled)
-        assert len(scanned) == 4  # layer starts unaffected
+        items = [item for _, _, item in scan(mangled)]
+        assert sum(isinstance(item, GCodeError) for item in items) == 1
+        # every line past the garbage still parses, layer starts included
+        assert sum(type(item) is RapidMove and item.z is not None for item in items) == 4
+        # but the fold stops at it, inside layer 0
+        assert len(scan_text_layers(mangled)) == 1
 
     def test_intended_perimeters(self, cube_layers):
         assert intended_perimeters(cube_layers) == pytest.approx([4.0] * 4)
@@ -652,7 +662,7 @@ def oracle_scan(data):
         start = end
 
 
-def oracle_fold(lines, tolerant=False):
+def oracle_fold(lines):
     """(commands, layers, travel, extruded, error) by the isinstance fold."""
     x = y = z = 0.0
     travel = extruded = 0.0
@@ -663,8 +673,6 @@ def oracle_fold(lines, tolerant=False):
         if cmd is None:
             continue
         if isinstance(cmd, GCodeError):
-            if tolerant:
-                continue
             error = cmd
             break
         commands.append(cmd)
@@ -810,21 +818,21 @@ class TestFastPathMatchesOracle:
         assert [(s, e, described(i)) for s, e, i in scan(data)] == [
             (s, e, described(i)) for s, e, i in oracle_scan(data)
         ]
-        for tolerant in (False, True):
-            reading = fold(scan(data), tolerant)
-            commands, layers, travel, extruded, error = oracle_fold(oracle_scan(data), tolerant)
-            assert list(map(repr, reading.commands)) == list(map(repr, commands))
-            assert repr(reading.layers) == repr(layers)
-            assert (repr(reading.travel_mm), repr(reading.extruded_mm)) == (
-                repr(travel), repr(extruded)
-            )
-            assert described(reading.error) == described(error)
-            got = described(reading.invalid) if reading.invalid is not None else None
-            assert got == oracle_invalid(commands)
-        text = data.decode("utf-8", "surrogateescape")
-        assert count_records(data) == sum(
-            1 for line in text.splitlines() if line.split(";", 1)[0].split()
+        reading = fold(scan(data))
+        commands, layers, travel, extruded, error = oracle_fold(oracle_scan(data))
+        assert list(map(repr, reading.commands)) == list(map(repr, commands))
+        assert repr(reading.layers) == repr(layers)
+        assert (repr(reading.travel_mm), repr(reading.extruded_mm)) == (
+            repr(travel), repr(extruded)
         )
+        assert described(reading.error) == described(error)
+        got = described(reading.invalid) if reading.invalid is not None else None
+        assert got == oracle_invalid(commands)
+        if reading.error is None:  # every record, a line that holds code, is a command
+            text = data.decode("utf-8")
+            assert len(reading.commands) == sum(
+                1 for line in text.splitlines() if line.split(";", 1)[0].split()
+            )
 
     def test_planned_text_takes_the_fast_path_unchanged(self):
         self.check(PLANNED_TEXT)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from amstpa_lab import gcode
-from amstpa_lab.gcode import _first_diff, count_records, fold, read_program, scan
+from amstpa_lab.gcode import _first_diff, fold, read_program, scan
 from amstpa_lab.integrity import HEADER_SIZE, wrap
 from amstpa_lab.netsim import ChannelParams, TransferMode
 from amstpa_lab.printer_sim import (
@@ -133,7 +133,7 @@ class TestStreaming:
     def test_corruption_in_last_layer_scraps_three(
         self, cube_job, cube_wrapped, cube_text, lossless_channel
     ):
-        scanned = fold(scan(cube_text), tolerant=True).layers
+        scanned = fold(scan(cube_text)).layers
         offset = HEADER_SIZE + scanned[3].start_offset + 5
         bad = bytearray(cube_wrapped)
         bad[offset] ^= 0x01
@@ -152,7 +152,7 @@ class TestStreaming:
     def test_corruption_attributed_to_each_layer(
         self, cube_job, cube_wrapped, cube_text, lossless_channel, layer_index
     ):
-        scanned = fold(scan(cube_text), tolerant=True).layers
+        scanned = fold(scan(cube_text)).layers
         offset = HEADER_SIZE + scanned[layer_index].start_offset + 3
         bad = bytearray(cube_wrapped)
         bad[offset] ^= 0x01
@@ -216,7 +216,7 @@ class TestStreaming:
         assert trace.layers == ()
 
     def test_raw_streaming_parse_failure_mid_job(self, cube_raw_job, cube_text, lossless_channel):
-        scanned = fold(scan(cube_text), tolerant=True).layers
+        scanned = fold(scan(cube_text)).layers
         bad = bytearray(cube_text)
         # make layer 3's first move line unparseable in raw (no-envelope) mode
         bad[scanned[3].start_offset] = ord("Q")
@@ -336,7 +336,7 @@ class TestReadOnce:
 
     def test_corrected_payload_scans_nothing(self, cube_job, cube_text, lossless_channel, scans):
         # SECDED restores the flipped bit, so the payload is the job's text
-        job = replace(cube_job, sent=wrap(cube_text, count_records(cube_text), with_ecc=True))
+        job = replace(cube_job, sent=wrap(cube_text, len(cube_job.reading.commands), with_ecc=True))
         bad = bytearray(job.sent)
         bad[HEADER_SIZE + 40] ^= 0x08
         outcome, trace = run_job(job, full_image(), lossless_channel, RELIABLE, sent=bytes(bad))
@@ -367,28 +367,33 @@ class TestReadOnce:
         assert outcome.layers_printed == 2
         assert scans == []
 
-    def test_bad_line_in_sent_text_blamed_by_a_tolerant_read(
+    def test_bad_line_in_sent_text_blamed_by_the_strict_reading(
         self, cube_job, cube_text, lossless_channel, scans
     ):
-        # an after-slice fault: layer 1's z-changing line no longer parses,
-        # so the sender's strict reading stops there and blame takes the
-        # tolerant reading, in which layers 0 and 1 merge
+        # an after-slice fault: layer 2's z-changing line no longer parses,
+        # so the sender's strict reading stops there, with layers 0 and 1,
+        # and its envelope declares the commands read before the bad line
         layers = cube_job.reading.layers
         text = bytearray(cube_text)
-        text[layers[1].start_offset] = ord("Q")
+        text[layers[2].start_offset] = ord("Q")
         text = bytes(text)
-        job = replace(cube_job, text=text, sent=wrap(text, count_records(text)),
-                      reading=fold(scan(text)))
-        assert job.reading.error is not None
+        reading = fold(scan(text))
+        assert reading.error is not None and reading.layers == layers[:2]
+        job = replace(cube_job, text=text, sent=wrap(text, len(reading.commands)),
+                      reading=reading)
+        # damage in layer 3 lies in the reading's last layer, which runs to
+        # the end of the text: only layer 0 counts as printed
         bad = bytearray(job.sent)
         bad[HEADER_SIZE + layers[3].start_offset + 5] ^= 0x01
         outcome, trace = run_job(job, streaming(), lossless_channel, RELIABLE, sent=bytes(bad))
-        tolerant = fold(scan(text), tolerant=True).layers
-        assert len(tolerant) == 3
         assert outcome.status is JobStatus.SCRAPPED_MID_PRINT
-        assert trace.layers == tolerant[:2]
-        # from layer 0's start, the one checkpoint before the bad line
-        assert scans == [text[layers[0].start_offset:]]
+        assert outcome.reason is FailReason.INTEGRITY_FAILURE
+        assert trace.layers == layers[:1]
+        # an intact delivery stops at the same bad line, before any count is compared
+        outcome, trace = run_job(job, streaming(), lossless_channel, RELIABLE)
+        assert outcome.reason is FailReason.PARSE_FAILURE
+        assert trace.layers == layers[:2]
+        assert scans == []
 
 
 class TestDeterminism:
@@ -411,7 +416,7 @@ class TestGeometryDiff:
     def test_scrapped_layers_missing(
         self, cube_job, cube_layers, cube_wrapped, cube_text, lossless_channel
     ):
-        scanned = fold(scan(cube_text), tolerant=True).layers
+        scanned = fold(scan(cube_text)).layers
         bad = bytearray(cube_wrapped)
         bad[HEADER_SIZE + scanned[3].start_offset + 5] ^= 0x01
         _, trace = run_job(
