@@ -29,7 +29,7 @@ from .faultlab import (
     run_campaign,
     run_demo_campaign,
 )
-from .gcode import GCodeError, ToolpathParams, emit_text, plan_toolpath
+from .gcode import GCodeError, ToolpathParams, emit_text, extruded_mm, plan_toolpath
 from .jsondoc import loads, read_doc
 from .mesh_io import StlError, parse_stl, require_finite, validate_mesh
 from .netsim import ChannelParams, TransferMode
@@ -268,7 +268,7 @@ def _cmd_simulate(args) -> int:
         "mesh": args.mesh,
         "layers": len(job.layers),
         "program_commands": len(job.reading.commands),
-        "planned_extrusion_mm": job.reading.extruded_mm,
+        "planned_extrusion_mm": extruded_mm(job.reading.commands),
         "payload_bytes": len(job.sent),
         "mode": cfg.mode.value,
         "policy": cfg.printer.policy.value,

@@ -15,13 +15,18 @@ rule and checks the program invariants in the same pass, stopping at the
 first bad line; `read_program` is a view over the two.  A sender reads its
 text once: an envelope declares that reading's command count.
 
-At the start of each layer `fold` records its whole state as a
+A `Reading` holds what a printer reads: the commands, the layers (each
+with the G1 distance it extrudes) and the errors; `extruded_mm` measures a
+whole program's G1 path from its commands.  At the start of each layer
+`fold` records its whole state, its counts, position and last E, as a
 `Checkpoint` on the `Reading`: the golden-run snapshots of fault-injection
 tools (Schirmeier et al., FAIL*, EDCC 2015).  `resume` reads a damaged copy
 of a text from the last checkpoint before its first differing byte, and
 stops early once its state matches the pristine reading's again at a layer
 start past the damage, with the rest of the bytes equal (GangES, Hari et
-al., ISCA 2014).  It equals `fold(scan(payload))` field by field.
+al., ISCA 2014), so a fault that moves one point but no layer's last
+position is read only up to the next layer start.  The result equals
+`fold(scan(payload))` field by field.
 
 Commands are tuple records: the two moves are NamedTuples, and each of the
 four commands without arguments is a `Word` holding its code, so words are
@@ -300,23 +305,19 @@ class Checkpoint(NamedTuple):
     y: float
     z: float
     last_e: float                 # the last E of a move that broke no invariant
-    travel: float
-    extruded: float
     open: tuple[float, float, int, int] | None  # that layer: z, extruded, start, end
 
 
 # the state before the first line
-_START = Checkpoint(0, 1, 0, 0, 0, None, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None)
-# x, y, z, last_e and both totals, as bits: -0.0 is a state apart from 0.0
-_FLOAT_BITS = struct.Struct("<6d").pack
+_START = Checkpoint(0, 1, 0, 0, 0, None, 0.0, 0.0, 0.0, 0.0, None)
+# x, y, z and last_e, as bits: -0.0 is a state apart from 0.0
+_FLOAT_BITS = struct.Struct("<4d").pack
 
 
 @dataclass(frozen=True)
 class Reading:
     commands: tuple[Command, ...]
     layers: tuple[Layer, ...]
-    travel_mm: float           # Euclidean G0 distance from the origin
-    extruded_mm: float         # Euclidean G1 distance from the origin
     error: GCodeError | None   # the first bad line of a strict fold
     invalid: GCodeError | None  # the first program invariant the commands break
     checkpoints: tuple[Checkpoint, ...]  # one per layer, in order
@@ -333,11 +334,12 @@ def _command_error(i: int, cmd: RapidMove | LinearMove) -> GCodeError:
 
 
 def fold(lines: Iterable[Line]) -> Reading:
-    """Fold scanned lines into commands, print layers and path totals.
+    """Fold scanned lines into commands and print layers.
 
-    A move command that changes the current z starts a new layer; extruding
-    distance before the first z change (the planner emits none) counts in
-    the path totals but in no layer.  The fold stops at the first bad line,
+    A move command that changes the current z starts a new layer, and each
+    layer measures the G1 distance it extrudes; extruding before the first
+    z change (the planner emits none) counts in no layer, and rapid moves
+    are not measured.  The fold stops at the first bad line,
     keeping what came before it: a streaming printer cannot print past a
     line it cannot parse.
 
@@ -365,7 +367,7 @@ def _fold(
     `prior`'s (see `resume`).
     """
     sqrt, isfinite = math.sqrt, math.isfinite
-    _, line, kept, begun, ends, broken, x, y, z, last_e, travel, extruded, current = origin
+    _, line, kept, begun, ends, broken, x, y, z, last_e, current = origin
     commands: list[Command] = list(prior.commands[:kept])
     add = commands.append
     checkpoints = list(prior.checkpoints[:begun])
@@ -405,7 +407,7 @@ def _fold(
         if nz != z:
             here = _record(Checkpoint, (
                 start, len(commands) + skipped, len(commands) - 1, len(checkpoints), ends, broken,
-                x, y, z, last_e, travel, extruded, current and tuple(current),
+                x, y, z, last_e, current and tuple(current),
             ))
             checkpoints.append(here)
             if current is not None:
@@ -414,17 +416,12 @@ def _fold(
                 del commands[-1]
                 return _spliced(prior, k, commands, layers, checkpoints, shift)
             current = [nz, 0.0, start, end]
-        try:
-            d = sqrt((nx - x) ** 2 + (ny - y) ** 2 + (nz - z) ** 2)
-        except OverflowError:  # a finite move too long to square
-            d = math.hypot(nx - x, ny - y, nz - z)
-        if kind is RapidMove:
-            travel += d
-        else:
-            extruded += d
-            if current is not None:
-                current[1] += d
         if current is not None:
+            if kind is LinearMove:
+                try:
+                    current[1] += sqrt((nx - x) ** 2 + (ny - y) ** 2 + (nz - z) ** 2)
+                except OverflowError:  # a finite move too long to square
+                    current[1] += math.hypot(nx - x, ny - y, nz - z)
             current[3] = end
         # while no move has broken an invariant, x, y and z are finite, so
         # testing the new position tests the values this move gives
@@ -440,11 +437,11 @@ def _fold(
         x, y, z = nx, ny, nz
     if current is not None:
         layers.append(Layer(len(layers), *current))
-    return Reading(tuple(commands), tuple(layers), travel, extruded, error,
-                   _invalid(commands, ends, broken), tuple(checkpoints))
+    return Reading(tuple(commands), tuple(layers), error, _invalid(commands, ends, broken),
+                   tuple(checkpoints))
 
 
-_NOTHING = Reading((), (), 0.0, 0.0, None, None, ())
+_NOTHING = Reading((), (), None, None, ())
 
 
 def _converged(prior: Reading, here: Checkpoint, shift: int) -> int | None:
@@ -456,7 +453,7 @@ def _converged(prior: Reading, here: Checkpoint, shift: int) -> int | None:
         if (
             there.offset == here.offset - shift
             and there[1:6] == here[1:6]
-            and _FLOAT_BITS(*there[6:12]) == _FLOAT_BITS(*here[6:12])
+            and _FLOAT_BITS(*there[6:10]) == _FLOAT_BITS(*here[6:10])
         ):
             return k
     return None
@@ -474,7 +471,7 @@ def _spliced(
     bytes later, with the rest of its bytes equal to `prior`'s: its commands,
     layers and checkpoints so far, then `prior`'s from there, offsets
     shifted.  `prior` is a valid program's reading, so the fold ends with
-    `prior`'s totals, one M2 and no broken move."""
+    one M2 and no broken move."""
     there = prior.checkpoints[k]
     commands += prior.commands[there.commands:]
     rest_layers = prior.layers[there.layers:]
@@ -491,8 +488,8 @@ def _spliced(
         ]
     layers += rest_layers
     checkpoints += rest_checkpoints
-    return Reading(tuple(commands), tuple(layers), prior.travel_mm, prior.extruded_mm, None,
-                   _invalid(commands, 1, None), tuple(checkpoints))
+    return Reading(tuple(commands), tuple(layers), None, _invalid(commands, 1, None),
+                   tuple(checkpoints))
 
 
 def _first_diff(a: bytes, b: bytes) -> int | None:
@@ -573,6 +570,28 @@ def read_program(prog: GCodeProgram, text: bytes) -> Reading:
     command, so the commands are folded at the line offsets of `text`."""
     ends = list(accumulate(map(len, text.splitlines(keepends=True))))
     return fold(zip(chain((0,), ends), ends, prog.commands))
+
+
+def extruded_mm(commands: Iterable[Command]) -> float:
+    """The Euclidean length of the G1 moves in `commands`, from the origin,
+    each measured and added in order as `fold` adds up a layer's."""
+    sqrt = math.sqrt
+    x = y = z = total = 0.0
+    for cmd in commands:
+        if type(cmd) is Word:
+            if cmd == G28:
+                x = y = z = 0.0
+            continue
+        nx = x if cmd[0] is None else cmd[0]
+        ny = y if cmd[1] is None else cmd[1]
+        nz = z if cmd[2] is None else cmd[2]
+        if type(cmd) is LinearMove:
+            try:
+                total += sqrt((nx - x) ** 2 + (ny - y) ** 2 + (nz - z) ** 2)
+            except OverflowError:  # a finite move too long to square
+                total += math.hypot(nx - x, ny - y, nz - z)
+        x, y, z = nx, ny, nz
+    return total
 
 
 def intended_perimeters(layers: list[LayerPlan]) -> list[float]:

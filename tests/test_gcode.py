@@ -29,6 +29,7 @@ from amstpa_lab.gcode import (
     _emit_command,
     _parse_line,
     emit_text,
+    extruded_mm,
     fold,
     intended_perimeters,
     plan_toolpath,
@@ -224,26 +225,29 @@ def read_planned(prog):
 
 
 class TestPathLength:
-    """The Euclidean travel and extruded totals of a planned program's reading."""
+    """The Euclidean G1 length of a planned program's commands, `extruded_mm`."""
 
     def test_prologue_only(self):
         prog = plan_toolpath([], ToolpathParams())
-        lengths = read_planned(prog)
-        assert lengths.travel_mm == 0.0
-        assert lengths.extruded_mm == 0.0
+        assert extruded_mm(read_planned(prog).commands) == 0.0
 
     def test_single_square_perimeter(self):
         prog = plan_toolpath([square_layer()], ToolpathParams())
-        assert read_planned(prog).extruded_mm == pytest.approx(4.0, abs=1e-12)
+        assert extruded_mm(read_planned(prog).commands) == pytest.approx(4.0, abs=1e-12)
 
     def test_cube_extrusion(self, cube_program):
-        assert read_planned(cube_program).extruded_mm == pytest.approx(16.0, abs=1e-9)
+        assert extruded_mm(read_planned(cube_program).commands) == pytest.approx(16.0, abs=1e-9)
+
+    def test_home_returns_to_the_origin(self):
+        # G1 X3 from the origin, then X4 from the origin again after G28
+        reading = fold(scan(b"G21\nG90\nG28\nG0 X0 Y0 Z1\nG1 X3 E1 F1\nG28\nG1 X4 E2 F1\nM2\n"))
+        assert extruded_mm(reading.commands) == reading.layers[0].extruded_mm == 7.0
 
     def test_final_e_matches_extruded_length(self, cube_program):
         linear = [c for c in cube_program.commands if isinstance(c, LinearMove)]
-        lengths = read_planned(cube_program)
+        length = extruded_mm(read_planned(cube_program).commands)
         ratio = ToolpathParams().extrusion_per_mm
-        assert linear[-1].e == pytest.approx(lengths.extruded_mm * ratio, rel=1e-9)
+        assert linear[-1].e == pytest.approx(length * ratio, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +394,20 @@ def assert_resumes_as_folded(name, data):
     assert bits(resume(reading, text, payload)) == bits(fold(scan(payload)))
 
 
+@pytest.fixture
+def scanned(monkeypatch):
+    """The lines `gcode.scan` yields from here on, in order."""
+    read = []
+
+    def counting_scan(*args):
+        for item in scan(*args):
+            read.append(item)
+            yield item
+
+    monkeypatch.setattr(gcode, "scan", counting_scan)
+    return read
+
+
 class TestResume:
     @pytest.mark.parametrize("name", ["cube", "cube-cr", "cube-commented", "ngon64", "sphere"],
                              ids=lambda name: f"{name}-strict")
@@ -451,7 +469,7 @@ class TestResume:
         [(b" X", b" X0"), (b" Y", b"  Y"), (b"\nG1", b"\ng1"), (b"0 F", b" F")],
         ids=["leading-zero", "two-spaces", "lower-case", "trailing-zero"],
     )
-    def test_converged_read_takes_the_rest_from_the_pristine(self, monkeypatch, before, after):
+    def test_converged_read_takes_the_rest_from_the_pristine(self, scanned, before, after):
         # the damage, in layer 2's first G1, leaves every value as it was, so
         # the read resumes at layer 2's start and stops at layer 3's: the
         # rest is the pristine's, offsets shifted
@@ -459,22 +477,34 @@ class TestResume:
         at = text.index(before, reading.layers[2].start_offset + 1)
         payload = text[:at] + after + text[at + len(before):]
         shift = len(payload) - len(text)
-        read = []
-
-        def counting_scan(*args):
-            for item in scan(*args):
-                read.append(item)
-                yield item
-
-        monkeypatch.setattr(gcode, "scan", counting_scan)
         resumed = resume(reading, text, payload)
-        assert (read[0][0], read[-1][0]) == (
+        assert (scanned[0][0], scanned[-1][0]) == (
             reading.layers[2].start_offset, reading.layers[3].start_offset + shift
         )
         assert bits(resumed) == bits(fold(scan(payload)))
         assert resumed.commands == reading.commands
         if shift == 0:
             assert all(a is b for a, b in zip(resumed.layers[3:], reading.layers[3:]))
+
+    @pytest.mark.parametrize("longer", [False, True], ids=["equal-length", "one-digit-longer"])
+    def test_a_moved_point_is_read_to_the_next_layer_start(self, scanned, longer):
+        # an X in the middle of layer 2 moves one point of its contour: the
+        # layer's extrusion changes, but the fold's state at layer 3's start
+        # is the pristine's, so the read stops there
+        text, reading = pristine("ngon64")
+        layer = reading.layers[2]
+        number = re.compile(rb"X-?[0-9]+\.[0-9]+").search(
+            text, (layer.start_offset + layer.end_offset) // 2)
+        at = number.end() - 1
+        digit = text[at:at + 1]
+        edit = digit + b"7" if longer else str((int(digit) + 1) % 10).encode()
+        payload = text[:at] + edit + text[at + 1:]
+        resumed = resume(reading, text, payload)
+        assert len(scanned) <= 2 * text.count(b"\n", layer.start_offset, layer.end_offset)
+        assert bits(resumed) == bits(fold(scan(payload)))
+        assert resumed.layers[2].extruded_mm != layer.extruded_mm
+        if not longer:
+            assert resumed.layers[-1] is reading.layers[-1]
 
     def test_signed_zero_is_a_state_apart(self):
         # X-0 leaves x at -0.0 through layer 1, which moves no X, so layer
@@ -663,9 +693,10 @@ def oracle_scan(data):
 
 
 def oracle_fold(lines):
-    """(commands, layers, travel, extruded, error) by the isinstance fold."""
+    """(commands, layers, extruded, error) by the isinstance fold, where
+    `extruded` is the G1 length of all the commands, `extruded_mm`'s oracle."""
     x = y = z = 0.0
-    travel = extruded = 0.0
+    extruded = 0.0
     commands, layers = [], []
     current = None
     error = None
@@ -690,9 +721,7 @@ def oracle_fold(lines):
                 d = math.sqrt((nx - x) ** 2 + (ny - y) ** 2 + (nz - z) ** 2)
             except OverflowError:  # the fold's one rule for a move too long to square
                 d = math.hypot(nx - x, ny - y, nz - z)
-            if isinstance(cmd, RapidMove):
-                travel += d
-            else:
+            if isinstance(cmd, LinearMove):
                 extruded += d
                 if current is not None:
                     current[1] += d
@@ -701,7 +730,7 @@ def oracle_fold(lines):
             x, y, z = nx, ny, nz
     if current is not None:
         layers.append(Layer(len(layers), *current))
-    return tuple(commands), tuple(layers), travel, extruded, error
+    return tuple(commands), tuple(layers), extruded, error
 
 
 def oracle_check_program(prog):
@@ -819,12 +848,10 @@ class TestFastPathMatchesOracle:
             (s, e, described(i)) for s, e, i in oracle_scan(data)
         ]
         reading = fold(scan(data))
-        commands, layers, travel, extruded, error = oracle_fold(oracle_scan(data))
+        commands, layers, extruded, error = oracle_fold(oracle_scan(data))
         assert list(map(repr, reading.commands)) == list(map(repr, commands))
         assert repr(reading.layers) == repr(layers)
-        assert (repr(reading.travel_mm), repr(reading.extruded_mm)) == (
-            repr(travel), repr(extruded)
-        )
+        assert repr(extruded_mm(reading.commands)) == repr(extruded)
         assert described(reading.error) == described(error)
         got = described(reading.invalid) if reading.invalid is not None else None
         assert got == oracle_invalid(commands)
@@ -837,6 +864,10 @@ class TestFastPathMatchesOracle:
     def test_planned_text_takes_the_fast_path_unchanged(self):
         self.check(PLANNED_TEXT)
         assert fold(scan(PLANNED_TEXT)).invalid is None
+
+    def test_planned_prism_takes_the_fast_path_unchanged(self):
+        # a 64-gon's edges are not axis-aligned, so each length is rounded
+        self.check(pristine("ngon64")[0])
 
     @pytest.mark.parametrize(
         "line",
@@ -870,8 +901,8 @@ class TestFastPathMatchesOracle:
 def test_long_finite_move_does_not_overflow():
     # 1e200 squared overflows a double; the move's length is still finite
     reading = fold(scan(b"G21\nG90\nG28\nG0 X1e200 Y0 Z1\nG1 X-1e200 E1 F1\nM2\n"))
-    assert reading.travel_mm == 1e200
-    assert reading.extruded_mm == 2e200
+    assert reading.layers[0].extruded_mm == 2e200
+    assert extruded_mm(reading.commands) == 2e200
     assert reading.invalid is None and reading.error is None
 
 

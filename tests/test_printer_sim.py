@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from amstpa_lab import gcode
-from amstpa_lab.gcode import _first_diff, fold, read_program, scan
+from amstpa_lab.gcode import _first_diff, extruded_mm, fold, read_program, scan
 from amstpa_lab.integrity import HEADER_SIZE, wrap
 from amstpa_lab.netsim import ChannelParams, TransferMode
 from amstpa_lab.printer_sim import (
@@ -65,7 +65,7 @@ class TestFullImage:
         outcome, trace = run_job(cube_job, full_image(), lossless_channel, RELIABLE)
         assert outcome == type(outcome)(JobStatus.COMPLETED, layers_printed=4)
         planned = read_program(cube_program, cube_text)
-        assert sum(r.extruded_mm for r in trace.layers) == planned.extruded_mm
+        assert sum(r.extruded_mm for r in trace.layers) == extruded_mm(planned.commands)
         assert [r.index for r in trace.layers] == [0, 1, 2, 3]
         n_packets = -(-len(cube_wrapped) // 256)
         transfer_ms = n_packets * 1.0 + len(cube_wrapped) / 125_000.0 * 1000.0
