@@ -49,10 +49,11 @@ import os
 import sys
 import threading
 from array import array
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
 from time import perf_counter
+from typing import NamedTuple, get_type_hints
 
 from .gcode import Reading, ToolpathParams, emit_text, plan_toolpath, read_program, resume
 from .integrity import wrap
@@ -269,8 +270,7 @@ class DetectionStage(Enum):
     UNDETECTED = "undetected"
 
 
-@dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(NamedTuple):
     trials: int
     histogram: dict[DetectionStage, int]
     undetected_trials: tuple[FaultSpec, ...]
@@ -423,8 +423,7 @@ class _CadIntake:
         return job
 
 
-@dataclass(frozen=True)
-class _Pristine:
+class _Pristine(NamedTuple):
     mesh: TriangleMesh
     stl: bytes
     job: Job
@@ -446,7 +445,7 @@ def _prepare(cfg: PipelineConfig, base_mesh: TriangleMesh, specs: list[FaultSpec
     pristine = _Pristine(base_mesh, stl, job)
     _check_targets(specs, pristine)
     if any(s.stage is FaultStage.AFTER_CAD for s in specs):
-        pristine = replace(pristine, cad=_CadIntake(base_mesh, stl))
+        pristine = pristine._replace(cad=_CadIntake(base_mesh, stl))
     return pristine
 
 
@@ -484,7 +483,7 @@ def _run_trial(
     elif spec.stage is FaultStage.AFTER_SLICE:
         text = inject(job.text, spec)
         reading = resume(job.reading, job.text, text)
-        job = replace(job, text=text, sent=_wrap_stage(cfg, text, reading), reading=reading)
+        job = job._replace(text=text, sent=_wrap_stage(cfg, text, reading), reading=reading)
     elif spec.kind is FaultKind.DROP_PACKETS:  # in transit, through the channel
         channel = replace(channel, loss_prob=spec.loss_prob)
     else:  # an in-transit byte fault, sent in place of the job's bytes
@@ -652,8 +651,7 @@ def bit_flip_specs(count: int, stage: FaultStage, seed: int) -> list[FaultSpec]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MitigationEvidence:
+class MitigationEvidence(NamedTuple):
     reliable_loss_prob: float
     reliable_intact_under_loss: bool
     lossless_elapsed_ms: float
@@ -670,7 +668,7 @@ class MitigationEvidence:
     raw_late_detections: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MitigationEvidence":
@@ -679,13 +677,11 @@ class MitigationEvidence:
 
 # every evidence field is required and read by the rule of its annotation
 _EVIDENCE_FIELDS = {
-    f.name: ({"float": float, "int": int, "bool": bool}[f.type], REQUIRED)
-    for f in fields(MitigationEvidence)
+    name: (rule, REQUIRED) for name, rule in get_type_hints(MitigationEvidence).items()
 }
 
 
-@dataclass(frozen=True)
-class DemoResult:
+class DemoResult(NamedTuple):
     campaign: CampaignResult
     evidence: MitigationEvidence
 
@@ -724,7 +720,7 @@ def run_demo_campaign(
     # job; the raw run sends its text without the envelope
     pristine = _prepare(cfg, base_mesh, specs)
     job = pristine.job
-    raw_pristine = replace(pristine, job=replace(job, sent=job.text))
+    raw_pristine = pristine._replace(job=job._replace(sent=job.text))
     trials = list(_trials([(full_cfg, pristine), (stream_cfg, pristine), (raw_cfg, raw_pristine)],
                           specs))
     n = len(specs)

@@ -91,8 +91,7 @@ Command = RapidMove | LinearMove | Word
 PROLOGUE: tuple[Command, ...] = (G21, G90, G28)
 
 
-@dataclass(frozen=True)
-class GCodeProgram:
+class GCodeProgram(NamedTuple):
     commands: tuple[Command, ...]
 
 
@@ -242,7 +241,7 @@ def _utf8_error(data: bytes) -> UnicodeDecodeError | None:
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            return exc
+            return exc.with_traceback(None)  # its frame holds `data`
     return None
 
 
@@ -278,13 +277,15 @@ def scan(data: bytes, offset: int = 0, first_line: int = 1) -> Iterator[Line]:
             try:
                 item = _parse_line(line, line_no)
             except GCodeError as err:
-                item = err
+                # the traceback and the ValueError behind it hold this
+                # generator's frame, and so its text and lines, in cycles
+                err.__context__ = None
+                item = err.with_traceback(None)
         yield start, end, item
         start = end
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(NamedTuple):
     index: int
     z: float
     extruded_mm: float
@@ -314,8 +315,7 @@ _START = Checkpoint(0, 1, 0, 0, 0, None, 0.0, 0.0, 0.0, 0.0, None)
 _FLOAT_BITS = struct.Struct("<4d").pack
 
 
-@dataclass(frozen=True)
-class Reading:
+class Reading(NamedTuple):
     commands: tuple[Command, ...]
     layers: tuple[Layer, ...]
     error: GCodeError | None   # the first bad line of a strict fold

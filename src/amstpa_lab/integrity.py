@@ -22,8 +22,8 @@ from __future__ import annotations
 import re
 import struct
 import zlib
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 MAGIC = b"AMI1"
 _HEADER = struct.Struct("<4sQQIB")
@@ -60,14 +60,12 @@ _ALL_TX_MASK = (1 << 72) - 1
 _NONZERO = re.compile(rb"[^\x00]")
 
 
-@dataclass(frozen=True)
-class SecdedBlock:
+class SecdedBlock(NamedTuple):
     data: int   # 64 bits
     check: int  # 8 bits: Hamming parities in bits 0..6, overall parity in bit 7
 
 
-@dataclass(frozen=True)
-class SecdedResult:
+class SecdedResult(NamedTuple):
     data: int | None
     corrected: int
     double_error: bool
@@ -102,11 +100,19 @@ def secded_decode(block: SecdedBlock) -> SecdedResult:
     return SecdedResult(word & ((1 << 64) - 1), corrected=1, double_error=False)
 
 
+def _lane(bit_checks: list[int]) -> bytes:
+    """Every byte's check byte, from the check bytes of its 8 single bits."""
+    table = [0]
+    for check in bit_checks:  # bit i joins the 2**i bytes built so far
+        table += [t ^ check for t in table]
+    return bytes(table)
+
+
 # The check byte is linear over GF(2) in the data bits, so a block's check
-# byte is the XOR of each data byte's own contribution.  _LANES[j][b] is the
+# byte is the XOR of each data bit's own check byte.  _LANES[j][b] is the
 # check byte of a block holding only byte b at lane j; bytes.translate looks
 # up a whole lane at once (the table-driven method of Sarwate's CRC).
-_LANES = tuple(bytes(secded_encode(b << 8 * j).check for b in range(256)) for j in range(8))
+_LANES = tuple(_lane([secded_encode(1 << 8 * j + i).check for i in range(8)]) for j in range(8))
 
 
 def _ecc_bytes(payload: bytes) -> bytes:
@@ -131,8 +137,7 @@ class MismatchKind(Enum):
     UNCORRECTABLE_ECC = "uncorrectable_ecc"
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     payload: bytes | None = None
     record_count: int | None = None

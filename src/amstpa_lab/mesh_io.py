@@ -4,10 +4,11 @@ Supports both ASCII and binary STL with bit-exact binary round-trips.
 Coordinates are millimeters, stored as 64-bit floats in memory; binary STL
 carries 32-bit floats on the wire (widened on parse, rounded on emit).
 
-Mesh records are tuples: `Vec3` and `Facet` are NamedTuples, so a facet
-flattens to its 12 floats by unpacking or concatenation (`n + a + b + c`),
-and one builder, `facets_of`, turns flat coordinates back into facets: the
-binary reader feeds it each record's floats.
+Mesh records are tuples: `Vec3`, `Facet`, `TriangleMesh` and `MeshReport`
+are NamedTuples, so a facet flattens to its 12 floats by unpacking or
+concatenation (`n + a + b + c`), and one builder, `facets_of`, turns flat
+coordinates back into facets: the binary reader feeds it each record's
+floats.
 
 A binary STL that differs from a known one in a few records need not be read
 or validated whole: `binary_delta` finds and reads only the records that
@@ -22,7 +23,6 @@ import logging
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from operator import countOf
@@ -39,6 +39,8 @@ _VERTICES = struct.Struct("<9d")
 _AREA_TOL = 1e-12
 # records compared at once by binary_delta before it looks at single records
 _BLOCK = 64 * _RECORD.size
+# builds a record from its full field tuple, skipping the keyword __new__
+_new = tuple.__new__
 
 
 class StlError(ValueError):
@@ -62,17 +64,17 @@ class Vec3(NamedTuple):
     z: float
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
+        x, y, z = self
+        u, v, w = other
+        return _new(Vec3, (x - u, y - v, z - w))
 
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
     def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
+        x, y, z = self
+        u, v, w = other
+        return _new(Vec3, (y * w - z * v, z * u - x * w, x * v - y * u))
 
     def norm(self) -> float:
         return math.sqrt(self.dot(self))
@@ -89,14 +91,12 @@ class Facet(NamedTuple):
         return self[1:]
 
 
-@dataclass(frozen=True)
-class TriangleMesh:
+class TriangleMesh(NamedTuple):
     facets: tuple[Facet, ...]
     source_encoding: Encoding = Encoding.ASCII
 
 
-@dataclass(frozen=True)
-class MeshReport:
+class MeshReport(NamedTuple):
     facet_count: int
     degenerate_facets: tuple[int, ...]
     nonfinite_facets: tuple[int, ...]
@@ -220,8 +220,8 @@ def parse_stl_binary(data: bytes) -> TriangleMesh:
 def facets_of(coords) -> tuple[Facet, ...]:
     """The facets of flat coordinates, 12 per facet: the normal, then three vertices."""
     values = iter(coords)
-    vectors = map(tuple.__new__, repeat(Vec3), zip(values, values, values))
-    return tuple(map(tuple.__new__, repeat(Facet), zip(vectors, vectors, vectors, vectors)))
+    vectors = map(_new, repeat(Vec3), zip(values, values, values))
+    return tuple(map(_new, repeat(Facet), zip(vectors, vectors, vectors, vectors)))
 
 
 def _opens_with_solid(data: bytes) -> bool:
@@ -280,9 +280,11 @@ def binary_delta(pristine: bytes, data: bytes) -> tuple[dict[int, Facet], bool] 
 
 def require_finite(mesh: TriangleMesh) -> None:
     """Raise ValueError naming the first facet with a NaN or infinite coordinate."""
-    for i, (n, a, b, c) in enumerate(mesh.facets):
-        if not _finite(n + a + b + c):
-            raise ValueError(f"facet {i} has a non-finite coordinate")
+    facets = mesh.facets
+    if not _finite(chain.from_iterable(chain.from_iterable(facets))):
+        # only a bad mesh pays for finding which facet to name
+        i = next(i for i, (n, a, b, c) in enumerate(facets) if not _finite(n + a + b + c))
+        raise ValueError(f"facet {i} has a non-finite coordinate")
 
 
 def emit_stl_binary(mesh: TriangleMesh) -> bytes:
@@ -308,23 +310,14 @@ def emit_stl_ascii(mesh: TriangleMesh, precision: int = 6) -> bytes:
     require_finite(mesh)
     if precision < 0:
         raise ValueError("precision must be >= 0")
-
-    def fmt(v: Vec3) -> str:
-        return f"{v.x:.{precision}e} {v.y:.{precision}e} {v.z:.{precision}e}"
-
-    parts = ["solid amstpa-lab\n"]
-    for f in mesh.facets:
-        parts.append(f"facet normal {fmt(f.normal)}\n")
-        parts.append("  outer loop\n")
-        for v in f.vertices:
-            parts.append(f"    vertex {fmt(v)}\n")
-        parts.append("  endloop\n")
-        parts.append("endfacet\n")
-    parts.append("endsolid amstpa-lab\n")
-    return "".join(parts).encode("ascii")
+    xyz = " ".join([f"{{:.{precision}e}}"] * 3)
+    facet = (f"facet normal {xyz}\n  outer loop\n" + f"    vertex {xyz}\n" * 3
+             + "  endloop\nendfacet\n").format
+    body = "".join([facet(*n, *a, *b, *c) for n, a, b, c in mesh.facets])
+    return f"solid amstpa-lab\n{body}endsolid amstpa-lab\n".encode("ascii")
 
 
-def _finite(coords: tuple[float, ...]) -> bool:
+def _finite(coords) -> bool:
     return all(map(math.isfinite, coords))
 
 

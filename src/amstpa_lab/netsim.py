@@ -23,7 +23,7 @@ delivery zero-fills only its gaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -72,15 +72,14 @@ class TransferMode(Enum):
     BEST_EFFORT = "besteffort"
 
 
-@dataclass(frozen=True)
-class TransferResult:
+class TransferResult(NamedTuple):
     delivered: bytes
     intact: bool
     elapsed_ms: float
     packets_sent: int
     packets_lost: int
     retransmissions: int
-    gap_map: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    gap_map: tuple[tuple[int, int], ...] = ()
     down_at: int | None = None  # the offset where the channel went down
 
 

@@ -17,8 +17,9 @@ the reject-early vs scrap-late contrast measurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import integrity
 from .gcode import Layer, Reading, _first_diff, intended_perimeters, resume
@@ -86,24 +87,21 @@ class FailReason(Enum):
     CHANNEL_DOWN = "channel_down"
 
 
-@dataclass(frozen=True)
-class JobOutcome:
+class JobOutcome(NamedTuple):
     status: JobStatus
     layers_printed: int = 0
     reason: FailReason | None = None
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
     layers: list[LayerPlan]
     text: bytes
     sent: bytes  # wrapped envelope, or raw text when not enveloped
     reading: Reading  # fold(scan(text)), the sender's reading of its own text
 
 
-@dataclass(frozen=True)
-class PrintTrace:
-    layers: tuple[Layer, ...] = field(default_factory=tuple)
+class PrintTrace(NamedTuple):
+    layers: tuple[Layer, ...] = ()
     time_ms: float = 0.0
     integrity_corrected_bits: int = 0
 
@@ -220,8 +218,7 @@ def run_job(
     return _result(JobStatus.COMPLETED, None, tr.elapsed_ms, layer_time, reading.layers, corrected)
 
 
-@dataclass(frozen=True)
-class GeometryDiff:
+class GeometryDiff(NamedTuple):
     max_extrusion_error_mm: float
     layers_missing: int
 

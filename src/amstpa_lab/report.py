@@ -10,15 +10,14 @@ software measured one year after release.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .faultlab import CampaignResult, MitigationEvidence
 from .stpa_core import MITIGATIONS
 
 
-@dataclass(frozen=True)
-class DefectRateRow:
+class DefectRateRow(NamedTuple):
     domain: str
     projects: int
     error_low: float
@@ -95,8 +94,7 @@ def mitigation_statuses(evidence: MitigationEvidence | None) -> dict[int, Mitiga
     return status
 
 
-@dataclass(frozen=True)
-class ReportDoc:
+class ReportDoc(NamedTuple):
     hazards: dict | None
     campaign: CampaignResult | None
     evidence: MitigationEvidence | None

@@ -7,13 +7,18 @@ import math
 from .mesh_io import Encoding, Facet, TriangleMesh, Vec3
 
 
-def _unit(v: Vec3) -> Vec3:
-    n = v.norm()
-    return Vec3(v.x / n, v.y / n, v.z / n)
+# builds a record from its full field tuple, skipping the keyword __new__
+_new = tuple.__new__
 
 
 def _facet(a: Vec3, b: Vec3, c: Vec3) -> Facet:
-    return Facet(_unit((b - a).cross(c - a)), a, b, c)
+    """The facet a, b, c under the unit normal (b - a) x (c - a)."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
+    ux, uy, uz = bx - ax, by - ay, bz - az
+    wx, wy, wz = cx - ax, cy - ay, cz - az
+    nx, ny, nz = uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx
+    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+    return _new(Facet, (_new(Vec3, (nx / norm, ny / norm, nz / norm)), a, b, c))
 
 
 def box(lo: Vec3 = Vec3(0.0, 0.0, 0.0), hi: Vec3 = Vec3(1.0, 1.0, 1.0)) -> TriangleMesh:

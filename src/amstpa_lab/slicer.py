@@ -41,8 +41,9 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .jsondoc import REQUIRED, read_doc
 from .mesh_io import TriangleMesh, require_finite
@@ -68,17 +69,15 @@ class SliceParams:
             raise ValueError("snap_eps must be > 0")
 
 
-@dataclass(frozen=True)
-class Contour:
+class Contour(NamedTuple):
     vertices: tuple[Point2, ...]
     closed: bool
 
 
-@dataclass(frozen=True)
-class LayerPlan:
+class LayerPlan(NamedTuple):
     index: int
     z: float
-    contours: tuple[Contour, ...] = field(default_factory=tuple)
+    contours: tuple[Contour, ...] = ()
 
 
 # Chaining cells are _CELL snap tolerances wide, or 2**-40 of the largest

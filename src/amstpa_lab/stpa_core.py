@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .jsondoc import REQUIRED, loads, read_doc
 
@@ -54,16 +54,14 @@ class PathKind(Enum):
     RESOURCE = "Resource"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     id: str
     name: str
     kind: ComponentKind
     subsystem: Subsystem
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     id: str
     source: str
     target: str
@@ -71,8 +69,7 @@ class Path:
     label: str
 
 
-@dataclass(frozen=True)
-class ControlStructure:
+class ControlStructure(NamedTuple):
     name: str
     components: tuple[Component, ...] = ()
     paths: tuple[Path, ...] = ()
@@ -112,8 +109,7 @@ PATH_PHRASE_SET: dict[PathKind, PhraseSetId] = {
 }
 
 
-@dataclass(frozen=True)
-class CandidateHazard:
+class CandidateHazard(NamedTuple):
     subject_kind: str  # "Component" | "Path"
     subject_id: str
     phrase_set: PhraseSetId
@@ -122,8 +118,7 @@ class CandidateHazard:
     mitigation_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Mitigation:
+class Mitigation(NamedTuple):
     id: int
     text: str
     executable: bool
@@ -269,7 +264,7 @@ PATH_MITIGATIONS: dict[tuple[PathClass, int], tuple[int, ...]] = {
 # ---------------------------------------------------------------------------
 
 
-# every key of a model file; each entry's keys are its dataclass's fields
+# every key of a model file; each entry's keys are its record's fields
 MODEL_KEYS = {
     "name": (str, REQUIRED),
     "components": ([{"id": (str, REQUIRED), "name": (str, REQUIRED),

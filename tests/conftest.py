@@ -1,6 +1,5 @@
 import math
 import os
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -51,7 +50,7 @@ def cube_job(cube_layers, cube_program, cube_text, cube_wrapped):
 @pytest.fixture(scope="session")
 def cube_raw_job(cube_job, cube_text):
     """The cube job as sent without the envelope."""
-    return replace(cube_job, sent=cube_text)
+    return cube_job._replace(sent=cube_text)
 
 
 @pytest.fixture()

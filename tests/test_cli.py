@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib.resources
 import io
@@ -7,6 +6,7 @@ import math
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from typing import get_type_hints
 
 import pytest
 
@@ -315,7 +315,7 @@ class TestCampaignAndReport:
 
 
 CUBE_FLIPS = {"mesh": {"builtin": "cube"}, "generate": {"count": 2}}
-EVIDENCE_FIELDS = [f.name for f in dataclasses.fields(MitigationEvidence)]
+EVIDENCE_FIELDS = list(MitigationEvidence._fields)
 
 
 def _one_fault(kind, stage, **params):
@@ -324,8 +324,8 @@ def _one_fault(kind, stage, **params):
 
 def _demo_artifact(**evidence):
     """A demo campaign artifact whose evidence is well typed but for `evidence`."""
-    typed = {"float": 0.5, "int": 3, "bool": True}
-    fields = {f.name: typed[f.type] for f in dataclasses.fields(MitigationEvidence)}
+    typed = {float: 0.5, int: 3, bool: True}
+    fields = {name: typed[t] for name, t in get_type_hints(MitigationEvidence).items()}
     return {
         "campaign": {"trials": 0, "histogram": {}, "undetected_trials": []},
         "evidence": fields | evidence,

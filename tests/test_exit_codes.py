@@ -6,7 +6,6 @@ a traceback.  Inputs are drawn small (the unit cube, a few faults, coarse
 layers), so each example costs milliseconds.
 """
 
-import dataclasses
 import io
 import json
 import math
@@ -16,6 +15,7 @@ import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from enum import EnumMeta
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -429,8 +429,8 @@ def test_artifacts(data):
 
 
 FLIP = {"kind": "bit_flip", "stage": "in_transit", "seed": 1}
-EVIDENCE = {f.name: {"float": 0.5, "int": 3, "bool": True}[f.type]
-            for f in dataclasses.fields(MitigationEvidence)}
+EVIDENCE = {name: {float: 0.5, int: 3, bool: True}[t]
+            for name, t in get_type_hints(MitigationEvidence).items()}
 
 
 @pytest.mark.parametrize(

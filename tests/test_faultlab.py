@@ -648,7 +648,7 @@ class TestOneReading:
             return integrity.wrap(text, old_record_count(text), with_ecc=cfg.ecc)
 
         def old_blame_resume(reading, text, payload):
-            return replace(resume(reading, text, payload), layers=old_blame_layers(payload))
+            return resume(reading, text, payload)._replace(layers=old_blame_layers(payload))
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(faultlab, "run_job", recording_run_job)
@@ -1002,7 +1002,7 @@ class TestCadIntakeMatchesWholeFile:
         raw_cfg = replace(CAD_CFG, enveloped=False)
         header = FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_CAD, offset=8 * 5 + 1)
         pristine = faultlab._prepare(CAD_CFG, CAD_MESHES[name], [header])
-        raw = replace(pristine, job=replace(pristine.job, sent=pristine.job.text))
+        raw = pristine._replace(job=pristine.job._replace(sent=pristine.job.text))
         channel = replace(CAD_CFG.channel, seed=3)
         for cfg, p in ((CAD_CFG, pristine), (raw_cfg, raw), (CAD_CFG, pristine)):
             args = (cfg, header, p, channel)

@@ -1,5 +1,5 @@
-import dataclasses
 import functools
+import gc
 import importlib.util
 import logging
 import math
@@ -261,8 +261,6 @@ def bits(value):
         return struct.pack("<d", value)
     if isinstance(value, tuple):
         return type(value), tuple(map(bits, value))
-    if dataclasses.is_dataclass(value):
-        return type(value), tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
     if isinstance(value, GCodeError):
         return type(value), str(value), value.line
     return value
@@ -524,6 +522,24 @@ class TestResume:
         resumed = resume(reading, text, payload)
         assert bits(resumed) == bits(fold(scan(payload)))
         assert resumed.commands == ()
+
+
+    @pytest.mark.parametrize("damage", [b"Q", b"..", b"\xff"])
+    def test_a_damaged_read_leaves_no_cyclic_garbage(self, damage):
+        # the errors a damaged read keeps hold no frame, so the payload tail
+        # it was read from is freed with the reading, not at the next gc pass
+        text, reading = pristine("ngon64")
+        at = reading.checkpoints[5].offset + 6
+        payload = text[:at] + damage + text[at + 1:]
+        gc.collect()
+        gc.disable()
+        try:
+            resumed = resume(reading, text, payload)
+            assert resumed.error is not None
+            del resumed
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLayerAccounting:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from amstpa_lab.integrity import (
     _HEADER,
+    _LANES,
     HEADER_SIZE,
     MAGIC,
     MismatchKind,
@@ -267,6 +268,13 @@ def damaged_envelopes(draw):
 
 
 class TestBulkSecdedMatchesScalarOracle:
+    def test_lane_tables_match_per_byte_encodes(self):
+        # the tables are built from 64 single-bit encodes; the oracle
+        # encodes every byte value at every lane
+        assert _LANES == tuple(
+            bytes(secded_encode(b << 8 * j).check for b in range(256)) for j in range(8)
+        )
+
     def test_encode_every_length_to_300(self):
         data = random.Random(300).randbytes(300)
         for n in range(301):

@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import random
 import struct
 from pathlib import Path
 
@@ -24,6 +24,7 @@ from amstpa_lab.mesh_io import (
     parse_stl,
     parse_stl_ascii,
     parse_stl_binary,
+    require_finite,
     validate_mesh,
 )
 
@@ -335,8 +336,7 @@ def exact(report: MeshReport) -> MeshReport:
     def bits(v: Vec3) -> bytes:
         return struct.pack("<3d", v.x, v.y, v.z)
 
-    return dataclasses.replace(report, bbox_min=bits(report.bbox_min),
-                               bbox_max=bits(report.bbox_max))
+    return report._replace(bbox_min=bits(report.bbox_min), bbox_max=bits(report.bbox_max))
 
 
 # few distinct values, so facets share vertices, collapse and flip; the
@@ -597,3 +597,118 @@ class TestMeshRecords:
         facets = facets_of([x for f in cube.facets for v in f for x in v])
         assert facets == cube.facets
         assert all(type(f) is Facet and all(type(v) is Vec3 for v in f) for f in facets)
+
+
+# ---------------------------------------------------------------------------
+# One-pass mesh kernels against the per-facet code they replaced: the same
+# float operations in the same order, so the same bits, bytes and errors
+# ---------------------------------------------------------------------------
+
+
+def sub_by_fields(p: Vec3, q: Vec3) -> Vec3:
+    return Vec3(p.x - q.x, p.y - q.y, p.z - q.z)
+
+
+def cross_by_fields(p: Vec3, q: Vec3) -> Vec3:
+    return Vec3(p.y * q.z - p.z * q.y, p.z * q.x - p.x * q.z, p.x * q.y - p.y * q.x)
+
+
+def facet_by_vectors(a: Vec3, b: Vec3, c: Vec3) -> Facet:
+    """shapes._facet as built from Vec3 arithmetic."""
+    n = cross_by_fields(sub_by_fields(b, a), sub_by_fields(c, a))
+    norm = n.norm()
+    return Facet(Vec3(n.x / norm, n.y / norm, n.z / norm), a, b, c)
+
+
+def require_finite_by_facet(mesh: TriangleMesh) -> None:
+    for i, f in enumerate(mesh.facets):
+        if not all(map(math.isfinite, f.normal + f.v0 + f.v1 + f.v2)):
+            raise ValueError(f"facet {i} has a non-finite coordinate")
+
+
+def emit_stl_ascii_by_facet(mesh: TriangleMesh, precision: int = 6) -> bytes:
+    require_finite_by_facet(mesh)
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
+
+    def fmt(v: Vec3) -> str:
+        return f"{v.x:.{precision}e} {v.y:.{precision}e} {v.z:.{precision}e}"
+
+    parts = ["solid amstpa-lab\n"]
+    for f in mesh.facets:
+        parts.append(f"facet normal {fmt(f.normal)}\n")
+        parts.append("  outer loop\n")
+        for v in f.vertices:
+            parts.append(f"    vertex {fmt(v)}\n")
+        parts.append("  endloop\n")
+        parts.append("endfacet\n")
+    parts.append("endsolid amstpa-lab\n")
+    return "".join(parts).encode("ascii")
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` returns, floats as bits, or the error it raises."""
+    try:
+        value = fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, Facet):
+        return mesh_bits(TriangleMesh((value,)))
+    return value
+
+
+F32_MAX = struct.unpack("<f", struct.pack("<I", 0x7F7FFFFF))[0]
+# signed zeros, subnormals, huge values, the float32 limit and the first
+# double that rounds past it, and the non-finite values
+EDGE = [0.0, -0.0, 1.0, -2.5, 5e-324, -5e-324, 2.2250738585072014e-308, 1.401298464324817e-45,
+        1e300, -1e300, F32_MAX, -F32_MAX, 3.4028235677973366e38, math.nan, math.inf, -math.inf]
+edge_floats = st.sampled_from(EDGE) | st.floats()
+edge_vec3s = vec3s(edge_floats)
+edge_meshes = meshes(edge_floats, Encoding.ASCII)
+
+
+class TestMeshKernelsMatchPerFacetOracles:
+    @given(edge_vec3s, edge_vec3s)
+    def test_vector_arithmetic(self, p, q):
+        for got, want in ((p - q, sub_by_fields(p, q)), (p.cross(q), cross_by_fields(p, q))):
+            assert type(got) is Vec3 and struct.pack("<3d", *got) == struct.pack("<3d", *want)
+
+    @given(edge_vec3s, edge_vec3s, edge_vec3s)
+    def test_facet(self, a, b, c):
+        assert outcome(shapes._facet, a, b, c) == outcome(facet_by_vectors, a, b, c)
+
+    def test_facet_on_random_vertices(self):
+        # drawn floats are mostly ones whose sums are exact in any order;
+        # these are not, so a normal summed in another order shows
+        rng = random.Random(23)
+        for _ in range(2000):
+            a, b, c = (Vec3(*(rng.uniform(-100.0, 100.0) for _ in range(3))) for _ in range(3))
+            assert outcome(shapes._facet, a, b, c) == outcome(facet_by_vectors, a, b, c)
+
+    @given(edge_meshes)
+    def test_require_finite(self, mesh):
+        assert outcome(require_finite, mesh) == outcome(require_finite_by_facet, mesh)
+
+    @given(edge_meshes, st.integers(-1, 17))
+    def test_emit_ascii(self, mesh, precision):
+        assert (outcome(emit_stl_ascii, mesh, precision)
+                == outcome(emit_stl_ascii_by_facet, mesh, precision))
+
+    @pytest.mark.parametrize("mesh", [shapes.box(), shapes.octahedron()], ids=["box", "octahedron"])
+    def test_shapes_at_every_precision(self, mesh):
+        assert_built_by_vectors(mesh)
+        for precision in range(18):
+            assert emit_stl_ascii(mesh, precision) == emit_stl_ascii_by_facet(mesh, precision)
+
+    def test_prisms(self):
+        # every prism from 3 to 200 sides, each at one precision of 0..17 in turn
+        for sides in range(3, 201):
+            mesh = shapes.ngon_prism(sides, 10.0, 10.0)
+            assert_built_by_vectors(mesh)
+            precision = sides % 18
+            assert emit_stl_ascii(mesh, precision) == emit_stl_ascii_by_facet(mesh, precision)
+
+
+def assert_built_by_vectors(mesh: TriangleMesh) -> None:
+    again = TriangleMesh(tuple(facet_by_vectors(*f.vertices) for f in mesh.facets))
+    assert mesh_bits(mesh) == mesh_bits(again)

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -330,13 +329,13 @@ class TestReadOnce:
         result = run_job(job, cfg, lossless_channel, RELIABLE, enveloped=enveloped)
         assert scans == []
         # a job whose text is not the payload reads it, as every delivery once did
-        unread = replace(job, text=b"")
+        unread = job._replace(text=b"")
         assert run_job(unread, cfg, lossless_channel, RELIABLE, enveloped=enveloped) == result
         assert scans == [cube_text]
 
     def test_corrected_payload_scans_nothing(self, cube_job, cube_text, lossless_channel, scans):
         # SECDED restores the flipped bit, so the payload is the job's text
-        job = replace(cube_job, sent=wrap(cube_text, len(cube_job.reading.commands), with_ecc=True))
+        job = cube_job._replace(sent=wrap(cube_text, len(cube_job.reading.commands), with_ecc=True))
         bad = bytearray(job.sent)
         bad[HEADER_SIZE + 40] ^= 0x08
         outcome, trace = run_job(job, full_image(), lossless_channel, RELIABLE, sent=bytes(bad))
@@ -379,8 +378,8 @@ class TestReadOnce:
         text = bytes(text)
         reading = fold(scan(text))
         assert reading.error is not None and reading.layers == layers[:2]
-        job = replace(cube_job, text=text, sent=wrap(text, len(reading.commands)),
-                      reading=reading)
+        job = cube_job._replace(text=text, sent=wrap(text, len(reading.commands)),
+                               reading=reading)
         # damage in layer 3 lies in the reading's last layer, which runs to
         # the end of the text: only layer 0 counts as printed
         bad = bytearray(job.sent)

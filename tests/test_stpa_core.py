@@ -1,7 +1,6 @@
 import importlib.resources
 import json
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -413,7 +412,7 @@ def attach_mitigations(hazards, catalog, cs):
                 path = None
             if path is not None:
                 ids = PATH_MITIGATIONS.get((classify_path(path), hz.phrase_index), ())
-        out.append(replace(hz, mitigation_ids=tuple(sorted(ids))))
+        out.append(hz._replace(mitigation_ids=tuple(sorted(ids))))
     return out
 
 
