@@ -2,6 +2,8 @@
 
 Subcommands: stpa, stl, slice, gcode, simulate, campaign, report.
 Exit codes: 0 success, 1 validation findings, 2 usage or parse errors.
+A flag left out takes the default of the table or class that reads it:
+`simulate` reads its flags as a config, by faultlab.SIMULATE_KEYS.
 Output paths accept "-" for standard output; files are written only after
 the full output is rendered, so failures leave no partial files.  JSON is
 strict both ways: no NaN or Infinity is read or written.
@@ -17,6 +19,7 @@ import sys
 from . import shapes
 from .faultlab import (
     CAMPAIGN_KEYS,
+    SIMULATE_KEYS,
     CampaignError,
     CampaignResult,
     FaultSpec,
@@ -26,16 +29,16 @@ from .faultlab import (
     PipelineConfig,
     bit_flip_specs,
     build_job,
+    pipeline_config,
     run_campaign,
     run_demo_campaign,
 )
 from .gcode import GCodeError, ToolpathParams, emit_text, extruded_mm, plan_toolpath
 from .jsondoc import loads, read_doc
 from .mesh_io import StlError, parse_stl, require_finite, validate_mesh
-from .netsim import ChannelParams, TransferMode
+from .netsim import TransferMode
 from .printer_sim import (
     JobStatus,
-    PrinterConfig,
     PrintPolicy,
     PrinterTechnology,
     geometry_diff,
@@ -125,7 +128,8 @@ def _load_finite_mesh(path: str):
     return mesh
 
 
-def _parse_channel(spec: str) -> ChannelParams:
+def _parse_channel(spec: str | None) -> dict:
+    """The channel block of a config doc, from `--channel`'s key=value items."""
     keys = {
         "loss": "loss_prob",
         "latency": "latency_ms",
@@ -133,21 +137,25 @@ def _parse_channel(spec: str) -> ChannelParams:
         "bw": "bandwidth_bytes_per_s",
         "seed": "seed",
     }
-    kwargs: dict = {}
-    if spec:
-        for item in spec.split(","):
-            if "=" not in item:
-                raise CliError(f"channel parameter {item!r} is not key=value")
-            key, _, raw = item.partition("=")
-            key = key.strip()
-            if key not in keys:
-                raise CliError(f"unknown channel parameter {key!r} (use {'/'.join(keys)})")
-            kwargs[keys[key]] = raw
-    try:
-        kwargs = {k: int(v) if k == "seed" else float(v) for k, v in kwargs.items()}
-        return ChannelParams(**kwargs)
-    except ValueError as exc:
-        raise CliError(f"bad channel parameters: {exc}") from None
+    block: dict = {}
+    for item in spec.split(",") if spec else ():
+        if "=" not in item:
+            raise CliError(f"channel parameter {item!r} is not key=value")
+        key, _, raw = item.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise CliError(f"unknown channel parameter {key!r} (use {'/'.join(keys)})")
+        try:
+            block[keys[key]] = int(raw) if key == "seed" else float(raw)
+        except ValueError as exc:
+            raise CliError(f"bad channel parameters: {exc}") from None
+    return block
+
+
+def _given(doc: dict) -> dict:
+    """`doc` without the flags left unset (None), block by block, so that
+    each takes the default of the table or class that reads it."""
+    return {k: _given(v) if type(v) is dict else v for k, v in doc.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +181,7 @@ def _cmd_stpa(args) -> int:
 
 def _cmd_stl(args) -> int:
     mesh = _load_mesh_file(args.file)
-    report = validate_mesh(mesh, area_tol=args.area_tol)
+    report = validate_mesh(mesh, **_given({"area_tol": args.area_tol}))
     lo, hi = report.bbox_min, report.bbox_max
     doc = {
         "file": args.file,
@@ -195,7 +203,8 @@ def _cmd_stl(args) -> int:
 def _cmd_slice(args) -> int:
     mesh = _load_finite_mesh(args.file)
     try:
-        params = SliceParams(layer_height=args.layer_height, snap_eps=args.snap_eps)
+        params = SliceParams(**_given({"layer_height": args.layer_height,
+                                       "snap_eps": args.snap_eps}))
     except ValueError as exc:
         raise CliError(str(exc)) from None
     try:
@@ -206,26 +215,19 @@ def _cmd_slice(args) -> int:
     return 0
 
 
-def _toolpath_params(args) -> ToolpathParams:
+def _cmd_gcode(args) -> int:
+    toolpath = {"feed_rate": args.feed_rate, "extrusion_per_mm": args.extrusion_per_mm}
     try:
-        return ToolpathParams(
-            feed_rate=args.feed_rate,
-            extrusion_per_mm=args.extrusion_per_mm,
-        )
+        params = ToolpathParams(**_given(toolpath))
     except ValueError as exc:
         raise CliError(str(exc)) from None
-
-
-def _cmd_gcode(args) -> int:
-    if args.action != "plan":
-        raise CliError(f"unknown gcode action {args.action!r} (expected 'plan')")
     doc = _read_json(args.layers)
     try:
         layers = layers_from_dict(doc)
     except (ValueError, OverflowError) as exc:  # OverflowError: an integer past a double
         raise CliError(f"{args.layers}: not a layers file: {exc}") from None
     try:
-        prog = plan_toolpath(layers, _toolpath_params(args))
+        prog = plan_toolpath(layers, params)
     except ValueError as exc:  # the extrusion total overflows
         raise CliError(f"{args.layers}: {exc}") from None
     _write_output(args.out, emit_text(prog))
@@ -233,28 +235,22 @@ def _cmd_gcode(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.no_envelope and args.ecc:
-        raise CliError("--ecc adds check bytes to the envelope: drop --no-envelope or --ecc")
-    mesh = _load_finite_mesh(args.mesh)
+    doc = _given({
+        "slice": {"layer_height": args.layer_height},
+        "toolpath": {"feed_rate": args.feed_rate, "extrusion_per_mm": args.extrusion_per_mm},
+        "channel": _parse_channel(args.channel),
+        "printer": {"buffer_capacity": args.buffer, "policy": args.policy,
+                    "technology": args.technology, "nominal_layer_time_ms": args.layer_time_ms},
+        "mode": args.mode,
+        "packet_size": args.packet_size,
+        "envelope": args.envelope,
+        "ecc": args.ecc,
+    })
     try:
-        cfg = PipelineConfig(
-            slice_params=SliceParams(layer_height=args.layer_height),
-            toolpath=_toolpath_params(args),
-            channel=_parse_channel(args.channel),
-            printer=PrinterConfig(
-                buffer_capacity=args.buffer,
-                policy=PrintPolicy(args.policy),
-                technology=PrinterTechnology(args.technology),
-                nominal_layer_time_ms=args.layer_time_ms,
-            ),
-            mode=TransferMode(args.mode),
-            packet_size=args.packet_size,
-            enveloped=not args.no_envelope,
-            ecc=args.ecc,
-        )
+        cfg = pipeline_config(read_doc(doc, SIMULATE_KEYS))
     except ValueError as exc:
         raise CliError(str(exc)) from None
-
+    mesh = _load_finite_mesh(args.mesh)
     try:
         job = build_job(cfg, mesh)
     except ValueError as exc:
@@ -291,20 +287,7 @@ def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int |
     """
     try:
         c = read_doc(doc, CAMPAIGN_KEYS)
-        if c["ecc"] and not c["envelope"]:
-            raise ValueError("'ecc' adds check bytes to the envelope: it needs 'envelope': true")
-        cfg = PipelineConfig(
-            slice_params=SliceParams(**c["slice"]),
-            toolpath=ToolpathParams(**c["toolpath"]),
-            channel=ChannelParams(**c["channel"]),
-            printer=PrinterConfig(**c["printer"]),
-            mode=c["mode"],
-            packet_size=c["packet_size"],
-            enveloped=c["envelope"],
-            ecc=c["ecc"],
-            geometry_tol_mm=c["geometry_tol_mm"],
-            campaign_seed=c["seed"],
-        )
+        cfg = pipeline_config(c)
         specs = None if c["faults"] is None else [FaultSpec(**f) for f in c["faults"]]
         if specs is not None and "generate" in doc:
             raise ValueError("give 'faults' or 'generate', not both")
@@ -384,9 +367,8 @@ def _cmd_report(args) -> int:
 
 
 def _add_toolpath_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--feed-rate", type=float, default=1800.0, help="extrusion feed, mm/min")
-    p.add_argument("--extrusion-per-mm", type=float, default=0.05,
-                   help="filament mm per toolpath mm")
+    p.add_argument("--feed-rate", type=float, help="extrusion feed, mm/min")
+    p.add_argument("--extrusion-per-mm", type=float, help="filament mm per toolpath mm")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,14 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stl", help="STL utilities")
     p.add_argument("action", choices=["validate"], help="what to do")
     p.add_argument("file", help="STL file (ASCII or binary)")
-    p.add_argument("--area-tol", type=float, default=1e-12, help="degenerate-facet area, mm^2")
+    p.add_argument("--area-tol", type=float, help="degenerate-facet area, mm^2")
     p.add_argument("--out", default="-", help="report output path, - for stdout")
     p.set_defaults(func=_cmd_stl)
 
     p = sub.add_parser("slice", help="slice a mesh into layer contours")
     p.add_argument("file", help="STL file")
     p.add_argument("--layer-height", type=float, required=True, help="layer height, mm")
-    p.add_argument("--snap-eps", type=float, default=1e-7, help="contour chaining tolerance, mm")
+    p.add_argument("--snap-eps", type=float, help="contour chaining tolerance, mm")
     p.add_argument("--out", default="-", help="layers JSON output, - for stdout")
     p.set_defaults(func=_cmd_slice)
 
@@ -428,19 +410,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="end-to-end transfer and print simulation")
     p.add_argument("--mesh", required=True, help="STL file")
-    p.add_argument("--layer-height", type=float, default=0.25)
+    p.add_argument("--layer-height", type=float)
     _add_toolpath_flags(p)
-    p.add_argument("--channel", default="",
-                   help="loss=P,latency=L,jitter=J,bw=B,seed=S (defaults: lossless)")
-    p.add_argument("--mode", choices=[m.value for m in TransferMode], default="reliable")
-    p.add_argument("--policy", choices=[m.value for m in PrintPolicy], default="fullimage")
-    p.add_argument("--buffer", type=int, default=1 << 20, help="printer buffer, bytes")
-    p.add_argument("--packet-size", type=int, default=256)
-    p.add_argument("--technology", default="material_extrusion",
-                   choices=[t.value for t in PrinterTechnology])
-    p.add_argument("--layer-time-ms", type=float, default=None)
-    p.add_argument("--no-envelope", action="store_true", help="send raw G-code text")
-    p.add_argument("--ecc", action="store_true", help="add SECDED check bytes")
+    p.add_argument("--channel", help="loss=P,latency=L,jitter=J,bw=B,seed=S (defaults: lossless)")
+    p.add_argument("--mode", choices=[m.value for m in TransferMode])
+    p.add_argument("--policy", choices=[m.value for m in PrintPolicy])
+    p.add_argument("--buffer", type=int, help="printer buffer, bytes")
+    p.add_argument("--packet-size", type=int)
+    p.add_argument("--technology", choices=[t.value for t in PrinterTechnology])
+    p.add_argument("--layer-time-ms", type=float)
+    p.add_argument("--no-envelope", dest="envelope", action="store_false", default=None,
+                   help="send raw G-code text")
+    p.add_argument("--ecc", action="store_true", default=None, help="add SECDED check bytes")
     p.add_argument("--out", default="-", help="result JSON, - for stdout")
     p.set_defaults(func=_cmd_simulate)
 

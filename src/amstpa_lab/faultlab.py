@@ -28,10 +28,10 @@ After-CAD byte faults are judged against the parsed pristine STL, not the
 base mesh (binary STL rounds to float32): a fault that keeps the file's
 length and count word is read and validated only in the records it changes,
 and one that moves no vertex sends the parsed pristine's job, built once per
-configuration.  Every other after-CAD byte fault is parsed, validated and
-built whole.  A mesh fault is read back as its binary STL would parse,
-without writing the file, and the parameter-free flip_normals once per
-intake.
+configuration.  Every other after-CAD byte fault changes the binary STL's
+length or count word, which parse_stl refuses.  A mesh fault is read back
+as its binary STL would parse, without writing the file, and the
+parameter-free flip_normals once per intake.
 
 Trials are independent: each one's channel seed derives from the campaign
 seed and its index.  The loop runs them in this process until they have
@@ -61,7 +61,6 @@ from .jsondoc import NUMBER, REQUIRED, read_doc, read_value
 from .mesh_io import (
     Encoding,
     MeshTally,
-    StlError,
     TriangleMesh,
     binary_delta,
     emit_stl_binary,
@@ -182,6 +181,15 @@ CAMPAIGN_KEYS = {
     "generate": ({"kind": (FaultKind, "bit_flip"), "stage": (FaultStage, "in_transit"),
                   "count": (int, None)}, {}),
 }
+
+# `simulate` reads its flags by the campaign table, but its channel keeps
+# ChannelParams' defaults (0 ms latency at 1,000,000 B/s) and takes a seed:
+# a campaign derives each trial's channel seed from its own `seed`
+SIMULATE_KEYS = {**CAMPAIGN_KEYS, "channel": ({
+    **CAMPAIGN_KEYS["channel"][0], "latency_ms": (float, 0.0),
+    "bandwidth_bytes_per_s": (float, 1_000_000.0), "seed": (int, 1),
+}, {})}
+
 
 def inject(target: bytes | TriangleMesh, spec: FaultSpec):
     """Apply exactly the specified mutation; deterministic given the spec.
@@ -323,6 +331,24 @@ class PipelineConfig:
             raise ValueError("geometry_tol_mm must be finite and >= 0")
 
 
+def pipeline_config(c: dict) -> PipelineConfig:
+    """The PipelineConfig of `c`, a config read by CAMPAIGN_KEYS or SIMULATE_KEYS."""
+    if c["ecc"] and not c["envelope"]:
+        raise ValueError("'ecc' adds check bytes to the envelope: it needs 'envelope': true")
+    return PipelineConfig(
+        slice_params=SliceParams(**c["slice"]),
+        toolpath=ToolpathParams(**c["toolpath"]),
+        channel=ChannelParams(**c["channel"]),
+        printer=PrinterConfig(**c["printer"]),
+        mode=c["mode"],
+        packet_size=c["packet_size"],
+        enveloped=c["envelope"],
+        ecc=c["ecc"],
+        geometry_tol_mm=c["geometry_tol_mm"],
+        campaign_seed=c["seed"],
+    )
+
+
 def build_job(cfg: PipelineConfig, mesh: TriangleMesh) -> Job:
     """Slice, plan and emit `mesh`, then wrap the text as `cfg` sends it."""
     layers = slice_mesh(mesh, cfg.slice_params)
@@ -338,17 +364,6 @@ def _wrap_stage(cfg: PipelineConfig, text: bytes, reading: Reading) -> bytes:
     return wrap(text, len(reading.commands), with_ecc=cfg.ecc)
 
 
-def _read(stl: bytes) -> TriangleMesh | DetectionStage:
-    """Parse and validate `stl`: the mesh, or the stage that stops it."""
-    try:
-        mesh = parse_stl(stl)
-    except StlError:
-        return DetectionStage.PARSE_ERROR
-    if not validate_mesh(mesh).is_clean():
-        return DetectionStage.MESH_VALIDATION
-    return mesh
-
-
 def _float32_exact(coords: array) -> bool:
     """Whether every double in `coords` is a float32, bit for bit (-0.0 is
     not 0.0), so that a mesh of them reads back from its binary STL as itself.
@@ -359,7 +374,8 @@ def _float32_exact(coords: array) -> bool:
 
 
 class _CadIntake:
-    """`_read` of what an after-CAD fault leaves, without reading it whole.
+    """What an after-CAD fault leaves, parsed and validated without reading
+    it whole: the mesh, or the stage that stops it.
 
     Holds `mesh`, parse_stl(pristine STL), and its MeshTally.  A byte fault
     that keeps the STL's length and count word and reads as binary (see
@@ -367,7 +383,9 @@ class _CadIntake:
     the intake returns `mesh` itself (the slicer never reads normals).  When
     the base mesh is `mesh` bit for bit, as any mesh read from binary STL
     is, `mesh` is the base mesh and the trial sends its pristine job.  Every
-    other byte fault takes `_read`.
+    other byte fault changes the length or the count word of an STL that
+    opens with BINARY_HEADER (no one byte makes it open with `solid`), so
+    parse_stl would refuse it: it lands in parse_error.
 
     A mesh fault acts on the base mesh's coordinates and is read back as its
     binary STL would parse: rounded to float32, refused if any is not finite
@@ -394,7 +412,7 @@ class _CadIntake:
         stl = inject(self.stl, spec)
         delta = binary_delta(self.stl, stl)
         if delta is None:
-            return _read(stl)
+            return DetectionStage.PARSE_ERROR
         replaced, moved = delta
         if not self.tally.is_clean_with(replaced):
             return DetectionStage.MESH_VALIDATION

@@ -1,19 +1,28 @@
+import argparse
 import hashlib
 import importlib.resources
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from enum import Enum
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
 from amstpa_lab import cli, faultlab, gcode, shapes
 from amstpa_lab.cli import main
-from amstpa_lab.faultlab import MitigationEvidence
+from amstpa_lab.faultlab import CAMPAIGN_KEYS, SIMULATE_KEYS, MitigationEvidence, PipelineConfig
+from amstpa_lab.gcode import ToolpathParams
+from amstpa_lab.jsondoc import read_doc
 from amstpa_lab.mesh_io import TriangleMesh, Vec3, emit_stl_ascii, emit_stl_binary
+from amstpa_lab.netsim import ChannelParams, TransferMode
+from amstpa_lab.printer_sim import PrinterConfig, PrinterTechnology, PrintPolicy
+from amstpa_lab.slicer import SliceParams
 
 
 @pytest.fixture()
@@ -336,6 +345,7 @@ def _demo_artifact(**evidence):
     "command, payload",
     [
         pytest.param("simulate", ["--channel", "loss=abc"], id="channel-loss-not-a-number"),
+        pytest.param("simulate", ["--channel", "loss"], id="channel-item-not-key-value"),
         pytest.param("simulate", ["--packet-size", "0"], id="simulate-packet-size-0"),
         pytest.param("simulate", ["--channel", "latency=nan"], id="channel-latency-nan"),
         pytest.param("simulate", ["--channel", "jitter=inf"], id="channel-jitter-inf"),
@@ -481,6 +491,16 @@ def _demo_artifact(**evidence):
             "campaign", _one_fault("scale_coords", "after_cad", factor=True), id="scale-factor-true"
         ),
         pytest.param("campaign", {"generate": {"count": -4}}, id="generate-count-negative"),
+        pytest.param("campaign", {"generate": {"kind": "truncate"}}, id="generate-kind-truncate"),
+        pytest.param(
+            "campaign", {"demo": True, "faults": [{"kind": "truncate", "stage": "in_transit"}]},
+            id="demo-with-faults-only",
+        ),
+        pytest.param(
+            "campaign", {"mesh": {"builtin": "sphere"}, "generate": {"count": 1}},
+            id="builtin-mesh-unknown",
+        ),
+        pytest.param("campaign", {"mesh": {}, "generate": {"count": 1}}, id="mesh-block-empty"),
         pytest.param(
             "campaign",
             {"demo": True, "generate": {"count": 1},
@@ -618,6 +638,79 @@ def test_unknown_key_is_named_on_stderr_and_changes_no_output(tmp_path):
     assert misspelled[:2] == plain[:2]
     assert plain[2] == ""
     assert misspelled[2] == "ignoring unknown key chanel\n" * 2
+
+
+def test_pipeline_flags_hold_no_defaults():
+    # a flag left out is left out of the config, so it takes the default of
+    # the table or class that reads it: argparse holds no copy of one
+    (commands,) = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    for name in ("stl", "slice", "gcode", "simulate"):
+        for action in commands.choices[name]._actions:
+            if action.dest not in ("help", "out"):
+                assert action.default is None, (name, action.option_strings)
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], PipelineConfig(SliceParams(0.25), ToolpathParams(), ChannelParams(),
+                            PrinterConfig(1 << 20, PrintPolicy.FULL_IMAGE))),
+        (["--layer-height", "0.5", "--feed-rate", "1200", "--extrusion-per-mm", "0.1",
+          "--channel", "loss=0.1,latency=2,jitter=0.5,bw=1000,seed=9", "--mode", "besteffort",
+          "--policy", "streaming", "--buffer", "4096", "--packet-size", "64",
+          "--technology", "vat_photopolymerization", "--layer-time-ms", "5", "--ecc"],
+         PipelineConfig(SliceParams(0.5), ToolpathParams(1200.0, 0.1),
+                        ChannelParams(2.0, 0.5, 1000.0, 0.1, 9),
+                        PrinterConfig(4096, PrintPolicy.STREAMING,
+                                      PrinterTechnology.VAT_PHOTOPOLYMERIZATION, 5.0),
+                        TransferMode.BEST_EFFORT, 64, ecc=True)),
+        (["--no-envelope"], PipelineConfig(SliceParams(0.25), ToolpathParams(), ChannelParams(),
+                                           PrinterConfig(1 << 20, PrintPolicy.FULL_IMAGE),
+                                           enveloped=False)),
+    ],
+    ids=["none", "every-flag", "no-envelope"],
+)
+def test_each_simulate_flag_sets_its_config_key(cube_file, monkeypatch, flags, expected):
+    built = []
+
+    def build_job(cfg, mesh):
+        built.append(cfg)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "build_job", build_job)
+    assert main(["simulate", "--mesh", str(cube_file), *flags]) == 2
+    assert built == [expected]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _dotted(doc: dict, where: str = "") -> dict:
+    """A read config's values by dotted key, each member by its JSON value."""
+    flat = {}
+    for key, value in doc.items():
+        if type(value) is dict:
+            flat.update(_dotted(value, f"{where}{key}."))
+        else:
+            flat[where + key] = value.value if isinstance(value, Enum) else value
+    return flat
+
+
+def test_readme_states_every_config_default():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| key | type | default |\n|---|---|---|\n")[1].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines():
+        key, _, default = (cell.strip() for cell in row.strip("|").split("|"))
+        documented[key.strip("`")] = json.loads(re.match(r"`([^`]*)`", default)[1])
+    campaign = _dotted(read_doc({}, CAMPAIGN_KEYS))
+    assert documented == campaign
+    # simulate's defaults are a campaign's, but for the keys its paragraph names
+    (paragraph,) = (p for p in text.split("\n\n") if p.startswith("`simulate` reads its flags"))
+    stated = {key: json.loads(v) for key, v in re.findall(r"`([\w.]+)` is `([^`]*)`", paragraph)}
+    simulate = _dotted(read_doc({}, SIMULATE_KEYS))
+    assert stated == {k: v for k, v in simulate.items() if k not in campaign or campaign[k] != v}
 
 
 def _amstpa(*argv):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from amstpa_lab import faultlab, gcode, integrity, printer_sim, shapes
 from amstpa_lab.faultlab import (
     CAMPAIGN_KEYS,
+    SIMULATE_KEYS,
     CampaignResult,
     DetectionStage,
     FaultKind,
@@ -29,17 +30,20 @@ from amstpa_lab.faultlab import (
     bit_flip_specs,
     build_job,
     inject,
+    pipeline_config,
     run_campaign,
     run_demo_campaign,
 )
 from amstpa_lab.gcode import GCodeError, ToolpathParams, _first_diff, fold, resume, scan
 from amstpa_lab.jsondoc import read_doc
 from amstpa_lab.mesh_io import (
+    BINARY_HEADER,
     Encoding,
     Facet,
     StlError,
     TriangleMesh,
     Vec3,
+    binary_delta,
     emit_stl_ascii,
     emit_stl_binary,
     parse_stl,
@@ -162,6 +166,19 @@ class TestConfigReader:
         assert doc["generate"] == {
             "kind": FaultKind.BIT_FLIP, "stage": FaultStage.IN_TRANSIT, "count": None
         }
+
+    def test_simulate_keys_differ_from_a_campaigns_only_in_the_channel(self):
+        campaign, simulate = read_doc({}, CAMPAIGN_KEYS), read_doc({}, SIMULATE_KEYS)
+        assert {**simulate, "channel": None} == {**campaign, "channel": None}
+        assert set(simulate["channel"]) == set(campaign["channel"]) | {"seed"}
+
+    def test_table_defaults_are_the_config_classes_own(self):
+        # where a config class has a default, the table holds that one
+        cfg = pipeline_config(read_doc({}, SIMULATE_KEYS))
+        assert cfg == PipelineConfig(
+            SliceParams(cfg.slice_params.layer_height), ToolpathParams(), ChannelParams(),
+            PrinterConfig(cfg.printer.buffer_capacity, cfg.printer.policy),
+        )
 
     def test_campaign_numbers_are_read_as_floats(self):
         doc = read_doc({"toolpath": {"feed_rate": 1800}, "geometry_tol_mm": 0}, CAMPAIGN_KEYS)
@@ -764,7 +781,8 @@ class TestPool:
             "from amstpa_lab.printer_sim import PrinterConfig, PrintPolicy\n"
             "from amstpa_lab.slicer import SliceParams\n"
             "def hang(*args):\n"
-            "    print(os.getpid(), flush=True)\n"
+            "    # one write, so two workers' lines cannot interleave\n"
+            "    os.write(1, b'%d\\n' % os.getpid())\n"
             "    time.sleep(60)\n"
             "faultlab._POOL_AFTER_S = 0.0\n"
             "faultlab._run_trial = hang\n"
@@ -1007,6 +1025,33 @@ class TestCadIntakeMatchesWholeFile:
         for cfg, p in ((CAD_CFG, pristine), (raw_cfg, raw), (CAD_CFG, pristine)):
             args = (cfg, header, p, channel)
             assert verdict(faultlab._run_trial, *args) == verdict(whole_file_trial, *args)
+
+
+class TestDeclinedByteFaultsDoNotParse:
+    """The intake sends every byte fault that binary_delta declines to
+    parse_error without parsing it: a pristine STL opens with BINARY_HEADER,
+    so only a changed length or count word is declined, and parse_stl
+    refuses both."""
+
+    def test_header_does_not_open_with_solid(self):
+        assert BINARY_HEADER.lstrip()[:5].lower() != b"solid"
+
+    @pytest.mark.parametrize(
+        "mesh", [shapes.box(), shapes.corner_tetrahedron(), shapes.octahedron()],
+        ids=["cube", "tetrahedron", "octahedron"],
+    )
+    def test_no_declined_byte_set_or_truncation_parses(self, mesh):
+        stl = emit_stl_binary(mesh)
+        faults = [stl[:n] for n in range(len(stl))]
+        for at in range(84):  # the header and the count word
+            for value in range(256):
+                faults.append(stl[:at] + bytes([value]) + stl[at + 1:])
+        declined = [data for data in faults if binary_delta(stl, data) is None]
+        # every truncation, and every byte set that changes the count word
+        assert len(declined) == len(stl) + 4 * 255
+        for data in declined:
+            with pytest.raises(StlError):
+                parse_stl(data)
 
 
 @pytest.mark.usefixtures("in_process")
