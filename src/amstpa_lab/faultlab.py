@@ -49,7 +49,6 @@ import os
 import sys
 import threading
 from array import array
-from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
 from time import perf_counter
@@ -57,7 +56,7 @@ from typing import NamedTuple, get_type_hints
 
 from .gcode import Reading, ToolpathParams, emit_text, plan_toolpath, read_program, resume
 from .integrity import wrap
-from .jsondoc import NUMBER, REQUIRED, read_doc, read_value
+from .jsondoc import NUMBER, REQUIRED, checked, read_doc, read_value
 from .mesh_io import (
     Encoding,
     MeshTally,
@@ -108,8 +107,8 @@ _STAGE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+@checked
+class FaultSpec(NamedTuple):
     kind: FaultKind
     stage: FaultStage
     offset: int | None = None    # bit index for BIT_FLIP, byte index for BYTE_SET
@@ -119,7 +118,7 @@ class FaultSpec:
     loss_prob: float | None = None  # for DROP_PACKETS
     seed: int = 0                # drives any field left unspecified
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in _STAGE_KINDS[self.stage]:
             raise ValueError(f"{self.kind.value} cannot be planted {self.stage.value}")
         if self.kind is FaultKind.SCALE_COORDS and not (
@@ -158,7 +157,8 @@ FAULT_FIELDS = {
     "seed": (int, 0),
 }
 
-# every key of a campaign config; each block's keys are its dataclass's fields
+# every key of a campaign config; the keys of slice, toolpath, channel and printer
+# are the fields of SliceParams, ToolpathParams, ChannelParams and PrinterConfig
 CAMPAIGN_KEYS = {
     "seed": (int, 0),
     "mesh": ({"builtin": (str, None), "path": (str, None)}, {"builtin": "cube"}),
@@ -312,8 +312,8 @@ class CampaignResult(NamedTuple):
         return result
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+@checked
+class PipelineConfig(NamedTuple):
     slice_params: SliceParams
     toolpath: ToolpathParams
     channel: ChannelParams
@@ -325,7 +325,7 @@ class PipelineConfig:
     geometry_tol_mm: float = 1e-6
     campaign_seed: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_packet_size(self.packet_size)
         if not (0 <= self.geometry_tol_mm < math.inf):
             raise ValueError("geometry_tol_mm must be finite and >= 0")
@@ -503,7 +503,7 @@ def _run_trial(
         reading = resume(job.reading, job.text, text)
         job = job._replace(text=text, sent=_wrap_stage(cfg, text, reading), reading=reading)
     elif spec.kind is FaultKind.DROP_PACKETS:  # in transit, through the channel
-        channel = replace(channel, loss_prob=spec.loss_prob)
+        channel = channel._replace(loss_prob=spec.loss_prob)
     else:  # an in-transit byte fault, sent in place of the job's bytes
         sent = inject(job.sent, spec)
     sent = job.sent if sent is None else sent
@@ -542,7 +542,7 @@ def _trial(run: tuple) -> tuple:
     """One trial of a pass: `run` is (cfg, pristine, index, spec); returns
     (spec, stage, outcome)."""
     cfg, pristine, i, spec = run
-    channel = replace(cfg.channel, seed=splitmix64_at(cfg.campaign_seed, i))
+    channel = cfg.channel._replace(seed=splitmix64_at(cfg.campaign_seed, i))
     stage, outcome, _ = _run_trial(cfg, spec, pristine, channel)
     return spec, stage, outcome
 
@@ -731,9 +731,9 @@ def run_demo_campaign(
     if not cfg.enveloped:
         raise CampaignError("the demonstration campaign needs the envelope enabled")
     specs = bit_flip_specs(corruption_count, FaultStage.IN_TRANSIT, cfg.campaign_seed)
-    full_cfg = replace(cfg, printer=replace(cfg.printer, policy=PrintPolicy.FULL_IMAGE))
-    stream_cfg = replace(cfg, printer=replace(cfg.printer, policy=PrintPolicy.STREAMING))
-    raw_cfg = replace(full_cfg, enveloped=False)
+    full_cfg = cfg._replace(printer=cfg.printer._replace(policy=PrintPolicy.FULL_IMAGE))
+    stream_cfg = cfg._replace(printer=cfg.printer._replace(policy=PrintPolicy.STREAMING))
+    raw_cfg = full_cfg._replace(enveloped=False)
     # the policy is not part of the job, so all three runs share one pristine
     # job; the raw run sends its text without the envelope
     pristine = _prepare(cfg, base_mesh, specs)
@@ -762,13 +762,13 @@ def run_demo_campaign(
         probe_seed = splitmix64_at(cfg.campaign_seed ^ 0x51CE, j)
         lossless = transfer(
             job.sent,
-            replace(cfg.channel, loss_prob=0.0, seed=probe_seed),
+            cfg.channel._replace(loss_prob=0.0, seed=probe_seed),
             TransferMode.RELIABLE_ORDERED,
             probe_packet,
         )
         lossy = transfer(
             job.sent,
-            replace(cfg.channel, loss_prob=RELIABLE_LOSS_PROB, seed=probe_seed),
+            cfg.channel._replace(loss_prob=RELIABLE_LOSS_PROB, seed=probe_seed),
             TransferMode.RELIABLE_ORDERED,
             probe_packet,
         )

@@ -45,10 +45,10 @@ import re
 import struct
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import NamedTuple
 
+from .jsondoc import checked
 from .slicer import LayerPlan, contour_perimeter
 
 log = logging.getLogger(__name__)
@@ -95,12 +95,12 @@ class GCodeProgram(NamedTuple):
     commands: tuple[Command, ...]
 
 
-@dataclass(frozen=True)
-class ToolpathParams:
+@checked
+class ToolpathParams(NamedTuple):
     feed_rate: float = 1800.0       # mm/min for extruding moves
     extrusion_per_mm: float = 0.05  # filament mm per toolpath mm
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # the planner writes F rounded to 5 decimals, and the reader wants it > 0
         if not (0.0 < self.feed_rate < math.inf and round(self.feed_rate, 5) > 0.0):
             raise ValueError("feed_rate must be finite and > 0 at 5 decimals")

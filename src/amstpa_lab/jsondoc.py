@@ -11,7 +11,8 @@ rule takes a bool.  An error names the value by its dotted path: an object
 in an array by its index (`faults.3.kind`), any other item by the array's
 path (`layers.0.contours.0.vertices`).  An array of scalars, or of arrays of
 scalars, is type-checked in one pass; only an array that fails it is read
-item by item, to name its first bad value.
+item by item, to name its first bad value.  `checked` makes a NamedTuple
+config run its own `_check` on every instance built, `_replace` included.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import logging
 import math
 from enum import EnumMeta
+from functools import wraps
 from itertools import chain
 
 log = logging.getLogger(__name__)
@@ -111,3 +113,20 @@ def _read_scalars(values: list, item):
     if scalar is float and int in seen:
         return [list(map(float, row)) for row in values] if rows else list(map(float, values))
     return values  # every value already is what the rule reads it as
+
+
+def checked(cls):
+    """The NamedTuple `cls`, made to run its `_check` on every instance built:
+    by the constructor, by `_make` and `_replace` (which builds through
+    `_make`), and on unpickling.  `_check` raises ValueError for a bad
+    field, or returns a completed record to stand in for the one built."""
+    new = cls.__new__
+
+    @wraps(new)  # keeps the generated constructor's signature and doc
+    def __new__(klass, *args, **kwargs):
+        record = new(klass, *args, **kwargs)
+        return record._check() or record
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda klass, values: klass(*values))
+    return cls

@@ -23,9 +23,10 @@ delivery zero-fills only its gaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
+
+from .jsondoc import checked
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -50,15 +51,15 @@ def splitmix64_at(seed: int, index: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+@checked
+class ChannelParams(NamedTuple):
     latency_ms: float = 0.0
     jitter_ms: float = 0.0
     bandwidth_bytes_per_s: float = 1_000_000.0
     loss_prob: float = 0.0
     seed: int = 1
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (0 <= self.latency_ms < math.inf and 0 <= self.jitter_ms < math.inf):
             raise ValueError("latency_ms and jitter_ms must be finite and >= 0")
         if not (0 < self.bandwidth_bytes_per_s < math.inf):

@@ -17,12 +17,12 @@ the reject-early vs scrap-late contrast measurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from . import integrity
 from .gcode import Layer, Reading, _first_diff, intended_perimeters, resume
+from .jsondoc import checked
 from .netsim import ChannelParams, TransferMode, transfer
 from .slicer import LayerPlan
 
@@ -54,14 +54,14 @@ class PrintPolicy(Enum):
     STREAMING = "streaming"
 
 
-@dataclass(frozen=True)
-class PrinterConfig:
+@checked
+class PrinterConfig(NamedTuple):
     buffer_capacity: int
     policy: PrintPolicy
     technology: PrinterTechnology = PrinterTechnology.MATERIAL_EXTRUSION
     nominal_layer_time_ms: float | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> PrinterConfig:
         if not (self.buffer_capacity > 0):
             raise ValueError("buffer_capacity must be > 0")
         layer_time = self.nominal_layer_time_ms
@@ -71,7 +71,7 @@ class PrinterConfig:
         layer_time = float(layer_time)
         if not (0 <= layer_time < math.inf):
             raise ValueError("nominal_layer_time_ms must be finite and >= 0")
-        object.__setattr__(self, "nominal_layer_time_ms", layer_time)
+        return tuple.__new__(PrinterConfig, (*self[:-1], layer_time))
 
 
 class JobStatus(Enum):

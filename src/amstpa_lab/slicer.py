@@ -41,11 +41,10 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .jsondoc import REQUIRED, read_doc
+from .jsondoc import REQUIRED, checked, read_doc
 from .mesh_io import TriangleMesh, require_finite
 
 log = logging.getLogger(__name__)
@@ -57,12 +56,12 @@ Point2 = tuple[float, float]
 MAX_LAYERS = 10**6
 
 
-@dataclass(frozen=True)
-class SliceParams:
+@checked
+class SliceParams(NamedTuple):
     layer_height: float
     snap_eps: float = 1e-7
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (self.layer_height > 0.0):
             raise ValueError("layer_height must be > 0")
         if not (self.snap_eps > 0.0):

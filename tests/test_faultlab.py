@@ -11,7 +11,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -224,12 +223,12 @@ class TestCampaign:
     @pytest.mark.parametrize("tol", [-1.0, math.inf, -math.inf, math.nan])
     def test_geometry_tolerance_must_be_finite_and_non_negative(self, tol):
         with pytest.raises(ValueError, match="geometry_tol_mm must be finite and >= 0"):
-            replace(pipeline(), geometry_tol_mm=tol)
+            pipeline()._replace(geometry_tol_mm=tol)
 
     def test_zero_geometry_tolerance_is_valid(self, cube):
         # an after-slice byte set that changes the printed geometry
         spec = FaultSpec(FaultKind.BYTE_SET, FaultStage.AFTER_SLICE, offset=48, value=53)
-        result = run_campaign(replace(pipeline(), geometry_tol_mm=0.0), [spec], cube)
+        result = run_campaign(pipeline()._replace(geometry_tol_mm=0.0), [spec], cube)
         assert result.histogram == {DetectionStage.GEOMETRY_DIFF: 1}
 
     def test_empty_specs(self, cube):
@@ -310,7 +309,7 @@ class TestCampaign:
         assert result.histogram == {DetectionStage.UNDETECTED: 1}
 
     def test_drop_packets_besteffort_detected(self, cube):
-        cfg = replace(pipeline(), mode=TransferMode.BEST_EFFORT)
+        cfg = pipeline()._replace(mode=TransferMode.BEST_EFFORT)
         spec = FaultSpec(FaultKind.DROP_PACKETS, FaultStage.IN_TRANSIT, loss_prob=0.9)
         result = run_campaign(cfg, [spec], cube)
         assert result.count(DetectionStage.INTEGRITY_VERIFY) == 1
@@ -517,8 +516,7 @@ class TestTrialLoop:
                 "a078acc5b7dca436c3af213a67586cadc67c08a36bd2a0d8606858f992f6d414",
             ),
             (
-                replace(
-                    pipeline(policy=PrintPolicy.STREAMING, enveloped=False, seed=7),
+                pipeline(policy=PrintPolicy.STREAMING, enveloped=False, seed=7)._replace(
                     mode=TransferMode.BEST_EFFORT,
                 ),
                 "a19402601752684d0e85002c7dae92d6609758d210deae7ed5776c9d6674ff52",
@@ -627,8 +625,8 @@ def old_blame_layers(text: bytes) -> tuple:
 
 
 ONE_READING_CFGS = {
-    f"{policy.value}-loss{loss}": replace(pipeline(policy=policy, loss=loss),
-                                          mode=TransferMode.BEST_EFFORT, packet_size=64)
+    f"{policy.value}-loss{loss}": pipeline(policy=policy, loss=loss)._replace(
+        mode=TransferMode.BEST_EFFORT, packet_size=64)
     for policy in PrintPolicy for loss in (0.0, 0.2)
 }
 
@@ -653,7 +651,7 @@ class TestOneReading:
     def test_stage_unchanged_by_the_old_count_and_blame(self, name, kind, seed, channel_seed):
         cfg = ONE_READING_CFGS[name]
         spec = FaultSpec(kind, FaultStage.AFTER_SLICE, seed=seed)
-        args = (cfg, spec, cube_pristine(cfg), replace(cfg.channel, seed=channel_seed))
+        args = (cfg, spec, cube_pristine(cfg), cfg.channel._replace(seed=channel_seed))
         runs = []
 
         def recording_run_job(job, *a, **kw):
@@ -725,8 +723,8 @@ class TestPool:
         "cfg",
         [
             pipeline(seed=7),
-            replace(pipeline(policy=PrintPolicy.STREAMING, enveloped=False, seed=7),
-                    mode=TransferMode.BEST_EFFORT),
+            pipeline(policy=PrintPolicy.STREAMING, enveloped=False, seed=7)._replace(
+                mode=TransferMode.BEST_EFFORT),
         ],
         ids=["fullimage-enveloped", "streaming-raw-besteffort"],
     )
@@ -988,7 +986,7 @@ class TestCadIntakeMatchesWholeFile:
     def test_random_faults(self, prepared, name, data):
         pristine = prepared[name]
         spec = data.draw(after_cad_faults(len(pristine.stl), scale_factors(pristine.mesh)))
-        channel = replace(CAD_CFG.channel, seed=data.draw(st.integers(0, 2**64 - 1)))
+        channel = CAD_CFG.channel._replace(seed=data.draw(st.integers(0, 2**64 - 1)))
         args = (CAD_CFG, spec, pristine, channel)
         assert verdict(faultlab._run_trial, *args) == verdict(whole_file_trial, *args)
 
@@ -997,7 +995,7 @@ class TestCadIntakeMatchesWholeFile:
         # makes the two edges it had broken manifold again, so the mesh is
         # clean and its job is built from the changed record
         assert prepared["bent"].job.sent != prepared["clean"].job.sent
-        channel = replace(CAD_CFG.channel, seed=1)
+        channel = CAD_CFG.channel._replace(seed=1)
         args = (CAD_CFG, UNBEND, prepared["bent"], channel)
         stage, _, _ = faultlab._run_trial(*args)
         assert stage not in (DetectionStage.PARSE_ERROR, DetectionStage.MESH_VALIDATION)
@@ -1017,11 +1015,11 @@ class TestCadIntakeMatchesWholeFile:
         # enveloped config, also runs an unenveloped campaign that sends
         # the pristine text; a vertex-keeping fault follows the trial's
         # config and pristine, whichever config built the job first
-        raw_cfg = replace(CAD_CFG, enveloped=False)
+        raw_cfg = CAD_CFG._replace(enveloped=False)
         header = FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_CAD, offset=8 * 5 + 1)
         pristine = faultlab._prepare(CAD_CFG, CAD_MESHES[name], [header])
         raw = pristine._replace(job=pristine.job._replace(sent=pristine.job.text))
-        channel = replace(CAD_CFG.channel, seed=3)
+        channel = CAD_CFG.channel._replace(seed=3)
         for cfg, p in ((CAD_CFG, pristine), (raw_cfg, raw), (CAD_CFG, pristine)):
             args = (cfg, header, p, channel)
             assert verdict(faultlab._run_trial, *args) == verdict(whole_file_trial, *args)
@@ -1078,7 +1076,7 @@ class TestCadIntakeLifetime:
         built = []
         for i, (spec, stage, outcome) in enumerate(faultlab._trials([(cfg, pristine)], specs)):
             built.append(cfg in pristine.cad._jobs)
-            channel = replace(cfg.channel, seed=splitmix64_at(cfg.campaign_seed, i))
+            channel = cfg.channel._replace(seed=splitmix64_at(cfg.campaign_seed, i))
             fresh = faultlab._prepare(cfg, base, specs)
             assert (stage, outcome) == faultlab._run_trial(cfg, spec, fresh, channel)[:2]
         last = len(specs) - 1
