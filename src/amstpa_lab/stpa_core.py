@@ -15,7 +15,6 @@ unique non-empty ids, and paths between two different components.
 from __future__ import annotations
 
 import functools
-import importlib.resources
 from enum import Enum
 from typing import NamedTuple
 
@@ -318,6 +317,8 @@ def builtin_am_reference_model() -> ControlStructure:
     """The shipped AM toolchain model (data/am_reference_model.json): CAD/CAM,
     repository, and printing subsystems joined by file, command, and feedback
     flows.  Loaded and validated once; the structure is frozen."""
+    import importlib.resources  # on 3.12+ it loads inspect: keep it off command start
+
     blob = importlib.resources.files(__package__) / "data" / "am_reference_model.json"
     return load_model(blob.read_bytes())
 
