@@ -2,7 +2,9 @@
 
 Defining a frozen dataclass generates and runs about six methods, several
 times what a NamedTuple costs, and `import dataclasses` loads `inspect`,
-`ast` and `dis`: every `amstpa` command paid for both at start-up.  The
+`ast` and `dis`: every `amstpa` command paid for both at start-up.  On
+Python 3.12 and later `importlib.resources` loads `inspect` too, so the
+package imports it only where the bundled model is read.  The
 records keep the fields, defaults, repr, hashing and immutability of the
 frozen dataclasses they were; like any tuple, a record equals the plain
 tuple of its fields.  The six configs check their fields on every instance
