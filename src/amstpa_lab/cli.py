@@ -182,20 +182,9 @@ def _cmd_stpa(args) -> int:
 def _cmd_stl(args) -> int:
     mesh = _load_mesh_file(args.file)
     report = validate_mesh(mesh, **_given({"area_tol": args.area_tol}))
-    lo, hi = report.bbox_min, report.bbox_max
-    doc = {
-        "file": args.file,
-        "encoding": mesh.source_encoding.value,
-        "facet_count": report.facet_count,
-        "degenerate_facets": list(report.degenerate_facets),
-        "nonfinite_facets": list(report.nonfinite_facets),
-        "nonmanifold_edges": report.nonmanifold_edges,
-        "inverted_normals": list(report.inverted_normals),
-        # a non-finite coordinate leaves the bounding box undefined
-        "bbox_min": None if report.nonfinite_facets else [lo.x, lo.y, lo.z],
-        "bbox_max": None if report.nonfinite_facets else [hi.x, hi.y, hi.z],
-        "watertight": report.watertight,
-    }
+    doc = {"file": args.file, "encoding": mesh.source_encoding.value, **report._asdict()}
+    if report.nonfinite_facets:  # a non-finite coordinate leaves the bounding box undefined
+        doc["bbox_min"] = doc["bbox_max"] = None
     _write_output(args.out, _dump_json(doc))
     return 0 if report.is_clean() else 1
 
@@ -270,10 +259,7 @@ def _cmd_simulate(args) -> int:
         "policy": cfg.printer.policy.value,
         "outcome": outcome_to_dict(outcome),
         "trace": trace_to_dict(trace),
-        "geometry_diff": {
-            "max_extrusion_error_mm": gd.max_extrusion_error_mm,
-            "layers_missing": gd.layers_missing,
-        },
+        "geometry_diff": gd._asdict(),
     }
     _write_output(args.out, _dump_json(doc))
     return 0 if outcome.status is JobStatus.COMPLETED else 1

@@ -52,11 +52,11 @@ from array import array
 from enum import Enum
 from itertools import chain
 from time import perf_counter
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 from .gcode import Reading, ToolpathParams, emit_text, plan_toolpath, read_program, resume
 from .integrity import wrap
-from .jsondoc import NUMBER, REQUIRED, checked, read_doc, read_value
+from .jsondoc import NUMBER, checked, fields, read_doc, read_value
 from .mesh_io import (
     Encoding,
     MeshTally,
@@ -73,7 +73,6 @@ from .printer_sim import (
     Job,
     JobStatus,
     PrinterConfig,
-    PrinterTechnology,
     PrintPolicy,
     geometry_diff,
     run_job,
@@ -114,8 +113,8 @@ class FaultSpec(NamedTuple):
     offset: int | None = None    # bit index for BIT_FLIP, byte index for BYTE_SET
     value: int | None = None     # byte value for BYTE_SET
     new_len: int | None = None   # for TRUNCATE
-    factor: float | None = None  # for SCALE_COORDS
-    loss_prob: float | None = None  # for DROP_PACKETS
+    factor: int | float | None = None     # for SCALE_COORDS; both kept as read,
+    loss_prob: int | float | None = None  # for DROP_PACKETS; so to_dict echoes an int
     seed: int = 0                # drives any field left unspecified
 
     def _check(self) -> None:
@@ -149,27 +148,21 @@ class FaultSpec(NamedTuple):
         return cls(**read_doc(doc, FAULT_FIELDS))
 
 
-# every FaultSpec field, as a jsondoc table
-FAULT_FIELDS = {
-    "kind": (FaultKind, REQUIRED), "stage": (FaultStage, REQUIRED),
-    "offset": (int, None), "value": (int, None), "new_len": (int, None),
-    "factor": (NUMBER, None), "loss_prob": (NUMBER, None),  # kept as read: to_dict echoes them
-    "seed": (int, 0),
-}
+FAULT_FIELDS = fields(FaultSpec)
 
-# every key of a campaign config; the keys of slice, toolpath, channel and printer
-# are the fields of SliceParams, ToolpathParams, ChannelParams and PrinterConfig
+# every key of a campaign config; slice, toolpath, channel and printer are the
+# fields of SliceParams, ToolpathParams, ChannelParams and PrinterConfig, with
+# a campaign's own defaults where given here.  The channel leaves out `seed`:
+# each trial's channel seed derives from the campaign's `seed`.  A null
+# printer.nominal_layer_time_ms takes the technology's own.
 CAMPAIGN_KEYS = {
     "seed": (int, 0),
     "mesh": ({"builtin": (str, None), "path": (str, None)}, {"builtin": "cube"}),
-    "slice": ({"layer_height": (float, 0.25), "snap_eps": (float, 1e-7)}, {}),
-    "toolpath": ({"feed_rate": (float, 1800.0), "extrusion_per_mm": (float, 0.05)}, {}),
-    "channel": ({"latency_ms": (float, 1.0), "jitter_ms": (float, 0.0),
-                 "bandwidth_bytes_per_s": (float, 125000.0), "loss_prob": (float, 0.0)}, {}),
-    # a null nominal_layer_time_ms takes the technology's own
-    "printer": ({"buffer_capacity": (int, 1 << 20), "policy": (PrintPolicy, "fullimage"),
-                 "technology": (PrinterTechnology, "material_extrusion"),
-                 "nominal_layer_time_ms": (float, None)}, {}),
+    "slice": (fields(SliceParams, layer_height=0.25), {}),
+    "toolpath": (fields(ToolpathParams), {}),
+    "channel": ({key: entry for key, entry in fields(ChannelParams, latency_ms=1.0,
+                 bandwidth_bytes_per_s=125000.0).items() if key != "seed"}, {}),
+    "printer": (fields(PrinterConfig, buffer_capacity=1 << 20, policy=PrintPolicy.FULL_IMAGE), {}),
     "mode": (TransferMode, "reliable"),
     "packet_size": (int, 256),
     "envelope": (bool, True),
@@ -182,13 +175,10 @@ CAMPAIGN_KEYS = {
                   "count": (int, None)}, {}),
 }
 
-# `simulate` reads its flags by the campaign table, but its channel keeps
-# ChannelParams' defaults (0 ms latency at 1,000,000 B/s) and takes a seed:
-# a campaign derives each trial's channel seed from its own `seed`
-SIMULATE_KEYS = {**CAMPAIGN_KEYS, "channel": ({
-    **CAMPAIGN_KEYS["channel"][0], "latency_ms": (float, 0.0),
-    "bandwidth_bytes_per_s": (float, 1_000_000.0), "seed": (int, 1),
-}, {})}
+# `simulate` reads its flags by the campaign table, but its channel is every
+# field of ChannelParams with the record's own defaults (0 ms latency at
+# 1,000,000 B/s), seed included
+SIMULATE_KEYS = {**CAMPAIGN_KEYS, "channel": (fields(ChannelParams), {})}
 
 
 def inject(target: bytes | TriangleMesh, spec: FaultSpec):
@@ -305,7 +295,7 @@ class CampaignResult(NamedTuple):
             undetected_trials=tuple(FaultSpec.from_dict(d) for d in doc["undetected_trials"]),
         )
         counts = result.histogram.values()
-        if min(result.trials, *counts) < 0 or sum(counts) != result.trials:
+        if min((result.trials, *counts)) < 0 or sum(counts) != result.trials:
             raise ValueError("the histogram's counts must be >= 0 and sum to trials")
         if len(result.undetected_trials) != result.count(DetectionStage.UNDETECTED):
             raise ValueError("undetected_trials must hold one spec per undetected trial")
@@ -693,10 +683,7 @@ class MitigationEvidence(NamedTuple):
         return cls(**read_doc(doc, _EVIDENCE_FIELDS, "evidence."))
 
 
-# every evidence field is required and read by the rule of its annotation
-_EVIDENCE_FIELDS = {
-    name: (rule, REQUIRED) for name, rule in get_type_hints(MitigationEvidence).items()
-}
+_EVIDENCE_FIELDS = fields(MitigationEvidence)
 
 
 class DemoResult(NamedTuple):

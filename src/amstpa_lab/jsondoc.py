@@ -11,8 +11,14 @@ rule takes a bool.  An error names the value by its dotted path: an object
 in an array by its index (`faults.3.kind`), any other item by the array's
 path (`layers.0.contours.0.vertices`).  An array of scalars, or of arrays of
 scalars, is type-checked in one pass; only an array that fails it is read
-item by item, to name its first bad value.  `checked` makes a NamedTuple
-config run its own `_check` on every instance built, `_replace` included.
+item by item, to name its first bad value.
+
+`fields` derives a NamedTuple's table from the record, so that each table
+has one source of truth: each field is read by the rule its annotation
+names (`X | None` by X, taking null too; `int | float` by NUMBER), and its
+default is the one given to `fields`, else the record's own, else REQUIRED.
+`checked` makes a NamedTuple config run its own `_check` on every instance
+built, `_replace` included.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-from enum import EnumMeta
+from enum import Enum, EnumMeta
 from functools import wraps
 from itertools import chain
+from typing import get_args, get_type_hints
 
 log = logging.getLogger(__name__)
 
@@ -113,6 +120,20 @@ def _read_scalars(values: list, item):
     if scalar is float and int in seen:
         return [list(map(float, row)) for row in values] if rows else list(map(float, values))
     return values  # every value already is what the rule reads it as
+
+
+def fields(cls, **defaults) -> dict:
+    """The table of the NamedTuple `cls`: every field, in order, read by the
+    rule its annotation names, with its default from `defaults`, else the
+    record's own, else REQUIRED.  An Enum default is stored as its value,
+    since a default is read by the field's rule."""
+    table = {}
+    for name, hint in get_type_hints(cls).items():
+        types = tuple(t for t in get_args(hint) if t is not type(None)) or (hint,)
+        (rule,) = (NUMBER,) if types == NUMBER else types
+        default = defaults.get(name, cls._field_defaults.get(name, REQUIRED))
+        table[name] = (rule, default.value if isinstance(default, Enum) else default)
+    return table
 
 
 def checked(cls):

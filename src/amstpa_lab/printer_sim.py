@@ -174,12 +174,10 @@ def run_job(
     corrected = 0
     declared_records: int | None = None
     if enveloped:
-        # the header arrives first; an unrecognizable magic stops the job cold
-        if delivered[:4] != integrity.MAGIC:
-            return _stopped(FailReason.INTEGRITY_FAILURE, tr.elapsed_ms, layer_time)
         vr = integrity.verify(delivered)
         if not vr.ok:
-            if not streaming:
+            # the header arrives first: an unrecognizable magic stops the job cold
+            if not streaming or vr.mismatch is integrity.MismatchKind.BAD_MAGIC:
                 return _stopped(FailReason.INTEGRITY_FAILURE, tr.elapsed_ms, layer_time)
             # checkable only at end-of-stream: scrap at the damaged layer
             sent_layers = job.reading.layers

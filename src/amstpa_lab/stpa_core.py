@@ -18,7 +18,7 @@ import functools
 from enum import Enum
 from typing import NamedTuple
 
-from .jsondoc import REQUIRED, loads, read_doc
+from .jsondoc import REQUIRED, fields, loads, read_doc
 
 
 class ModelError(ValueError):
@@ -263,13 +263,11 @@ PATH_MITIGATIONS: dict[tuple[PathClass, int], tuple[int, ...]] = {
 # ---------------------------------------------------------------------------
 
 
-# every key of a model file; each entry's keys are its record's fields
+# every key of a model file; each entry is its record's fields, every one required
 MODEL_KEYS = {
     "name": (str, REQUIRED),
-    "components": ([{"id": (str, REQUIRED), "name": (str, REQUIRED),
-                     "kind": (ComponentKind, REQUIRED), "subsystem": (Subsystem, REQUIRED)}], []),
-    "paths": ([{"id": (str, REQUIRED), "source": (str, REQUIRED), "target": (str, REQUIRED),
-                "kind": (PathKind, REQUIRED), "label": (str, REQUIRED)}], []),
+    "components": ([fields(Component)], []),
+    "paths": ([fields(Path)], []),
 }
 
 

@@ -305,6 +305,16 @@ class TestCampaignAndReport:
         demonstrated = [m["id"] for m in doc["mitigations"] if m["status"] == "Demonstrated"]
         assert demonstrated == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("demo", [False, True], ids=["campaign", "demo"])
+    def test_zero_trial_campaign_feeds_report(self, tmp_path, demo):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"demo": demo, "generate": {"count": 0}}))
+        campaign_out = tmp_path / "campaign.json"
+        assert run_cli(["campaign", "--config", config, "--out", campaign_out])[0] == 0
+        code, out = run_cli(["report", "--inputs", campaign_out, "--out", "-", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["campaign"]["trials"] == 0
+
     def test_empty_report(self):
         code, out = run_cli(["report", "--out", "-", "--format", "json"])
         assert code == 0

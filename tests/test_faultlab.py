@@ -330,8 +330,9 @@ class TestCampaign:
         result = run_campaign(pipeline(seed=2), specs, cube)
         assert sum(result.histogram.values()) == result.trials == 80
 
-    def test_result_json_round_trip(self, cube):
-        specs = bit_flip_specs(10, FaultStage.IN_TRANSIT, seed=1)
+    @pytest.mark.parametrize("count", [10, 0])
+    def test_result_json_round_trip(self, cube, count):
+        specs = bit_flip_specs(count, FaultStage.IN_TRANSIT, seed=1)
         result = run_campaign(pipeline(enveloped=False, seed=9), specs, cube)
         blob = json.dumps(result.to_dict())
         assert CampaignResult.from_dict(json.loads(blob)) == result
