@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 from . import shapes
@@ -49,6 +50,7 @@ from .printer_sim import (
 from .report import build_report, render_json, render_markdown
 from .slicer import SliceParams, layers_from_dict, layers_to_dict, slice_mesh
 from .stpa_core import (
+    HAZARDS_KEYS,
     ModelError,
     builtin_am_reference_model,
     candidates_to_dict,
@@ -180,6 +182,8 @@ def _cmd_stpa(args) -> int:
 
 
 def _cmd_stl(args) -> int:
+    if args.area_tol is not None and not 0.0 <= args.area_tol < math.inf:
+        raise CliError("--area-tol must be finite and >= 0")
     mesh = _load_mesh_file(args.file)
     report = validate_mesh(mesh, **_given({"area_tol": args.area_tol}))
     doc = {"file": args.file, "encoding": mesh.source_encoding.value, **report._asdict()}
@@ -329,9 +333,10 @@ def _cmd_report(args) -> int:
         doc = _read_json(path)
         if not isinstance(doc, dict):
             raise CliError(f"{path}: not a known artifact")
+        kind = "hazards" if "candidates" in doc else "campaign"
         try:
-            if "candidates" in doc:
-                hazards = doc
+            if kind == "hazards":
+                hazards = read_doc(doc, HAZARDS_KEYS)
             elif "campaign" in doc and "evidence" in doc:
                 campaign = CampaignResult.from_dict(doc["campaign"])
                 evidence = MitigationEvidence.from_dict(doc["evidence"])
@@ -340,7 +345,7 @@ def _cmd_report(args) -> int:
             else:
                 raise CliError(f"{path}: not a known artifact")
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise CliError(f"{path}: malformed campaign artifact: {exc!r}") from None
+            raise CliError(f"{path}: malformed {kind} artifact: {exc!r}") from None
     doc = build_report(hazards=hazards, campaign=campaign, evidence=evidence)
     fmt = args.format or ("md" if args.out.endswith(".md") else "json")
     _write_output(args.out, render_markdown(doc) if fmt == "md" else render_json(doc))

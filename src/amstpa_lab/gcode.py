@@ -23,10 +23,15 @@ whole program's G1 path from its commands.  At the start of each layer
 tools (Schirmeier et al., FAIL*, EDCC 2015).  `resume` reads a damaged copy
 of a text from the last checkpoint before its first differing byte, and
 stops early once its state matches the pristine reading's again at a layer
-start past the damage, with the rest of the bytes equal (GangES, Hari et
-al., ISCA 2014), so a fault that moves one point but no layer's last
-position is read only up to the next layer start.  The result equals
-`fold(scan(payload))` field by field.
+start past the damage, at the same offset, with the rest of the bytes equal
+(GangES, Hari et al., ISCA 2014), so a fault that moves one point but no
+layer's last position is read only up to the next layer start.  A read
+rejoins the pristine reading only at the same offset, so only a payload as
+long as the text can stop early; one of another length is read to its end.
+The lab changes a payload's length only by cutting it, and a cut never
+rejoins: at each layer start its state is the pristine's at that offset,
+never that of a later checkpoint.  The result equals `fold(scan(payload))`
+field by field.
 
 Commands are tuple records: the two moves are NamedTuples, and each of the
 four commands without arguments is a `Word` holding its code, so words are
@@ -356,14 +361,13 @@ def _fold(
     lines: Iterable[Line],
     prior: Reading,
     origin: Checkpoint,
-    shift: int = 0,
     same_from: float = math.inf,
 ) -> Reading:
     """`fold` from `origin`, `_START` or a checkpoint of `prior`, over the
     lines from its offset on; what came before is taken from `prior`.
 
     At a layer start at or past byte `same_from`, a state equal to the one
-    `prior` recorded `shift` bytes earlier ends the fold: the rest is
+    `prior` recorded at the same offset ends the fold: the rest is
     `prior`'s (see `resume`).
     """
     sqrt, isfinite = math.sqrt, math.isfinite
@@ -412,9 +416,9 @@ def _fold(
             checkpoints.append(here)
             if current is not None:
                 layers.append(Layer(len(layers), *current))
-            if start >= same_from and (k := _converged(prior, here, shift)) is not None:
+            if start >= same_from and (k := _converged(prior, here)) is not None:
                 del commands[-1]
-                return _spliced(prior, k, commands, layers, checkpoints, shift)
+                return _spliced(prior, k, commands, layers, checkpoints)
             current = [nz, 0.0, start, end]
         if current is not None:
             if kind is LinearMove:
@@ -444,14 +448,15 @@ def _fold(
 _NOTHING = Reading((), (), None, None, ())
 
 
-def _converged(prior: Reading, here: Checkpoint, shift: int) -> int | None:
-    """The index of the checkpoint of `prior` that lies `shift` bytes before
-    `here` and holds the same state, floats by their bits; else None."""
-    k = bisect_left(prior.checkpoints, (here.offset - shift,))
+def _converged(prior: Reading, here: Checkpoint) -> int | None:
+    """The index of the checkpoint of `prior` at `here`'s offset, when it
+    holds the same state, floats by their bits; else None.  A read rejoins
+    `prior` only at the same offset (see `resume`)."""
+    k = bisect_left(prior.checkpoints, (here.offset,))
     if k < len(prior.checkpoints):
         there = prior.checkpoints[k]
         if (
-            there.offset == here.offset - shift
+            there.offset == here.offset
             and there[1:6] == here[1:6]
             and _FLOAT_BITS(*there[6:10]) == _FLOAT_BITS(*here[6:10])
         ):
@@ -465,29 +470,16 @@ def _spliced(
     commands: list[Command],
     layers: list[Layer],
     checkpoints: list[Checkpoint],
-    shift: int,
 ) -> Reading:
-    """A fold that reached the state of `prior.checkpoints[k]`, `shift`
-    bytes later, with the rest of its bytes equal to `prior`'s: its commands,
-    layers and checkpoints so far, then `prior`'s from there, offsets
-    shifted.  `prior` is a valid program's reading, so the fold ends with
-    one M2 and no broken move."""
+    """A fold that reached the state of `prior.checkpoints[k]` at its offset,
+    with the rest of its bytes equal to `prior`'s: its commands, layers and
+    checkpoints so far, then `prior`'s from there, unchanged, since a read
+    rejoins only at the same offset (see `resume`).  `prior` is a valid
+    program's reading, so the fold ends with one M2 and no broken move."""
     there = prior.checkpoints[k]
     commands += prior.commands[there.commands:]
-    rest_layers = prior.layers[there.layers:]
-    rest_checkpoints = prior.checkpoints[k + 1:]
-    if shift:
-        rest_layers = [
-            Layer(lay.index, lay.z, lay.extruded_mm, lay.start_offset + shift, lay.end_offset + shift)
-            for lay in rest_layers
-        ]
-        rest_checkpoints = [
-            cp._replace(offset=cp.offset + shift,
-                        open=(*cp.open[:2], cp.open[2] + shift, cp.open[3] + shift))
-            for cp in rest_checkpoints
-        ]
-    layers += rest_layers
-    checkpoints += rest_checkpoints
+    layers += prior.layers[there.layers:]
+    checkpoints += prior.checkpoints[k + 1:]
     return Reading(tuple(commands), tuple(layers), None, _invalid(commands, 1, None),
                    tuple(checkpoints))
 
@@ -510,14 +502,14 @@ def _first_diff(a: bytes, b: bytes) -> int | None:
 
 
 def _common_suffix(a: bytes, b: bytes) -> int:
-    """The length of the longest common suffix of `a` and `b`, bisected as
-    `_first_diff` bisects prefixes."""
-    la, lb = len(a), len(b)
-    lo, hi = 0, min(la, lb)
+    """The length of the longest common suffix of `a` and `b`, of equal
+    length, bisected as `_first_diff` bisects prefixes."""
+    n = len(a)
+    lo, hi = 0, n
     # the last lo bytes agree, and the suffix is at most hi bytes long
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if a[la - mid : la - lo] == b[lb - mid : lb - lo]:
+        if a[n - mid : n - lo] == b[n - mid : n - lo]:
             lo = mid
         else:
             hi = mid - 1
@@ -533,10 +525,14 @@ def resume(reading: Reading, text: bytes, payload: bytes) -> Reading:
     is not UTF-8 is read from byte 0, since `scan` rejects the whole payload
     at offset 0.
 
-    When `reading` is a valid program, the fold stops at the first layer
-    start where the rest of the payload equals the rest of `text` and the
-    fold's state equals `reading`'s checkpoint at the same place, shifted by
-    the payload's change in length; the rest is then `reading`'s.
+    When `reading` is a valid program and the payload is as long as `text`,
+    the fold stops at the first layer start where the rest of the payload
+    equals the rest of `text` and the fold's state equals `reading`'s
+    checkpoint at the same offset; the rest is then `reading`'s.  A payload
+    of another length is read to its end: the faults the lab plants keep
+    the length (flips, byte sets, zero-filled lost packets) or cut the text,
+    and a cut leaves a prefix, whose state at each layer start is the
+    pristine's at the same offset, never the state of a later checkpoint.
     """
     diff = _first_diff(text, payload)
     if diff is None:
@@ -547,10 +543,9 @@ def resume(reading: Reading, text: bytes, payload: bytes) -> Reading:
     if _utf8_error(tail) is not None:
         origin, tail = _START, payload
     same_from = math.inf
-    if reading.error is None and reading.invalid is None:
+    if reading.error is None and reading.invalid is None and len(payload) == len(text):
         same_from = len(payload) - _common_suffix(text, payload)
-    return _fold(scan(tail, origin.offset, origin.line), reading, origin,
-                 len(payload) - len(text), same_from)
+    return _fold(scan(tail, origin.offset, origin.line), reading, origin, same_from)
 
 
 def _invalid(commands: list[Command], ends: int, broken: GCodeError | None) -> GCodeError | None:

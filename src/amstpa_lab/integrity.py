@@ -198,7 +198,7 @@ def verify(wrapped: bytes) -> VerifyResult:
             corrected += result.corrected
             fixed[i * 8 : i * 8 + len(chunk)] = result.data.to_bytes(8, "little")[: len(chunk)]
         payload = bytes(fixed)
-    if crc32(payload) != stored_crc:
+    if (computed := crc32(payload)) != stored_crc:
         return VerifyResult(False, corrected_bits=corrected, mismatch=MismatchKind.CRC_MISMATCH,
-                            detail=f"stored 0x{stored_crc:08X}, computed 0x{crc32(payload):08X}")
+                            detail=f"stored 0x{stored_crc:08X}, computed 0x{computed:08X}")
     return VerifyResult(True, payload=payload, record_count=record_count, corrected_bits=corrected)

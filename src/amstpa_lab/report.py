@@ -160,10 +160,10 @@ def render_markdown(doc: ReportDoc) -> str:
         lines.append("No hazard analysis supplied.")
     else:
         lines.append(
-            f"Model `{doc.hazards.get('model', '?')}`: "
-            f"{doc.hazards.get('component_count', 0)} components, "
-            f"{doc.hazards.get('path_count', 0)} paths, "
-            f"{doc.hazards.get('candidate_count', 0)} candidates."
+            f"Model `{doc.hazards['model']}`: "
+            f"{doc.hazards['component_count']} components, "
+            f"{doc.hazards['path_count']} paths, "
+            f"{doc.hazards['candidate_count']} candidates."
         )
     lines.append("")
 

@@ -9,7 +9,9 @@ catalog through a documented rule table.
 
 A model file is read by `jsondoc` against the table `MODEL_KEYS`, like every
 JSON input of the lab; `load_model` then checks the rules that join entries:
-unique non-empty ids, and paths between two different components.
+unique non-empty ids, and paths between two different components.  The
+hazards artifact that `candidates_to_dict` writes is read back by
+`HAZARDS_KEYS`.
 """
 
 from __future__ import annotations
@@ -367,6 +369,24 @@ def enumerate_candidates(cs: ControlStructure) -> list[CandidateHazard]:
                 )
             )
     return out
+
+
+# every key of the hazards artifact `candidates_to_dict` writes, every one
+# required: `amstpa report` reads the artifact back by this table
+HAZARDS_KEYS = {
+    "model": (str, REQUIRED),
+    "component_count": (int, REQUIRED),
+    "path_count": (int, REQUIRED),
+    "candidate_count": (int, REQUIRED),
+    "candidates": ([{
+        "subject_kind": (str, REQUIRED),
+        "subject_id": (str, REQUIRED),
+        "phrase_set": (str, REQUIRED),
+        "phrase_index": (int, REQUIRED),
+        "text": (str, REQUIRED),
+        "mitigation_ids": ([int], REQUIRED),
+    }], REQUIRED),
+}
 
 
 def candidates_to_dict(cs: ControlStructure, hazards: list[CandidateHazard]) -> dict:

@@ -322,6 +322,29 @@ class TestCampaignAndReport:
         assert doc["hazards"] is None
         assert len(doc["mitigations"]) == 25
 
+    @pytest.mark.parametrize(
+        "hazards, message",
+        [
+            ({"candidates": 1}, "model is required"),
+            ({"candidates": [], "model": 5}, "model must be a string"),
+            ({"model": "m", "component_count": 0, "path_count": 0, "candidate_count": 0,
+              "candidates": 1}, "candidates must be an array"),
+        ],
+        ids=["candidates-only", "model-not-a-string", "candidates-not-an-array"],
+    )
+    def test_malformed_hazards_artifact_exits_2_naming_the_key(
+        self, tmp_path, capsys, hazards, message
+    ):
+        # a hazards artifact is read by its table, not copied as any object
+        # with a "candidates" key
+        path = tmp_path / "hazards.json"
+        path.write_text(json.dumps(hazards))
+        assert main(["report", "--inputs", str(path), "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: malformed hazards artifact: ")
+        assert message in captured.err
+
     def test_unknown_input_artifact_exits_2(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"what": 1}')
@@ -354,6 +377,9 @@ def _demo_artifact(**evidence):
 @pytest.mark.parametrize(
     "command, payload",
     [
+        pytest.param("stl", ["--area-tol", "nan"], id="area-tol-nan"),
+        pytest.param("stl", ["--area-tol", "inf"], id="area-tol-inf"),
+        pytest.param("stl", ["--area-tol", "-1"], id="area-tol-negative"),
         pytest.param("simulate", ["--channel", "loss=abc"], id="channel-loss-not-a-number"),
         pytest.param("simulate", ["--channel", "loss"], id="channel-item-not-key-value"),
         pytest.param("simulate", ["--packet-size", "0"], id="simulate-packet-size-0"),
@@ -579,6 +605,8 @@ def _demo_artifact(**evidence):
 def test_bad_input_exits_2_without_traceback(tmp_path, cube_file, capsys, command, payload):
     if command == "simulate":
         argv = ["simulate", "--mesh", str(cube_file), *payload]
+    elif command == "stl":
+        argv = ["stl", "validate", str(cube_file), *payload]
     else:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(payload))

@@ -469,26 +469,28 @@ class TestResume:
     )
     def test_converged_read_takes_the_rest_from_the_pristine(self, scanned, before, after):
         # the damage, in layer 2's first G1, leaves every value as it was, so
-        # the read resumes at layer 2's start and stops at layer 3's: the
-        # rest is the pristine's, offsets shifted
+        # the read resumes at layer 2's start; a payload of the same length
+        # stops at layer 3's and takes the rest from the pristine, and one of
+        # another length never rejoins it, so it is read to its last line
         text, reading = pristine("ngon64")
         at = text.index(before, reading.layers[2].start_offset + 1)
         payload = text[:at] + after + text[at + len(before):]
-        shift = len(payload) - len(text)
         resumed = resume(reading, text, payload)
-        assert (scanned[0][0], scanned[-1][0]) == (
-            reading.layers[2].start_offset, reading.layers[3].start_offset + shift
-        )
+        assert scanned[0][0] == reading.layers[2].start_offset
+        if len(payload) == len(text):
+            assert scanned[-1][0] == reading.layers[3].start_offset
+            assert all(a is b for a, b in zip(resumed.layers[3:], reading.layers[3:]))
+        else:
+            assert scanned[-1][1] == len(payload)
         assert bits(resumed) == bits(fold(scan(payload)))
         assert resumed.commands == reading.commands
-        if shift == 0:
-            assert all(a is b for a, b in zip(resumed.layers[3:], reading.layers[3:]))
 
     @pytest.mark.parametrize("longer", [False, True], ids=["equal-length", "one-digit-longer"])
     def test_a_moved_point_is_read_to_the_next_layer_start(self, scanned, longer):
         # an X in the middle of layer 2 moves one point of its contour: the
         # layer's extrusion changes, but the fold's state at layer 3's start
-        # is the pristine's, so the read stops there
+        # is the pristine's, so an edit of the same length stops the read
+        # there; a longer one moves layer 3's start and is read to the end
         text, reading = pristine("ngon64")
         layer = reading.layers[2]
         number = re.compile(rb"X-?[0-9]+\.[0-9]+").search(
@@ -498,11 +500,13 @@ class TestResume:
         edit = digit + b"7" if longer else str((int(digit) + 1) % 10).encode()
         payload = text[:at] + edit + text[at + 1:]
         resumed = resume(reading, text, payload)
-        assert len(scanned) <= 2 * text.count(b"\n", layer.start_offset, layer.end_offset)
+        if longer:
+            assert scanned[-1][1] == len(payload)
+        else:
+            assert len(scanned) <= 2 * text.count(b"\n", layer.start_offset, layer.end_offset)
+            assert resumed.layers[-1] is reading.layers[-1]
         assert bits(resumed) == bits(fold(scan(payload)))
         assert resumed.layers[2].extruded_mm != layer.extruded_mm
-        if not longer:
-            assert resumed.layers[-1] is reading.layers[-1]
 
     def test_signed_zero_is_a_state_apart(self):
         # X-0 leaves x at -0.0 through layer 1, which moves no X, so layer
