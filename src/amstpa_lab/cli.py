@@ -250,7 +250,7 @@ def _cmd_simulate(args) -> int:
         raise CliError(f"{args.mesh}: {exc}") from None
     outcome, trace = run_job(
         job, cfg.printer, cfg.channel, cfg.mode,
-        packet_size=cfg.packet_size, enveloped=cfg.enveloped,
+        packet_size=cfg.packet_size, enveloped=cfg.envelope,
     )
     gd = geometry_diff(job.layers, trace)
     doc = {
@@ -269,10 +269,10 @@ def _cmd_simulate(args) -> int:
     return 0 if outcome.status is JobStatus.COMPLETED else 1
 
 
-def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int | None, object]:
+def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec], bool, object]:
     """Check a whole campaign config before any trial runs.
 
-    Returns (config, fault specs, demo corruption count or None, base mesh).
+    Returns (config, fault specs, whether it is the demonstration, base mesh).
     Every key is read by its rule in faultlab.CAMPAIGN_KEYS.
     """
     try:
@@ -306,21 +306,18 @@ def _campaign_config(doc) -> tuple[PipelineConfig, list[FaultSpec] | None, int |
     else:
         raise CliError("campaign config 'mesh' needs 'builtin' or 'path'")
 
-    if c["demo"]:
-        return cfg, None, 200 if count is None else count, base_mesh
     if specs is None:
-        if "generate" not in doc:
+        if not c["demo"] and "generate" not in doc:
             raise CliError("campaign config needs 'faults', 'generate', or 'demo': true")
-        specs = bit_flip_specs(100 if count is None else count, gen["stage"], cfg.campaign_seed)
-    return cfg, specs, None, base_mesh
+        if count is None:
+            count = 200 if c["demo"] else 100
+        specs = bit_flip_specs(count, gen["stage"], cfg.seed)
+    return cfg, specs, c["demo"], base_mesh
 
 
 def _cmd_campaign(args) -> int:
-    cfg, specs, demo_count, base_mesh = _campaign_config(_read_json(args.config))
-    if demo_count is not None:
-        result = run_demo_campaign(cfg, base_mesh, corruption_count=demo_count)
-    else:
-        result = run_campaign(cfg, specs, base_mesh)
+    cfg, specs, demo, base_mesh = _campaign_config(_read_json(args.config))
+    result = (run_demo_campaign if demo else run_campaign)(cfg, specs, base_mesh)
     _write_output(args.out, _dump_json(result.to_dict()))
     return 0
 

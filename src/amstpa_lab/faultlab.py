@@ -14,10 +14,10 @@ damage is blamed on: an after-slice trial's is its own faulted text, read
 from the pristine reading.  Every campaign runs through one trial loop,
 `_trials`, over a pristine job prepared once, and `_tally` folds its trials
 into a CampaignResult.  The demonstration campaign prepares one pristine job
-and hands the loop three passes over it: full-image and streaming policies,
-then raw text without the envelope.  A fault spec is
-checked whole when it is built: its kind against its stage, and every
-parameter that needs no target.  An explicit offset or length is checked
+for the flips `generate` wrote and hands the loop three passes over it:
+full-image and streaming policies, then raw text without the envelope.
+A fault spec is checked whole when it is built: its kind against its stage,
+and every parameter that needs no target.  An explicit offset or length is checked
 against its pristine target once the pristine job exists, before any trial
 runs.  A trial whose fault leaves nothing to send is still classified: the
 printer never receives a job.  So is an after-CAD fault that leaves a mesh
@@ -150,24 +150,41 @@ class FaultSpec(NamedTuple):
 
 FAULT_FIELDS = fields(FaultSpec)
 
-# every key of a campaign config; slice, toolpath, channel and printer are the
-# fields of SliceParams, ToolpathParams, ChannelParams and PrinterConfig, with
-# a campaign's own defaults where given here.  The channel leaves out `seed`:
-# each trial's channel seed derives from the campaign's `seed`.  A null
-# printer.nominal_layer_time_ms takes the technology's own.
+
+@checked
+class PipelineConfig(NamedTuple):
+    slice: SliceParams
+    toolpath: ToolpathParams
+    channel: ChannelParams
+    printer: PrinterConfig
+    mode: TransferMode = TransferMode.RELIABLE_ORDERED
+    packet_size: int = 256
+    envelope: bool = True
+    ecc: bool = False
+    geometry_tol_mm: float = 1e-6
+    seed: int = 0
+
+    def _check(self) -> None:
+        if self.ecc and not self.envelope:
+            raise ValueError("'ecc' adds check bytes to the envelope: it needs 'envelope': true")
+        check_packet_size(self.packet_size)
+        if not (0 <= self.geometry_tol_mm < math.inf):
+            raise ValueError("geometry_tol_mm must be finite and >= 0")
+
+
+# every key of a campaign config; the pipeline keys are PipelineConfig's fields,
+# and its blocks those of SliceParams, ToolpathParams, ChannelParams and
+# PrinterConfig, with a campaign's own defaults where given here.  The channel
+# leaves out `seed`: each trial's channel seed derives from the campaign's
+# `seed`.  A null printer.nominal_layer_time_ms takes the technology's own.
 CAMPAIGN_KEYS = {
-    "seed": (int, 0),
-    "mesh": ({"builtin": (str, None), "path": (str, None)}, {"builtin": "cube"}),
+    **fields(PipelineConfig),
     "slice": (fields(SliceParams, layer_height=0.25), {}),
     "toolpath": (fields(ToolpathParams), {}),
     "channel": ({key: entry for key, entry in fields(ChannelParams, latency_ms=1.0,
                  bandwidth_bytes_per_s=125000.0).items() if key != "seed"}, {}),
     "printer": (fields(PrinterConfig, buffer_capacity=1 << 20, policy=PrintPolicy.FULL_IMAGE), {}),
-    "mode": (TransferMode, "reliable"),
-    "packet_size": (int, 256),
-    "envelope": (bool, True),
-    "ecc": (bool, False),
-    "geometry_tol_mm": (float, 1e-6),
+    "mesh": ({"builtin": (str, None), "path": (str, None)}, {"builtin": "cube"}),
     "demo": (bool, False),
     "faults": ([FAULT_FIELDS], None),
     # a null count is 100, or 200 with demo
@@ -302,46 +319,20 @@ class CampaignResult(NamedTuple):
         return result
 
 
-@checked
-class PipelineConfig(NamedTuple):
-    slice_params: SliceParams
-    toolpath: ToolpathParams
-    channel: ChannelParams
-    printer: PrinterConfig
-    mode: TransferMode = TransferMode.RELIABLE_ORDERED
-    packet_size: int = 256
-    enveloped: bool = True
-    ecc: bool = False
-    geometry_tol_mm: float = 1e-6
-    campaign_seed: int = 0
-
-    def _check(self) -> None:
-        check_packet_size(self.packet_size)
-        if not (0 <= self.geometry_tol_mm < math.inf):
-            raise ValueError("geometry_tol_mm must be finite and >= 0")
-
-
 def pipeline_config(c: dict) -> PipelineConfig:
     """The PipelineConfig of `c`, a config read by CAMPAIGN_KEYS or SIMULATE_KEYS."""
-    if c["ecc"] and not c["envelope"]:
-        raise ValueError("'ecc' adds check bytes to the envelope: it needs 'envelope': true")
     return PipelineConfig(
-        slice_params=SliceParams(**c["slice"]),
+        slice=SliceParams(**c["slice"]),
         toolpath=ToolpathParams(**c["toolpath"]),
         channel=ChannelParams(**c["channel"]),
         printer=PrinterConfig(**c["printer"]),
-        mode=c["mode"],
-        packet_size=c["packet_size"],
-        enveloped=c["envelope"],
-        ecc=c["ecc"],
-        geometry_tol_mm=c["geometry_tol_mm"],
-        campaign_seed=c["seed"],
+        **{name: c[name] for name in PipelineConfig._fields[4:]},
     )
 
 
 def build_job(cfg: PipelineConfig, mesh: TriangleMesh) -> Job:
     """Slice, plan and emit `mesh`, then wrap the text as `cfg` sends it."""
-    layers = slice_mesh(mesh, cfg.slice_params)
+    layers = slice_mesh(mesh, cfg.slice)
     program = plan_toolpath(layers, cfg.toolpath)
     text = emit_text(program)
     reading = read_program(program, text)
@@ -349,7 +340,7 @@ def build_job(cfg: PipelineConfig, mesh: TriangleMesh) -> Job:
 
 
 def _wrap_stage(cfg: PipelineConfig, text: bytes, reading: Reading) -> bytes:
-    if not cfg.enveloped:
+    if not cfg.envelope:
         return text
     return wrap(text, len(reading.commands), with_ecc=cfg.ecc)
 
@@ -499,7 +490,7 @@ def _run_trial(
     sent = job.sent if sent is None else sent
 
     if not sent:  # truncated to nothing: no job reaches the printer
-        if cfg.enveloped:  # the printer finds no envelope header
+        if cfg.envelope:  # the printer finds no envelope header
             return DetectionStage.INTEGRITY_VERIFY, None, None
         return DetectionStage.PRINTER_OUTCOME, None, None  # an empty program
     outcome, trace = run_job(
@@ -508,7 +499,7 @@ def _run_trial(
         channel,
         cfg.mode,
         packet_size=cfg.packet_size,
-        enveloped=cfg.enveloped,
+        enveloped=cfg.envelope,
         sent=sent,
     )
     if outcome.reason is FailReason.INTEGRITY_FAILURE or trace.integrity_corrected_bits > 0:
@@ -532,7 +523,7 @@ def _trial(run: tuple) -> tuple:
     """One trial of a pass: `run` is (cfg, pristine, index, spec); returns
     (spec, stage, outcome)."""
     cfg, pristine, i, spec = run
-    channel = cfg.channel._replace(seed=splitmix64_at(cfg.campaign_seed, i))
+    channel = cfg.channel._replace(seed=splitmix64_at(cfg.seed, i))
     stage, outcome, _ = _run_trial(cfg, spec, pristine, channel)
     return spec, stage, outcome
 
@@ -541,7 +532,7 @@ def _trials(passes: list[tuple[PipelineConfig, _Pristine]], specs: list[FaultSpe
     """The one trial loop: yields (spec, stage, outcome) for every spec of
     every (cfg, pristine) pass, pass by pass, in spec order.
 
-    Trial i of a pass takes its channel seed from (campaign_seed, i), so
+    Trial i of a pass takes its channel seed from (cfg.seed, i), so
     where and when it runs cannot change its result.  Trials run here until
     they have taken `_POOL_AFTER_S`; the rest then run in forked workers
     when `_pool_size` gives more than one, and come back in order.
@@ -704,25 +695,24 @@ _LATE_STAGES = frozenset(
 
 def run_demo_campaign(
     cfg: PipelineConfig,
+    specs: list[FaultSpec],
     base_mesh: TriangleMesh,
-    corruption_count: int = 200,
 ) -> DemoResult:
     """Exercise the executable mitigations and collect the evidence.
 
-    Runs the same in-transit corruption set under full-image and streaming
-    policies (buffering contrast), reruns it with the envelope stripped
+    Runs the in-transit flips `generate` wrote under full-image and streaming
+    policies (buffering contrast), reruns them with the envelope stripped
     (integrity-check necessity), and probes the channel with and without
     loss under reliable transfer (protocol and QoS evidence).  Raises
     CampaignError, before any trial runs, if `cfg` sends no envelope.
     """
-    if not cfg.enveloped:
+    if not cfg.envelope:
         raise CampaignError("the demonstration campaign needs the envelope enabled")
-    specs = bit_flip_specs(corruption_count, FaultStage.IN_TRANSIT, cfg.campaign_seed)
     full_cfg = cfg._replace(printer=cfg.printer._replace(policy=PrintPolicy.FULL_IMAGE))
     stream_cfg = cfg._replace(printer=cfg.printer._replace(policy=PrintPolicy.STREAMING))
-    raw_cfg = full_cfg._replace(enveloped=False)
+    raw_cfg = full_cfg._replace(envelope=False, ecc=False)
     # the policy is not part of the job, so all three runs share one pristine
-    # job; the raw run sends its text without the envelope
+    # job; the raw run sends its text, bare of the envelope and its ECC bytes
     pristine = _prepare(cfg, base_mesh, specs)
     job = pristine.job
     raw_pristine = pristine._replace(job=job._replace(sent=job.text))
@@ -746,7 +736,7 @@ def run_demo_campaign(
     lossy_lost = 0
     all_intact = True
     for j in range(16):
-        probe_seed = splitmix64_at(cfg.campaign_seed ^ 0x51CE, j)
+        probe_seed = splitmix64_at(cfg.seed ^ 0x51CE, j)
         lossless = transfer(
             job.sent,
             cfg.channel._replace(loss_prob=0.0, seed=probe_seed),

@@ -62,10 +62,10 @@ class SliceParams(NamedTuple):
     snap_eps: float = 1e-7
 
     def _check(self) -> None:
-        if not (self.layer_height > 0.0):
-            raise ValueError("layer_height must be > 0")
-        if not (self.snap_eps > 0.0):
-            raise ValueError("snap_eps must be > 0")
+        if not (0.0 < self.layer_height < math.inf):
+            raise ValueError("layer_height must be finite and > 0")
+        if not (0.0 < self.snap_eps < math.inf):
+            raise ValueError("snap_eps must be finite and > 0")
 
 
 class Contour(NamedTuple):
@@ -384,6 +384,8 @@ def layers_from_dict(doc) -> list[LayerPlan]:
             vertices = tuple(map(tuple, c["vertices"]))
             if not set(map(len, vertices)) <= {2}:
                 raise ValueError(f"layers.{i}.contours.{j}.vertices must hold [x, y] pairs")
+            if c["closed"] and not vertices:  # a closed loop starts at its first vertex
+                raise ValueError(f"layers.{i}.contours.{j}.vertices must be non-empty when closed")
             contours.append(Contour(vertices, c["closed"]))
         layers.append(LayerPlan(index=entry["index"], z=entry["z"], contours=tuple(contours)))
     return layers

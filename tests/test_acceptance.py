@@ -22,6 +22,7 @@ from amstpa_lab.faultlab import (
     FaultSpec,
     FaultStage,
     PipelineConfig,
+    bit_flip_specs,
     inject,
     run_campaign,
     run_demo_campaign,
@@ -218,7 +219,7 @@ def test_criterion_5_channel_statistics():
 
 def _campaign_config(seed=424242):
     return PipelineConfig(
-        slice_params=SliceParams(layer_height=0.25),
+        slice=SliceParams(layer_height=0.25),
         toolpath=ToolpathParams(),
         channel=ChannelParams(latency_ms=1.0, bandwidth_bytes_per_s=125_000.0),
         printer=PrinterConfig(
@@ -227,13 +228,14 @@ def _campaign_config(seed=424242):
             nominal_layer_time_ms=1000.0,
         ),
         mode=TransferMode.RELIABLE_ORDERED,
-        campaign_seed=seed,
+        seed=seed,
     )
 
 
 @pytest.fixture(scope="module")
 def demo_result():
-    return run_demo_campaign(_campaign_config(), shapes.box(), corruption_count=200)
+    cfg = _campaign_config()
+    return run_demo_campaign(cfg, bit_flip_specs(200, FaultStage.IN_TRANSIT, cfg.seed), shapes.box())
 
 
 def test_criterion_6_buffering_contrast(demo_result):
@@ -244,7 +246,9 @@ def test_criterion_6_buffering_contrast(demo_result):
         assert evidence.fullimage_corrupt_printed_layers == 0
         assert evidence.streaming_scrapped_with_layers >= 1
 
-        replay = run_demo_campaign(_campaign_config(), shapes.box(), corruption_count=200)
+        cfg = _campaign_config()
+        specs = bit_flip_specs(200, FaultStage.IN_TRANSIT, cfg.seed)
+        replay = run_demo_campaign(cfg, specs, shapes.box())
         assert replay == demo_result
 
 
@@ -264,11 +268,11 @@ def test_criterion_8_semantic_fault_visibility():
 
         # independent replay of the trial to measure the extrusion error
         pristine = shapes.box()
-        intended = slice_mesh(pristine, cfg.slice_params)
+        intended = slice_mesh(pristine, cfg.slice)
         scaled_stl = emit_stl_binary(inject(pristine, spec))
         mesh = parse_stl(scaled_stl)  # parses fine
         assert validate_mesh(mesh).is_clean()  # passes mesh validation
-        layers = slice_mesh(mesh, cfg.slice_params)
+        layers = slice_mesh(mesh, cfg.slice)
         program = plan_toolpath(layers, cfg.toolpath)
         text = emit_text(program)
         wrapped = wrap(text, len(program.commands))

@@ -3,6 +3,7 @@ import hashlib
 import importlib.resources
 import io
 import json
+import logging
 import math
 import re
 import subprocess
@@ -305,6 +306,21 @@ class TestCampaignAndReport:
         demonstrated = [m["id"] for m in doc["mitigations"] if m["status"] == "Demonstrated"]
         assert demonstrated == [1, 2, 3, 4, 5]
 
+    def test_demo_with_ecc_strips_it_with_the_envelope(self, tmp_path):
+        # ECC bytes ride only in the envelope, so the raw pass sends the same
+        # text with ECC on as off
+        raw = []
+        for ecc in (False, True):
+            config = tmp_path / f"ecc-{ecc}.json"
+            config.write_text(json.dumps({"seed": 42, "demo": True, "ecc": ecc,
+                                          "generate": {"count": 40}}))
+            code, out = run_cli(["campaign", "--config", config])
+            assert code == 0
+            evidence = json.loads(out)["evidence"]
+            raw.append((evidence["raw_trials"], evidence["raw_late_detections"]))
+        assert raw[0] == raw[1]
+        assert raw[0][0] == 40 and raw[0][1] >= 1
+
     @pytest.mark.parametrize("demo", [False, True], ids=["campaign", "demo"])
     def test_zero_trial_campaign_feeds_report(self, tmp_path, demo):
         config = tmp_path / "config.json"
@@ -386,6 +402,17 @@ def _demo_artifact(**evidence):
         pytest.param("simulate", ["--channel", "latency=nan"], id="channel-latency-nan"),
         pytest.param("simulate", ["--channel", "jitter=inf"], id="channel-jitter-inf"),
         pytest.param("simulate", ["--channel", "bw=inf"], id="channel-bandwidth-inf"),
+        pytest.param("simulate", ["--layer-height", "inf"], id="simulate-layer-height-inf"),
+        pytest.param("slice", ["--layer-height", "inf"], id="slice-layer-height-inf"),
+        pytest.param(
+            "slice", ["--layer-height", "0.25", "--snap-eps", "inf"], id="slice-snap-eps-inf"
+        ),
+        pytest.param(
+            "gcode",
+            {"layer_height": 0.2,
+             "layers": [{"index": 0, "z": 0.1, "contours": [{"closed": True, "vertices": []}]}]},
+            id="gcode-closed-contour-without-vertices",
+        ),
         pytest.param("simulate", ["--layer-time-ms", "nan"], id="layer-time-nan"),
         pytest.param("simulate", ["--layer-time-ms", "-5"], id="layer-time-negative"),
         # finite numbers whose products overflow: the result would hold Infinity
@@ -607,10 +634,12 @@ def test_bad_input_exits_2_without_traceback(tmp_path, cube_file, capsys, comman
         argv = ["simulate", "--mesh", str(cube_file), *payload]
     elif command == "stl":
         argv = ["stl", "validate", str(cube_file), *payload]
+    elif command == "slice":
+        argv = ["slice", str(cube_file), *payload]
     else:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(payload))
-        flag = "--config" if command == "campaign" else "--inputs"
+        flag = {"campaign": "--config", "report": "--inputs", "gcode": "plan"}[command]
         argv = [command, flag, str(path)]
     code = main(argv)
     captured = capsys.readouterr()
@@ -705,7 +734,7 @@ def test_pipeline_flags_hold_no_defaults():
                         TransferMode.BEST_EFFORT, 64, ecc=True)),
         (["--no-envelope"], PipelineConfig(SliceParams(0.25), ToolpathParams(), ChannelParams(),
                                            PrinterConfig(1 << 20, PrintPolicy.FULL_IMAGE),
-                                           enveloped=False)),
+                                           envelope=False)),
     ],
     ids=["none", "every-flag", "no-envelope"],
 )
@@ -905,9 +934,10 @@ def _layers_with(path, value):
         (("layers", 0, "z"), False, "layers.0.z"),
         (("layers", 0, "contours", 0, "vertices", 1, 0), True, "layers.0.contours.0.vertices"),
         (("layers", 0, "contours", 0, "vertices", 2, 1), "1", "layers.0.contours.0.vertices"),
+        (("layers", 0, "contours", 0, "vertices"), [], "layers.0.contours.0.vertices"),
     ],
     ids=["closed-string", "closed-1", "index-fraction", "index-true", "index-string",
-         "z-string", "z-false", "vertex-true", "vertex-string"],
+         "z-string", "z-false", "vertex-true", "vertex-string", "closed-vertices-empty"],
 )
 def test_gcode_plan_refuses_a_mistyped_layers_file(tmp_path, capsys, path, value, named):
     layers = tmp_path / "layers.json"
@@ -917,6 +947,21 @@ def test_gcode_plan_refuses_a_mistyped_layers_file(tmp_path, capsys, path, value
     assert code == 2
     assert captured.err.startswith(f"error: {layers}: not a layers file: {named} must be ")
     assert captured.out == ""
+
+
+def test_gcode_plan_skips_an_open_empty_contour_and_plans_short_closed_ones(
+    tmp_path, capsys, caplog
+):
+    path = tmp_path / "layers.json"
+    path.write_text(json.dumps(_layers_with(("layers", 0, "contours"), [
+        {"closed": False, "vertices": []},
+        {"closed": True, "vertices": [[0.0, 0.0]]},
+        {"closed": True, "vertices": [[0.0, 0.0], [1.0, 0.0]]},
+    ])))
+    with caplog.at_level(logging.WARNING):
+        assert main(["gcode", "plan", str(path)]) == 0
+    assert [r.getMessage() for r in caplog.records] == ["skipping open contour 0 on layer 0"]
+    assert capsys.readouterr().out.count("G0 ") == 2
 
 
 def test_gcode_plan_reads_integral_numbers_as_floats(tmp_path, capsys):

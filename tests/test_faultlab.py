@@ -60,19 +60,24 @@ from amstpa_lab.printer_sim import (
 from amstpa_lab.slicer import SliceParams, slice_mesh
 
 
-def pipeline(policy=PrintPolicy.FULL_IMAGE, enveloped=True, ecc=False, seed=0, loss=0.0):
+def pipeline(policy=PrintPolicy.FULL_IMAGE, envelope=True, ecc=False, seed=0, loss=0.0):
     return PipelineConfig(
-        slice_params=SliceParams(layer_height=0.25),
+        slice=SliceParams(layer_height=0.25),
         toolpath=ToolpathParams(),
         channel=ChannelParams(latency_ms=1.0, bandwidth_bytes_per_s=125_000.0, loss_prob=loss),
         printer=PrinterConfig(
             buffer_capacity=1 << 20, policy=policy, nominal_layer_time_ms=1000.0
         ),
         mode=TransferMode.RELIABLE_ORDERED,
-        enveloped=enveloped,
+        envelope=envelope,
         ecc=ecc,
-        campaign_seed=seed,
+        seed=seed,
     )
+
+
+def flips(count, cfg):
+    """The in-transit flips a demonstration config's `generate` makes."""
+    return bit_flip_specs(count, FaultStage.IN_TRANSIT, cfg.seed)
 
 
 class TestInject:
@@ -175,7 +180,7 @@ class TestConfigReader:
         # where a config class has a default, the table holds that one
         cfg = pipeline_config(read_doc({}, SIMULATE_KEYS))
         assert cfg == PipelineConfig(
-            SliceParams(cfg.slice_params.layer_height), ToolpathParams(), ChannelParams(),
+            SliceParams(cfg.slice.layer_height), ToolpathParams(), ChannelParams(),
             PrinterConfig(cfg.printer.buffer_capacity, cfg.printer.policy),
         )
 
@@ -247,7 +252,7 @@ class TestCampaign:
     def test_envelope_disabled_lets_faults_past_integrity(self, cube):
         specs = bit_flip_specs(200, FaultStage.IN_TRANSIT, seed=202)
         with_envelope = run_campaign(pipeline(seed=11), specs, cube)
-        without = run_campaign(pipeline(enveloped=False, seed=11), specs, cube)
+        without = run_campaign(pipeline(envelope=False, seed=11), specs, cube)
         late = (
             without.count(DetectionStage.PRINTER_OUTCOME)
             + without.count(DetectionStage.GEOMETRY_DIFF)
@@ -333,7 +338,7 @@ class TestCampaign:
     @pytest.mark.parametrize("count", [10, 0])
     def test_result_json_round_trip(self, cube, count):
         specs = bit_flip_specs(count, FaultStage.IN_TRANSIT, seed=1)
-        result = run_campaign(pipeline(enveloped=False, seed=9), specs, cube)
+        result = run_campaign(pipeline(envelope=False, seed=9), specs, cube)
         blob = json.dumps(result.to_dict())
         assert CampaignResult.from_dict(json.loads(blob)) == result
 
@@ -349,25 +354,25 @@ class TestFaultTargets:
     can plant is refused before the first trial runs."""
 
     @pytest.mark.parametrize(
-        "enveloped, stage",
+        "envelope, stage",
         [(True, DetectionStage.INTEGRITY_VERIFY), (False, DetectionStage.PRINTER_OUTCOME)],
         ids=["enveloped", "raw"],
     )
-    def test_in_transit_truncate_to_nothing_is_classified(self, cube, enveloped, stage):
+    def test_in_transit_truncate_to_nothing_is_classified(self, cube, envelope, stage):
         explicit = FaultSpec(FaultKind.TRUNCATE, FaultStage.IN_TRANSIT, new_len=0)
         # seeds whose derived new_len is 0 on the cube's 832-byte envelope
         # and on its 807-byte raw text
         derived = FaultSpec(FaultKind.TRUNCATE, FaultStage.IN_TRANSIT,
-                            seed=481 if enveloped else 944)
-        sent = faultlab._prepare(pipeline(enveloped=enveloped), cube, []).job.sent
+                            seed=481 if envelope else 944)
+        sent = faultlab._prepare(pipeline(envelope=envelope), cube, []).job.sent
         assert inject(sent, derived) == b""
-        result = run_campaign(pipeline(enveloped=enveloped), [explicit, derived], cube)
+        result = run_campaign(pipeline(envelope=envelope), [explicit, derived], cube)
         assert result.histogram == {stage: 2}
 
     def test_after_slice_truncate_to_nothing_is_classified(self, cube):
         spec = FaultSpec(FaultKind.TRUNCATE, FaultStage.AFTER_SLICE, new_len=0)
-        for enveloped in (True, False):
-            result = run_campaign(pipeline(enveloped=enveloped), [spec], cube)
+        for envelope in (True, False):
+            result = run_campaign(pipeline(envelope=envelope), [spec], cube)
             assert result.histogram == {DetectionStage.PRINTER_OUTCOME: 1}
 
     @pytest.mark.parametrize(
@@ -441,7 +446,8 @@ class TestFaultTargets:
 
 @pytest.fixture(scope="module")
 def demo(cube):
-    return run_demo_campaign(pipeline(seed=42), cube, corruption_count=120)
+    cfg = pipeline(seed=42)
+    return run_demo_campaign(cfg, flips(120, cfg), cube)
 
 
 class TestDemoCampaign:
@@ -470,12 +476,13 @@ class TestDemoCampaign:
 
     def test_requires_envelope(self, cube):
         with pytest.raises(ValueError, match="envelope"):
-            run_demo_campaign(pipeline(enveloped=False), cube)
+            run_demo_campaign(pipeline(envelope=False), [], cube)
 
     def test_probe_whose_channel_goes_down_is_evidence(self, cube, monkeypatch):
         # at certain loss every reliable probe goes down on its first packet
         monkeypatch.setattr(faultlab, "RELIABLE_LOSS_PROB", 1.0)
-        ev = run_demo_campaign(pipeline(seed=42), cube, corruption_count=2).evidence
+        cfg = pipeline(seed=42)
+        ev = run_demo_campaign(cfg, flips(2, cfg), cube).evidence
         assert ev.reliable_intact_under_loss is False
         assert ev.reliable_loss_prob == 1.0
         assert ev.lossy_packets_lost == 16 * (1 + MAX_RETRIES)
@@ -517,7 +524,7 @@ class TestTrialLoop:
                 "a078acc5b7dca436c3af213a67586cadc67c08a36bd2a0d8606858f992f6d414",
             ),
             (
-                pipeline(policy=PrintPolicy.STREAMING, enveloped=False, seed=7)._replace(
+                pipeline(policy=PrintPolicy.STREAMING, envelope=False, seed=7)._replace(
                     mode=TransferMode.BEST_EFFORT,
                 ),
                 "a19402601752684d0e85002c7dae92d6609758d210deae7ed5776c9d6674ff52",
@@ -537,7 +544,8 @@ class TestTrialLoop:
             return slice_mesh(*args, **kwargs)
 
         monkeypatch.setattr(faultlab, "slice_mesh", counting_slice_mesh)
-        run_demo_campaign(pipeline(seed=42), cube, corruption_count=8)
+        cfg = pipeline(seed=42)
+        run_demo_campaign(cfg, flips(8, cfg), cube)
         assert len(calls) == 1
 
     @pytest.mark.usefixtures("in_process")
@@ -553,7 +561,8 @@ class TestTrialLoop:
             return _fold(lines, prior, *args)
 
         monkeypatch.setattr(gcode, "_fold", counting_fold)
-        demo = run_demo_campaign(pipeline(seed=42), cube, corruption_count=8)
+        cfg = pipeline(seed=42)
+        demo = run_demo_campaign(cfg, flips(8, cfg), cube)
         assert demo.evidence.streaming_scrapped == 8
         assert sum(prior is gcode._NOTHING for prior in priors) == 1
         assert len(priors) == 1 + demo.evidence.raw_trials
@@ -576,8 +585,8 @@ class TestTrialLoop:
 
         monkeypatch.setattr(printer_sim, "resume", recording_resume)
         monkeypatch.setattr(gcode, "scan", counting_scan)
-        demo = run_demo_campaign(pipeline(seed=42), shapes.ngon_prism(64, 10, 10),
-                                 corruption_count=30)
+        cfg = pipeline(seed=42)
+        demo = run_demo_campaign(cfg, flips(30, cfg), shapes.ngon_prism(64, 10, 10))
         damaged = [read for read in reads if read[1] != read[2]]
         assert len(damaged) == demo.evidence.raw_trials == 30
         from_checkpoints = 0
@@ -724,7 +733,7 @@ class TestPool:
         "cfg",
         [
             pipeline(seed=7),
-            pipeline(policy=PrintPolicy.STREAMING, enveloped=False, seed=7)._replace(
+            pipeline(policy=PrintPolicy.STREAMING, envelope=False, seed=7)._replace(
                 mode=TransferMode.BEST_EFFORT),
         ],
         ids=["fullimage-enveloped", "streaming-raw-besteffort"],
@@ -747,10 +756,11 @@ class TestPool:
 
     def test_demo_matches_the_in_process_loop(self, cube, pool_runs, monkeypatch):
         # the three passes share one pool
-        pooled = json.dumps(run_demo_campaign(pipeline(seed=42), cube, 24).to_dict())
+        cfg = pipeline(seed=42)
+        pooled = json.dumps(run_demo_campaign(cfg, flips(24, cfg), cube).to_dict())
         assert pool_runs == [3 * 24]
         monkeypatch.setattr(faultlab, "_POOL_AFTER_S", math.inf)
-        assert pooled == json.dumps(run_demo_campaign(pipeline(seed=42), cube, 24).to_dict())
+        assert pooled == json.dumps(run_demo_campaign(cfg, flips(24, cfg), cube).to_dict())
         assert multiprocessing.active_children() == []
 
     def test_no_fork_while_another_thread_runs(self, cube, pool_runs):
@@ -854,7 +864,7 @@ def whole_file_trial(cfg, spec, pristine, channel):
         return DetectionStage.MESH_VALIDATION, None, None
     outcome, trace = run_job(
         job, cfg.printer, channel, cfg.mode,
-        packet_size=cfg.packet_size, enveloped=cfg.enveloped,
+        packet_size=cfg.packet_size, enveloped=cfg.envelope,
     )
     if outcome.reason is FailReason.INTEGRITY_FAILURE or trace.integrity_corrected_bits > 0:
         return DetectionStage.INTEGRITY_VERIFY, outcome, trace
@@ -1016,7 +1026,7 @@ class TestCadIntakeMatchesWholeFile:
         # enveloped config, also runs an unenveloped campaign that sends
         # the pristine text; a vertex-keeping fault follows the trial's
         # config and pristine, whichever config built the job first
-        raw_cfg = CAD_CFG._replace(enveloped=False)
+        raw_cfg = CAD_CFG._replace(envelope=False, ecc=False)
         header = FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_CAD, offset=8 * 5 + 1)
         pristine = faultlab._prepare(CAD_CFG, CAD_MESHES[name], [header])
         raw = pristine._replace(job=pristine.job._replace(sent=pristine.job.text))
@@ -1077,7 +1087,7 @@ class TestCadIntakeLifetime:
         built = []
         for i, (spec, stage, outcome) in enumerate(faultlab._trials([(cfg, pristine)], specs)):
             built.append(cfg in pristine.cad._jobs)
-            channel = cfg.channel._replace(seed=splitmix64_at(cfg.campaign_seed, i))
+            channel = cfg.channel._replace(seed=splitmix64_at(cfg.seed, i))
             fresh = faultlab._prepare(cfg, base, specs)
             assert (stage, outcome) == faultlab._run_trial(cfg, spec, fresh, channel)[:2]
         last = len(specs) - 1
@@ -1088,7 +1098,8 @@ class TestCadIntakeLifetime:
             raise AssertionError("parse_stl was called")
 
         monkeypatch.setattr(faultlab, "parse_stl", refuse)
-        run_demo_campaign(pipeline(seed=42), cube, corruption_count=4)
+        cfg = pipeline(seed=42)
+        run_demo_campaign(cfg, flips(4, cfg), cube)
         specs = [
             FaultSpec(FaultKind.BIT_FLIP, FaultStage.AFTER_SLICE, seed=1),
             FaultSpec(FaultKind.TRUNCATE, FaultStage.IN_TRANSIT, seed=2),

@@ -122,6 +122,9 @@ class TestFields:
 RECORD_TABLES = {
     "faults": (FAULT_FIELDS, FaultSpec),
     "evidence": (faultlab._EVIDENCE_FIELDS, faultlab.MitigationEvidence),
+    # the campaign's pipeline keys: its four blocks and six top-level keys
+    "campaign": ({key: entry for key, entry in CAMPAIGN_KEYS.items()
+                  if key in faultlab.PipelineConfig._fields}, faultlab.PipelineConfig),
     "campaign.slice": (CAMPAIGN_KEYS["slice"][0], SliceParams),
     "campaign.toolpath": (CAMPAIGN_KEYS["toolpath"][0], ToolpathParams),
     "campaign.printer": (CAMPAIGN_KEYS["printer"][0], PrinterConfig),
@@ -134,6 +137,12 @@ RECORD_TABLES = {
 @pytest.mark.parametrize("table, cls", RECORD_TABLES.values(), ids=RECORD_TABLES)
 def test_a_record_tables_keys_are_its_fields_in_order(table, cls):
     assert tuple(table) == cls._fields
+
+
+def test_a_campaigns_top_level_pipeline_keys_are_read_as_the_record_reads_them():
+    table = fields(faultlab.PipelineConfig)
+    for key in faultlab.PipelineConfig._fields[4:]:
+        assert CAMPAIGN_KEYS[key] == table[key], key
 
 
 def test_a_campaigns_channel_is_every_field_but_the_seed():

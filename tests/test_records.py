@@ -136,10 +136,10 @@ RECORDS = {
          "seed": 0},
     ),
     faultlab.PipelineConfig: (
-        ("slice_params", "toolpath", "channel", "printer", "mode", "packet_size", "enveloped",
-         "ecc", "geometry_tol_mm", "campaign_seed"),
-        {"mode": netsim.TransferMode.RELIABLE_ORDERED, "packet_size": 256, "enveloped": True,
-         "ecc": False, "geometry_tol_mm": 1e-6, "campaign_seed": 0},
+        ("slice", "toolpath", "channel", "printer", "mode", "packet_size", "envelope",
+         "ecc", "geometry_tol_mm", "seed"),
+        {"mode": netsim.TransferMode.RELIABLE_ORDERED, "packet_size": 256, "envelope": True,
+         "ecc": False, "geometry_tol_mm": 1e-6, "seed": 0},
     ),
 }
 record_types = pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
@@ -226,7 +226,7 @@ class TestRecords:
 
 # one bad value per config, and the message its constructor raises for it
 BAD_VALUES = {
-    slicer.SliceParams: ("layer_height", -1.0, "layer_height must be > 0"),
+    slicer.SliceParams: ("layer_height", -1.0, "layer_height must be finite and > 0"),
     gcode.ToolpathParams: ("feed_rate", 0.0, "feed_rate must be finite and > 0 at 5 decimals"),
     netsim.ChannelParams: ("loss_prob", 1.5, "loss_prob must be within [0, 1]"),
     printer_sim.PrinterConfig: ("buffer_capacity", 0, "buffer_capacity must be > 0"),
@@ -247,6 +247,24 @@ class TestConfigsCheckThemselves:
                 cls(*values)
             elif build == "_replace":
                 good._replace(**{name: bad})
+            elif build == "_make":
+                cls._make(values)
+            else:  # an unchecked record pickles as any record of cls would
+                pickle.loads(pickle.dumps(tuple.__new__(cls, values)))
+
+    @pytest.mark.parametrize("build", ["constructor", "_replace", "_make", "unpickling"])
+    def test_ecc_needs_the_envelope_on_every_build(self, build):
+        cls = faultlab.PipelineConfig
+        raw = cls(*sample(cls))  # sends no envelope, so no ECC either
+        assert (raw.envelope, raw.ecc) == (False, False)
+        assert raw._replace(envelope=True, ecc=True).ecc
+        values = [True if name == "ecc" else v for name, v in zip(cls._fields, raw)]
+        message = "'ecc' adds check bytes to the envelope: it needs 'envelope': true"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if build == "constructor":
+                cls(*values)
+            elif build == "_replace":
+                raw._replace(ecc=True)
             elif build == "_make":
                 cls._make(values)
             else:  # an unchecked record pickles as any record of cls would

@@ -366,6 +366,11 @@ class TestEdgeCases:
             SliceParams(layer_height=0.0)
         with pytest.raises(ValueError):
             SliceParams(layer_height=0.1, snap_eps=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^layer_height must be finite and > 0$"):
+                SliceParams(layer_height=bad)
+            with pytest.raises(ValueError, match="^snap_eps must be finite and > 0$"):
+                SliceParams(layer_height=0.1, snap_eps=bad)
 
     def test_layer_cap_boundary(self, cube, monkeypatch):
         # the unit cube at 0.25 mm needs exactly 4 layers, at 0.2 mm 5
@@ -509,8 +514,9 @@ def test_layers_json_round_trip(cube_layers):
 # The endpoint hash and the plane sweep against the scalar oracle
 # ---------------------------------------------------------------------------
 
-# the smallest subnormal, the default, one whose double overflows, and none
-EPS_EDGES = [5e-324, 1e-7, 1e308, math.inf]
+# the smallest subnormal, the default, and one whose double overflows: the
+# edges of the snap_eps a SliceParams takes
+EPS_EDGES = [5e-324, 1e-7, 1e308]
 NONFINITE = [math.nan, math.inf, -math.inf]
 
 
